@@ -20,41 +20,21 @@ use std::time::Instant;
 
 use tarch_bench::workloads;
 use tarch_core::{BlockStats, CoreConfig, IsaLevel, PerfCounters};
-use tarch_runner::Scale;
+use tarch_fleet::build_guest;
+use tarch_runner::{EngineKind, Scale};
 
 fn run_cell(
     src: &str,
-    engine: &str,
+    engine: EngineKind,
     level: IsaLevel,
     core: CoreConfig,
 ) -> (f64, PerfCounters, BlockStats) {
-    match engine {
-        "lua" => {
-            let mut vm = luart::LuaVm::from_source(src, level, core).expect("compiles");
-            let start = Instant::now();
-            vm.run(u64::MAX).expect("halts");
-            let secs = start.elapsed().as_secs_f64();
-            let c = *vm.cpu().counters();
-            (c.instructions as f64 / secs / 1e6, c, vm.cpu().block_stats())
-        }
-        "js" => {
-            let mut vm = jsrt::JsVm::from_source(src, level, core).expect("compiles");
-            let start = Instant::now();
-            vm.run(u64::MAX).expect("halts");
-            let secs = start.elapsed().as_secs_f64();
-            let c = *vm.cpu().counters();
-            (c.instructions as f64 / secs / 1e6, c, vm.cpu().block_stats())
-        }
-        "wasm" => {
-            let mut vm = wasmrt::WasmVm::from_source(src, level, core).expect("compiles");
-            let start = Instant::now();
-            vm.run(u64::MAX).expect("halts");
-            let secs = start.elapsed().as_secs_f64();
-            let c = *vm.cpu().counters();
-            (c.instructions as f64 / secs / 1e6, c, vm.cpu().block_stats())
-        }
-        other => panic!("unknown engine `{other}` (expected lua, js or wasm)"),
-    }
+    let mut guest = build_guest(engine, src, level, core).expect("compiles");
+    let start = Instant::now();
+    guest.run(u64::MAX).expect("halts");
+    let secs = start.elapsed().as_secs_f64();
+    let c = *guest.cpu().counters();
+    (c.instructions as f64 / secs / 1e6, c, guest.cpu().block_stats())
 }
 
 fn median(xs: &mut [f64]) -> f64 {
@@ -81,7 +61,7 @@ fn probe_all(reps: usize) {
     println!("{:-38} {:>7} {:>7} {:>7}", "cell", "off", "on", "ratio");
     for w in workloads::all() {
         let src = w.source(Scale::Default);
-        for engine in ["lua", "js", "wasm"] {
+        for engine in EngineKind::ALL {
             for level in IsaLevel::ALL {
                 run_cell(&src, engine, level, fast()); // warm-up
                 let mut on = Vec::new();
@@ -97,8 +77,9 @@ fn probe_all(reps: usize) {
                 }
                 let (m_on, m_off) = (median(&mut on), median(&mut off));
                 println!(
-                    "{:-28} {engine:>4} {:>5} {m_off:7.1} {m_on:7.1} {:7.3}",
+                    "{:-28} {:>4} {:>5} {m_off:7.1} {m_on:7.1} {:7.3}",
                     w.name,
+                    engine.id(),
                     level.name(),
                     m_on / m_off
                 );
@@ -116,7 +97,7 @@ fn probe_all(reps: usize) {
     );
 }
 
-fn probe_one(name: &str, engine: &str, reps: usize) {
+fn probe_one(name: &str, engine: EngineKind, reps: usize) {
     let w = workloads::by_name(name).expect("known workload");
     let src = w.source(Scale::Default);
 
@@ -138,7 +119,7 @@ fn probe_one(name: &str, engine: &str, reps: usize) {
     }
     let (counters, stats) = kept.expect("reps > 0");
     let entries = stats.hits + stats.builds + stats.chained_transfers;
-    println!("{name} ({engine}): {} instrs", counters.instructions);
+    println!("{name} ({}): {} instrs", engine.id(), counters.instructions);
     println!("{stats:#?}");
     println!(
         "block entries: {entries} (avg len {:.2}), chained {:.1}%",
@@ -157,7 +138,9 @@ fn main() {
         probe_all(reps);
     } else {
         let engine = args.next().unwrap_or_else(|| "lua".into());
+        let engine = EngineKind::parse(&engine)
+            .unwrap_or_else(|| panic!("unknown engine `{engine}` (expected lua, js or wasm)"));
         let reps: usize = args.next().map_or(7, |s| s.parse().expect("reps"));
-        probe_one(&first, &engine, reps);
+        probe_one(&first, engine, reps);
     }
 }

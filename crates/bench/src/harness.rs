@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use tarch_core::{CoreConfig, IsaLevel};
+use tarch_fleet::build_guest;
 use tarch_runner::{
     run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RunConfig, RunStats,
 };
@@ -59,88 +60,22 @@ pub fn job_spec_with(
 /// [`ExecError::StepBudget`] when the budget is exhausted, otherwise
 /// [`ExecError::Failed`] with the engine's message.
 pub fn exec_job(spec: &JobSpec, step_budget: u64) -> Result<CellResult, ExecError> {
-    let core = spec.core.clone();
-    match spec.engine {
-        EngineKind::Lua => {
-            let mut vm = luart::LuaVm::from_source(&spec.source, spec.level, core)
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            let sim_started = std::time::Instant::now();
-            let r = if spec.profiled {
-                vm.run_profiled(step_budget)
-            } else {
-                vm.run(step_budget)
-            };
-            let sim_nanos = sim_started.elapsed().as_nanos() as u64;
-            match r {
-                Ok(r) => Ok(CellResult {
-                    counters: r.counters,
-                    branch: r.branch,
-                    output: r.output,
-                    bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
-                    sim_nanos,
-                    tier_deopts: vm.cpu().block_stats().tier_deopts,
-                    // `None` unless the spec's core config enabled tracing.
-                    trace: vm.cpu_mut().finish_trace(),
-                }),
-                Err(luart::EngineError::StepLimit { max_steps }) => {
-                    Err(ExecError::StepBudget { steps: max_steps })
-                }
-                Err(e) => Err(ExecError::Failed(e.to_string())),
-            }
-        }
-        EngineKind::Js => {
-            let mut vm = jsrt::JsVm::from_source(&spec.source, spec.level, core)
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            let sim_started = std::time::Instant::now();
-            let r = if spec.profiled {
-                vm.run_profiled(step_budget)
-            } else {
-                vm.run(step_budget)
-            };
-            let sim_nanos = sim_started.elapsed().as_nanos() as u64;
-            match r {
-                Ok(r) => Ok(CellResult {
-                    counters: r.counters,
-                    branch: r.branch,
-                    output: r.output,
-                    bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
-                    sim_nanos,
-                    tier_deopts: vm.cpu().block_stats().tier_deopts,
-                    trace: vm.cpu_mut().finish_trace(),
-                }),
-                Err(jsrt::EngineError::StepLimit { max_steps }) => {
-                    Err(ExecError::StepBudget { steps: max_steps })
-                }
-                Err(e) => Err(ExecError::Failed(e.to_string())),
-            }
-        }
-        EngineKind::Wasm => {
-            let mut vm = wasmrt::WasmVm::from_source(&spec.source, spec.level, core)
-                .map_err(|e| ExecError::Failed(e.to_string()))?;
-            let sim_started = std::time::Instant::now();
-            let r = if spec.profiled {
-                vm.run_profiled(step_budget)
-            } else {
-                vm.run(step_budget)
-            };
-            let sim_nanos = sim_started.elapsed().as_nanos() as u64;
-            match r {
-                Ok(r) => Ok(CellResult {
-                    counters: r.counters,
-                    branch: r.branch,
-                    output: r.output,
-                    bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
-                    sim_nanos,
-                    tier_deopts: vm.cpu().block_stats().tier_deopts,
-                    trace: vm.cpu_mut().finish_trace(),
-                }),
-                Err(wasmrt::EngineError::StepLimit { max_steps }) => {
-                    Err(ExecError::StepBudget { steps: max_steps })
-                }
-                Err(e) => Err(ExecError::Failed(e.to_string())),
-            }
-        }
-    }
+    let mut guest = build_guest(spec.engine, &spec.source, spec.level, spec.core.clone())
+        .map_err(ExecError::Failed)?;
+    let sim_started = std::time::Instant::now();
+    let r = if spec.profiled { guest.run_profiled(step_budget) } else { guest.run(step_budget) };
+    let sim_nanos = sim_started.elapsed().as_nanos() as u64;
+    let r = r?;
+    Ok(CellResult {
+        counters: r.counters,
+        branch: r.branch,
+        output: r.output,
+        bytecodes: r.profile.as_ref().map(|p| p.total_bytecodes()),
+        sim_nanos,
+        tier_deopts: guest.cpu().block_stats().tier_deopts,
+        // `None` unless the spec's core config enabled tracing.
+        trace: guest.cpu_mut().finish_trace(),
+    })
 }
 
 /// Runs one workload on one engine at one ISA level (no pool, no cache;
@@ -488,12 +423,18 @@ mod tests {
     #[test]
     fn single_cell_runs_and_counts() {
         let w = workloads::by_name("fibo").unwrap();
-        let cell = run_cell(&w, EngineKind::Lua, IsaLevel::Typed, Scale::Test, false).unwrap();
-        assert_eq!(cell.output, "144\n");
-        assert!(cell.counters.type_hits > 0);
-        let profiled =
-            run_cell(&w, EngineKind::Lua, IsaLevel::Typed, Scale::Test, true).unwrap();
-        assert!(profiled.bytecodes.unwrap() > 100);
+        for engine in EngineKind::ALL {
+            let cell = run_cell(&w, engine, IsaLevel::Typed, Scale::Test, false).unwrap();
+            assert_eq!(cell.output, "144\n", "{engine:?}");
+            // The static engine leaves the typed hardware idle.
+            assert_eq!(cell.counters.type_hits > 0, engine != EngineKind::Wasm, "{engine:?}");
+            let profiled = run_cell(&w, engine, IsaLevel::Typed, Scale::Test, true).unwrap();
+            assert!(profiled.bytecodes.unwrap() > 100, "{engine:?}");
+            // Attribution observes the run; it must not change it.
+            assert_eq!(profiled.counters, cell.counters, "{engine:?}");
+            assert_eq!(profiled.branch, cell.branch, "{engine:?}");
+            assert_eq!(profiled.output, cell.output, "{engine:?}");
+        }
     }
 
     #[test]
@@ -526,10 +467,12 @@ mod tests {
     #[test]
     fn step_budget_exhaustion_names_the_cell() {
         let w = workloads::by_name("fibo").unwrap();
-        let spec = job_spec(&w, EngineKind::Lua, IsaLevel::Typed, Scale::Test, false);
-        match exec_job(&spec, 10) {
-            Err(ExecError::StepBudget { steps }) => assert_eq!(steps, 10),
-            other => panic!("expected StepBudget, got {other:?}"),
+        for engine in EngineKind::ALL {
+            let spec = job_spec(&w, engine, IsaLevel::Typed, Scale::Test, false);
+            match exec_job(&spec, 10) {
+                Err(ExecError::StepBudget { steps }) => assert_eq!(steps, 10),
+                other => panic!("{engine:?}: expected StepBudget, got {other:?}"),
+            }
         }
     }
 
@@ -541,5 +484,6 @@ mod tests {
         assert_send::<luart::LuaVm>();
         assert_send::<jsrt::JsVm>();
         assert_send::<wasmrt::WasmVm>();
+        assert_send::<tarch_fleet::Guest>();
     }
 }

@@ -7,7 +7,7 @@
 //! ([`EdgeProfile`], recorded by `Cpu::run_blocks`), and the adjacent
 //! opcode-pair histogram (`PairProfile`). The runner distills those into
 //! a [`PgoProfile`] and threads it back in through
-//! `CoreConfig::pgo` for the **optimized run**, where it drives three
+//! `CoreConfig::pgo` for the **optimized run**, where it drives four
 //! decisions:
 //!
 //! * **superblock formation** — block building follows the measured

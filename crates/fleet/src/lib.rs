@@ -5,6 +5,10 @@
 //! hardware. This crate reproduces that deployment shape on top of the
 //! simulator:
 //!
+//! * [`build_guest`] / [`Guest`] — the engine registry: the one place
+//!   that maps an `EngineKind` to its engine, returning the guest VM
+//!   behind one trait object for callers that pick the engine at run
+//!   time (this crate's scheduler, the bench harness, `repro`, tests);
 //! * [`Template`] — the fork-server idiom. Construct a guest VM once
 //!   (parse → compile → typed codegen → load), freeze its simulated
 //!   memory into a shared copy-on-write base image

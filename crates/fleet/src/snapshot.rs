@@ -19,26 +19,96 @@
 //! itself; siblings keep executing the shared closures against their
 //! own unmodified pages.
 
-use jsrt::JsVm;
-use luart::LuaVm;
-use wasmrt::WasmVm;
+use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Instant;
 use tarch_core::{Cpu, CoreConfig, IsaLevel};
-use tarch_runner::EngineKind;
-use tarch_sim::RunOutcome;
+use tarch_runner::{EngineKind, ExecError};
+use tarch_sim::{Engine, EngineError, GuestVm, RunOutcome, RunReport};
 
-/// One cloned guest VM, engine-erased for the scheduler.
-#[derive(Debug, Clone)]
-pub enum Guest {
-    /// A `luart` engine instance.
-    Lua(Box<LuaVm>),
-    /// A `jsrt` engine instance.
-    Js(Box<JsVm>),
-    /// A `wasmrt` engine instance.
-    Wasm(Box<WasmVm>),
+/// One guest VM with its engine erased: what schedulers, the harness and
+/// tools use when the engine is picked at run time. Each call dispatches
+/// once; the simulate loop inside stays monomorphic per engine.
+#[derive(Debug)]
+pub struct Guest(Box<dyn Erased>);
+
+/// The object-safe face of [`GuestVm`].
+trait Erased: fmt::Debug + Send {
+    fn boxed_clone(&self) -> Box<dyn Erased>;
+    fn run(&mut self, max_steps: u64, profiled: bool)
+        -> Result<RunReport<&'static str>, ExecError>;
+    fn run_slice(&mut self, max_steps: u64) -> Result<RunOutcome, String>;
+    fn output(&self) -> &str;
+    fn symbols(&self) -> &BTreeMap<String, u64>;
+    fn cpu(&self) -> &Cpu;
+    fn cpu_mut(&mut self) -> &mut Cpu;
+}
+
+impl<E: Engine> Erased for GuestVm<E> {
+    fn boxed_clone(&self) -> Box<dyn Erased> {
+        Box::new(self.clone())
+    }
+
+    fn run(
+        &mut self,
+        max_steps: u64,
+        profiled: bool,
+    ) -> Result<RunReport<&'static str>, ExecError> {
+        let report =
+            if profiled { self.run_profiled(max_steps) } else { GuestVm::run(self, max_steps) };
+        report.map(RunReport::named).map_err(|e| match e {
+            EngineError::StepLimit { max_steps } => ExecError::StepBudget { steps: max_steps },
+            e => ExecError::Failed(e.to_string()),
+        })
+    }
+
+    fn run_slice(&mut self, max_steps: u64) -> Result<RunOutcome, String> {
+        GuestVm::run_slice(self, max_steps).map_err(|e| e.to_string())
+    }
+
+    fn output(&self) -> &str {
+        GuestVm::output(self)
+    }
+
+    fn symbols(&self) -> &BTreeMap<String, u64> {
+        &self.image().program.symbols
+    }
+
+    fn cpu(&self) -> &Cpu {
+        GuestVm::cpu(self)
+    }
+
+    fn cpu_mut(&mut self) -> &mut Cpu {
+        GuestVm::cpu_mut(self)
+    }
+}
+
+impl Clone for Guest {
+    fn clone(&self) -> Guest {
+        Guest(self.0.boxed_clone())
+    }
 }
 
 impl Guest {
+    /// Runs to completion (up to `max_steps` simulated instructions).
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::StepBudget`] when the budget runs out, otherwise
+    /// [`ExecError::Failed`] with the engine's message.
+    pub fn run(&mut self, max_steps: u64) -> Result<RunReport<&'static str>, ExecError> {
+        self.0.run(max_steps, false)
+    }
+
+    /// [`Guest::run`] with per-opcode attribution, keyed by opcode name.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Guest::run`].
+    pub fn run_profiled(&mut self, max_steps: u64) -> Result<RunReport<&'static str>, ExecError> {
+        self.0.run(max_steps, true)
+    }
+
     /// Runs one scheduling slice of up to `max_steps` simulated
     /// instructions; exhausting the slice leaves the guest resumable.
     ///
@@ -46,52 +116,38 @@ impl Guest {
     ///
     /// Returns the engine's error rendering on traps or runtime errors.
     pub fn run_slice(&mut self, max_steps: u64) -> Result<RunOutcome, String> {
-        match self {
-            Guest::Lua(vm) => vm.run_slice(max_steps).map_err(|e| e.to_string()),
-            Guest::Js(vm) => vm.run_slice(max_steps).map_err(|e| e.to_string()),
-            Guest::Wasm(vm) => vm.run_slice(max_steps).map_err(|e| e.to_string()),
-        }
+        self.0.run_slice(max_steps)
     }
 
     /// Whether the guest program has halted.
     pub fn is_halted(&self) -> bool {
-        match self {
-            Guest::Lua(vm) => vm.is_halted(),
-            Guest::Js(vm) => vm.is_halted(),
-            Guest::Wasm(vm) => vm.is_halted(),
-        }
+        self.cpu().is_halted()
     }
 
     /// Everything the guest has printed so far.
     pub fn output(&self) -> String {
-        match self {
-            Guest::Lua(vm) => vm.report_now().output,
-            Guest::Js(vm) => vm.report_now().output,
-            Guest::Wasm(vm) => vm.report_now().output,
-        }
+        self.0.output().to_string()
+    }
+
+    /// The image program's symbols (handler and label addresses).
+    pub fn symbols(&self) -> &BTreeMap<String, u64> {
+        self.0.symbols()
     }
 
     /// The simulated core.
     pub fn cpu(&self) -> &Cpu {
-        match self {
-            Guest::Lua(vm) => vm.cpu(),
-            Guest::Js(vm) => vm.cpu(),
-            Guest::Wasm(vm) => vm.cpu(),
-        }
+        self.0.cpu()
     }
 
     /// The simulated core, mutably.
     pub fn cpu_mut(&mut self) -> &mut Cpu {
-        match self {
-            Guest::Lua(vm) => vm.cpu_mut(),
-            Guest::Js(vm) => vm.cpu_mut(),
-            Guest::Wasm(vm) => vm.cpu_mut(),
-        }
+        self.0.cpu_mut()
     }
 }
 
-/// Builds a ready-to-run guest without freezing (the full-construction
-/// path a [`Template`] amortizes away).
+/// The engine registry: builds a ready-to-run guest of any engine, without
+/// freezing (the full-construction path a [`Template`] amortizes away).
+/// This is the one place that names every engine.
 ///
 /// # Errors
 ///
@@ -103,21 +159,15 @@ pub fn build_guest(
     core: CoreConfig,
 ) -> Result<Guest, String> {
     match engine {
-        EngineKind::Lua => {
-            let chunk = miniscript::parse(source).map_err(|e| e.to_string())?;
-            let module = luart::compile(&chunk).map_err(|e| e.to_string())?;
-            let vm = LuaVm::new(&module, level, core).map_err(|e| e.to_string())?;
-            Ok(Guest::Lua(Box::new(vm)))
-        }
-        EngineKind::Js => {
-            let vm = JsVm::from_source(source, level, core).map_err(|e| e.to_string())?;
-            Ok(Guest::Js(Box::new(vm)))
-        }
-        EngineKind::Wasm => {
-            let vm = WasmVm::from_source(source, level, core).map_err(|e| e.to_string())?;
-            Ok(Guest::Wasm(Box::new(vm)))
-        }
+        EngineKind::Lua => erase::<luart::Lua>(source, level, core),
+        EngineKind::Js => erase::<jsrt::Js>(source, level, core),
+        EngineKind::Wasm => erase::<wasmrt::Wasm>(source, level, core),
     }
+}
+
+fn erase<E: Engine>(source: &str, level: IsaLevel, core: CoreConfig) -> Result<Guest, String> {
+    let vm = GuestVm::<E>::from_source(source, level, core).map_err(|e| e.to_string())?;
+    Ok(Guest(Box::new(vm)))
 }
 
 /// A fully constructed, frozen guest image that tenants are cloned from.

@@ -20,10 +20,10 @@
 use crate::bytecode::{Const, Module, Op};
 use crate::helpers_mod as helpers;
 use crate::layout::{self, callinfo, funcinfo, map, object, tag};
-use std::collections::HashMap;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
+use tarch_sim::{Image, StringTable};
 
 /// VM pc.
 const PC: Reg = Reg::S0;
@@ -52,19 +52,7 @@ fn box_prefix17(t: u8) -> i64 {
 }
 
 /// A built jsrt image.
-#[derive(Debug, Clone)]
-pub struct JsImage {
-    /// Assembled program.
-    pub program: Program,
-    /// Handler entry pcs.
-    pub handler_entries: Vec<(Op, u64)>,
-    /// Dispatch loop pc.
-    pub dispatch_pc: u64,
-    /// Interned strings.
-    pub strings: Vec<String>,
-    /// ISA level.
-    pub level: IsaLevel,
-}
+pub type JsImage = Image<Op>;
 
 /// Generates the interpreter image.
 ///
@@ -88,8 +76,7 @@ struct Gen<'a> {
     handler_labels: Vec<(Op, Label)>,
     stack_ov: Label,
     div_zero: Label,
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
+    strings: StringTable,
     func_code: Vec<Label>,
     func_consts: Vec<Label>,
     dispatch_table: Label,
@@ -120,24 +107,13 @@ impl<'a> Gen<'a> {
             handler_labels,
             stack_ov,
             div_zero,
-            strings: Vec::new(),
-            string_ids: HashMap::new(),
+            strings: StringTable::default(),
             func_code,
             func_consts,
             dispatch_table,
             functable,
             halt_bc,
         }
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
     }
 
     fn handler(&self, op: Op) -> Label {
@@ -1077,7 +1053,7 @@ impl<'a> Gen<'a> {
                         Err(_) => (*v as f64).to_bits(),
                     },
                     Const::Float(v) => v.to_bits(),
-                    Const::Str(s) => layout::boxed(tag::STR, self.intern(s) as u64),
+                    Const::Str(s) => layout::boxed(tag::STR, self.strings.intern(s) as u64),
                 };
                 self.b.dword(dword);
             }
@@ -1085,13 +1061,6 @@ impl<'a> Gen<'a> {
     }
 
     fn finish(self) -> Result<JsImage, AsmError> {
-        let program = self.b.finish()?;
-        let mut handler_entries: Vec<(Op, u64)> = Op::ALL
-            .iter()
-            .map(|op| (*op, program.symbol(&format!("op_{}", op.name())).expect("handler symbol")))
-            .collect();
-        handler_entries.sort_by_key(|(_, pc)| *pc);
-        let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
-        Ok(JsImage { program, handler_entries, dispatch_pc, strings: self.strings, level: self.level })
+        Image::finish(self.b, self.strings.into_strings(), self.level)
     }
 }

@@ -129,10 +129,9 @@ pub mod map {
     pub const CI_BASE: u64 = 0x0180_0000;
     /// CallInfo limit.
     pub const CI_LIMIT: u64 = 0x01a0_0000;
-    /// Heap.
-    pub const HEAP_BASE: u64 = 0x0200_0000;
-    /// Heap limit.
-    pub const HEAP_LIMIT: u64 = 0x0800_0000;
+    /// Bump-allocated heap (GC is off, as in the paper's runs), shared by
+    /// every engine's host.
+    pub use tarch_sim::{HEAP_BASE, HEAP_LIMIT};
 }
 
 /// SPR settings per paper Table 4 (SpiderMonkey column): NaN detection on,

@@ -17,6 +17,9 @@
 //!   bytecodes (ADD, SUB, MUL, GETELEM, SETELEM; paper Table 3), using
 //!   the hardware NaN-detection tag datapath in the Typed variant.
 //!
+//! [`JsVm`] is the guest-VM shell every engine shares
+//! (`tarch_sim::GuestVm`), over this crate's [`Js`] engine.
+//!
 //! # Examples
 //!
 //! ```
@@ -46,5 +49,5 @@ mod runtime;
 pub use bytecode::{Bc, Builtin, Const, Module, Op, Proto};
 pub use codegen::{build_image, JsImage};
 pub use compiler::{compile, CompileError};
-pub use engine::{run_source, EngineError, JsVm, OpProfile, RunReport};
+pub use engine::{EngineError, Js, JsVm, OpProfile, RunReport};
 pub use runtime::JsHost;

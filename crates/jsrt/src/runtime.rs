@@ -9,12 +9,12 @@
 
 use crate::bytecode::{Builtin, Op};
 use crate::helpers_mod as helpers;
-use crate::layout::{self, map, object, tag};
+use crate::layout::{self, object, tag};
 use miniscript::{float_floor_mod, format_float, int_floor_div, int_floor_mod, string_sub};
 use std::collections::HashMap;
 use tarch_core::{canonical_f64_bits, Cpu};
 use tarch_isa::Reg;
-use tarch_sim::{Cost, HostError, NativeHost};
+use tarch_sim::{Cost, GuestHost, HostError, HostState, NativeHost};
 
 /// Hash-part key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -37,61 +37,12 @@ enum Hv {
 /// The native host for the `jsrt` engine.
 #[derive(Debug, Clone)]
 pub struct JsHost {
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
+    state: HostState,
     hash_parts: Vec<HashMap<HKey, u64>>,
     globals: HashMap<u32, u64>,
-    output: String,
-    heap_ptr: u64,
 }
 
 impl JsHost {
-    /// Creates a host pre-loaded with the image's interned strings.
-    pub fn new(strings: Vec<String>) -> JsHost {
-        let string_ids =
-            strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        JsHost {
-            strings,
-            string_ids,
-            hash_parts: Vec::new(),
-            globals: HashMap::new(),
-            output: String::new(),
-            heap_ptr: map::HEAP_BASE,
-        }
-    }
-
-    /// Everything the program printed.
-    pub fn output(&self) -> &str {
-        &self.output
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
-    }
-
-    fn string(&self, id: u32) -> Result<&str, HostError> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| HostError::new(0, format!("bad string id {id}")))
-    }
-
-    fn alloc(&mut self, bytes: u64) -> Result<u64, HostError> {
-        let addr = (self.heap_ptr + 15) & !15;
-        let end = addr + bytes;
-        if end > map::HEAP_LIMIT {
-            return Err(HostError::new(0, "heap exhausted (GC is disabled)"));
-        }
-        self.heap_ptr = end;
-        Ok(addr)
-    }
-
     fn decode(value: u64) -> Hv {
         if !layout::is_boxed(value) {
             return Hv::Double(f64::from_bits(value));
@@ -150,7 +101,7 @@ impl JsHost {
             Hv::Bool(b) => b.to_string(),
             Hv::Int(i) => i.to_string(),
             Hv::Double(f) => format_float(f),
-            Hv::Str(id) => self.string(id)?.to_string(),
+            Hv::Str(id) => self.state.string(id)?.to_string(),
             Hv::Object(_) => "table".to_string(),
         })
     }
@@ -160,7 +111,7 @@ impl JsHost {
             Hv::Int(i) => Ok((i as f64, false)),
             Hv::Double(f) => Ok((f, false)),
             Hv::Str(id) => {
-                let s = self.string(id)?;
+                let s = self.state.string(id)?;
                 s.trim()
                     .parse::<f64>()
                     .map(|f| (f, true))
@@ -254,7 +205,7 @@ impl JsHost {
         let cap = cpu.mem().read_u64(hdr + object::CAP as u64);
         let len = cpu.mem().read_u64(hdr + object::LEN as u64);
         let new_cap = (cap * 2).max(4);
-        let new_elems = self.alloc(new_cap * 8)?;
+        let new_elems = self.state.alloc(new_cap * 8)?;
         let old = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
         for i in 0..len {
             let v = Self::read(cpu, old + i * 8);
@@ -285,7 +236,7 @@ impl JsHost {
     }
 
     fn new_array(&mut self, cpu: &mut Cpu, capacity: u64) -> Result<u64, HostError> {
-        let hdr = self.alloc(object::HEADER_SIZE + capacity * 8)?;
+        let hdr = self.state.alloc(object::HEADER_SIZE + capacity * 8)?;
         let elems = hdr + object::HEADER_SIZE;
         cpu.host_store_u64(hdr + object::ELEMS_PTR as u64, elems);
         cpu.host_store_u64(hdr + object::CAP as u64, capacity);
@@ -317,7 +268,7 @@ impl JsHost {
             };
             let s = format!("{}{}", part(self, lhs)?, part(self, rhs)?);
             let bytes = s.len() as u64;
-            let id = self.intern(&s);
+            let id = self.state.intern(&s);
             Self::write(cpu, dst, Self::encode(Hv::Str(id)));
             return Ok(Cost::affine(60, 2, bytes));
         }
@@ -386,7 +337,7 @@ impl JsHost {
             Op::Lt | Op::Le => {
                 let ord = match (lhs, rhs) {
                     (Hv::Str(x), Hv::Str(y)) => {
-                        let (sx, sy) = (self.string(x)?, self.string(y)?);
+                        let (sx, sy) = (self.state.string(x)?, self.state.string(y)?);
                         cost = cost.plus(Cost::affine(0, 2, sx.len().min(sy.len()) as u64));
                         sx.cmp(sy)
                     }
@@ -421,7 +372,7 @@ impl JsHost {
         };
         let key = self.elem_key(key)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(50, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(50, 6, self.state.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(60),
         };
         let v = self.elem_get(cpu, hdr, key)?;
@@ -441,7 +392,7 @@ impl JsHost {
         };
         let key = self.elem_key(key)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(70, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(70, 6, self.state.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(80),
         };
         let extra = self.elem_set(cpu, hdr, key, value)?;
@@ -481,7 +432,7 @@ impl JsHost {
                 }
                 cost = Cost::affine(60, 3, line.len() as u64)
                     .plus(Cost::affine(0, 25, args.len() as u64));
-                self.output.push_str(&line);
+                self.state.print(&line);
                 Hv::Undef
             }
             Builtin::Clock => {
@@ -522,7 +473,7 @@ impl JsHost {
             }
             Builtin::Sub => {
                 let Hv::Str(id) = arg(0) else { return Err(err("sub on a non-string".into())) };
-                let s = self.string(id)?.to_string();
+                let s = self.state.string(id)?.to_string();
                 let i = as_int(arg(1))?;
                 let j = match arg(2) {
                     Hv::Undef => -1,
@@ -530,12 +481,12 @@ impl JsHost {
                 };
                 let out = string_sub(&s, i, j);
                 cost = Cost::affine(40, 2, out.len() as u64);
-                Hv::Str(self.intern(&out))
+                Hv::Str(self.state.intern(&out))
             }
             Builtin::Len => {
                 cost = Cost::fixed(15);
                 match arg(0) {
-                    Hv::Str(id) => Hv::Int(self.string(id)?.len() as i64),
+                    Hv::Str(id) => Hv::Int(self.state.string(id)?.len() as i64),
                     Hv::Object(hdr) => {
                         Hv::Int(cpu.mem().read_u64(hdr + object::LEN as u64) as i64)
                     }
@@ -546,7 +497,7 @@ impl JsHost {
                 cost = Cost::fixed(20);
                 let v = as_int(arg(0))?;
                 let b = u8::try_from(v).map_err(|_| err(format!("char: {v} out of range")))?;
-                Hv::Str(self.intern(&(b as char).to_string()))
+                Hv::Str(self.state.intern(&(b as char).to_string()))
             }
             Builtin::Byte => {
                 cost = Cost::fixed(20);
@@ -555,7 +506,7 @@ impl JsHost {
                     Hv::Undef => 1,
                     v => as_int(v)?,
                 };
-                let s = self.string(id)?;
+                let s = self.state.string(id)?;
                 match s.as_bytes().get((i - 1).max(0) as usize) {
                     Some(b) if i >= 1 => Hv::Int(*b as i64),
                     _ => Hv::Undef,
@@ -575,7 +526,7 @@ impl JsHost {
             Builtin::Tostring => {
                 let s = self.format(arg(0))?;
                 cost = Cost::affine(60, 2, s.len() as u64);
-                Hv::Str(self.intern(&s))
+                Hv::Str(self.state.intern(&s))
             }
         };
         Self::write(cpu, base, Self::encode(result));
@@ -587,7 +538,7 @@ impl JsHost {
         let v = Self::decode(Self::read(cpu, cpu.regs().read(Reg::A2).v));
         match v {
             Hv::Str(id) => {
-                let len = self.string(id)?.len() as i64;
+                let len = self.state.string(id)?.len() as i64;
                 Self::write(cpu, dst, Self::encode(Hv::Int(len)));
                 Ok(Cost::fixed(15))
             }
@@ -604,6 +555,20 @@ impl JsHost {
         let (n, coerced) = self.to_number(v)?;
         Self::write(cpu, dst, Self::encode_number(-n));
         Ok(Cost::fixed(if coerced { 65 } else { 40 }))
+    }
+}
+
+impl GuestHost for JsHost {
+    fn new(state: HostState) -> JsHost {
+        JsHost {
+            state,
+            hash_parts: Vec::new(),
+            globals: HashMap::new(),
+        }
+    }
+
+    fn state(&self) -> &HostState {
+        &self.state
     }
 }
 

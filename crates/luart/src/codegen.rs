@@ -24,10 +24,10 @@ use crate::bytecode::{Const, Module, Op};
 use crate::helpers;
 use crate::layout::{callinfo, funcinfo, map, table, tag, TAG_OFFSET};
 use crate::layout;
-use std::collections::HashMap;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
+use tarch_sim::{Image, StringTable};
 
 // Register conventions of the generated interpreter.
 /// VM program counter (byte address of the next bytecode).
@@ -55,19 +55,7 @@ const RA: Reg = Reg::S10;
 
 /// A built engine image: program plus the metadata the runtime and the
 /// experiment harness need.
-#[derive(Debug, Clone)]
-pub struct LuaImage {
-    /// The assembled program.
-    pub program: Program,
-    /// Handler entry pcs, one per opcode, sorted by address.
-    pub handler_entries: Vec<(Op, u64)>,
-    /// Entry pc of the dispatch loop.
-    pub dispatch_pc: u64,
-    /// Interned strings; index is the string id used in value payloads.
-    pub strings: Vec<String>,
-    /// The ISA level the image was generated for.
-    pub level: IsaLevel,
-}
+pub type LuaImage = Image<Op>;
 
 /// Generates the interpreter + program image for a compiled module.
 ///
@@ -92,8 +80,7 @@ struct Gen<'a> {
     handler_labels: Vec<(Op, Label)>,
     stack_ov: Label,
     div_zero: Label,
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
+    strings: StringTable,
     func_code: Vec<Label>,
     func_consts: Vec<Label>,
     dispatch_table: Label,
@@ -128,8 +115,7 @@ impl<'a> Gen<'a> {
             handler_labels,
             stack_ov,
             div_zero,
-            strings: Vec::new(),
-            string_ids: HashMap::new(),
+            strings: StringTable::default(),
             func_code,
             func_consts,
             dispatch_table,
@@ -138,16 +124,6 @@ impl<'a> Gen<'a> {
             main_code,
             main_consts,
         }
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
     }
 
     fn handler(&self, op: Op) -> Label {
@@ -1194,7 +1170,7 @@ impl<'a> Gen<'a> {
                 let (value, t) = match k {
                     Const::Int(v) => (*v as u64, tag::INT),
                     Const::Float(v) => (v.to_bits(), tag::FLOAT),
-                    Const::Str(s) => (self.intern(s) as u64, tag::STR),
+                    Const::Str(s) => (self.strings.intern(s) as u64, tag::STR),
                 };
                 self.b.dword(value);
                 self.b.dword(t as u64);
@@ -1203,20 +1179,7 @@ impl<'a> Gen<'a> {
     }
 
     fn finish(self) -> Result<LuaImage, AsmError> {
-        let program = self.b.finish()?;
-        let mut handler_entries: Vec<(Op, u64)> = Op::ALL
-            .iter()
-            .map(|op| (*op, program.symbol(&format!("op_{}", op.name())).expect("handler symbol")))
-            .collect();
-        handler_entries.sort_by_key(|(_, pc)| *pc);
-        let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
-        Ok(LuaImage {
-            program,
-            handler_entries,
-            dispatch_pc,
-            strings: self.strings,
-            level: self.level,
-        })
+        Image::finish(self.b, self.strings.into_strings(), self.level)
     }
 
 }

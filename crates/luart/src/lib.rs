@@ -20,8 +20,10 @@
 //!
 //! The pipeline: [`compile`] MiniScript to bytecode, [`build_image`] the
 //! interpreter for an [`tarch_core::IsaLevel`], then drive it with
-//! [`LuaVm`]. A host-side bytecode executor ([`host_run`]) provides the
-//! compiler's executable specification for differential testing.
+//! [`LuaVm`] — the guest-VM shell every engine shares
+//! (`tarch_sim::GuestVm`), over this crate's [`Lua`] engine. A host-side
+//! bytecode executor ([`host_run`]) provides the compiler's executable
+//! specification for differential testing.
 //!
 //! # Examples
 //!
@@ -57,6 +59,6 @@ mod runtime;
 pub use bytecode::{Bc, Builtin, Const, Module, Op, Proto, RK_CONST};
 pub use codegen::{build_image, LuaImage};
 pub use compiler::{compile, CompileError};
-pub use engine::{run_source, EngineError, LuaVm, OpProfile, RunReport};
+pub use engine::{EngineError, Lua, LuaVm, OpProfile, RunReport};
 pub use hostvm::{host_run, host_run_counted, VmError};
 pub use runtime::LuaHost;

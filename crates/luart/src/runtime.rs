@@ -22,12 +22,12 @@
 
 use crate::bytecode::{Builtin, Op};
 use crate::helpers;
-use crate::layout::{map, table, tag, TAG_OFFSET, TVALUE_SIZE};
+use crate::layout::{table, tag, TAG_OFFSET, TVALUE_SIZE};
 use miniscript::{float_floor_mod, format_float, int_floor_div, int_floor_mod, string_sub};
 use std::collections::HashMap;
 use tarch_core::Cpu;
 use tarch_isa::Reg;
-use tarch_sim::{Cost, HostError, NativeHost};
+use tarch_sim::{Cost, GuestHost, HostError, HostState, NativeHost};
 
 /// A raw tag-value pair as stored in simulated memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,61 +63,12 @@ enum Hv {
 /// The native host for the `luart` engine.
 #[derive(Debug, Clone)]
 pub struct LuaHost {
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
+    state: HostState,
     hash_parts: Vec<HashMap<HKey, RawTv>>,
     globals: HashMap<u32, RawTv>,
-    output: String,
-    heap_ptr: u64,
 }
 
 impl LuaHost {
-    /// Creates a host pre-loaded with the image's interned strings.
-    pub fn new(strings: Vec<String>) -> LuaHost {
-        let string_ids =
-            strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        LuaHost {
-            strings,
-            string_ids,
-            hash_parts: Vec::new(),
-            globals: HashMap::new(),
-            output: String::new(),
-            heap_ptr: map::HEAP_BASE,
-        }
-    }
-
-    /// Everything the program printed.
-    pub fn output(&self) -> &str {
-        &self.output
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
-    }
-
-    fn string(&self, id: u32) -> Result<&str, HostError> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| HostError::new(0, format!("bad string id {id}")))
-    }
-
-    fn alloc(&mut self, bytes: u64) -> Result<u64, HostError> {
-        let addr = (self.heap_ptr + 15) & !15;
-        let end = addr + bytes;
-        if end > map::HEAP_LIMIT {
-            return Err(HostError::new(0, "heap exhausted (GC is disabled)"));
-        }
-        self.heap_ptr = end;
-        Ok(addr)
-    }
-
     fn read_tv(cpu: &Cpu, addr: u64) -> RawTv {
         RawTv { v: cpu.mem().read_u64(addr), t: cpu.mem().read_u8(addr + TAG_OFFSET as u64) }
     }
@@ -166,7 +117,7 @@ impl LuaHost {
             Hv::Bool(b) => b.to_string(),
             Hv::Int(i) => i.to_string(),
             Hv::Float(f) => format_float(f),
-            Hv::Str(id) => self.string(id)?.to_string(),
+            Hv::Str(id) => self.state.string(id)?.to_string(),
             Hv::Table(_) => "table".to_string(),
         })
     }
@@ -177,7 +128,7 @@ impl LuaHost {
             Hv::Int(i) => Ok((i as f64, false)),
             Hv::Float(f) => Ok((f, false)),
             Hv::Str(id) => {
-                let s = self.string(id)?;
+                let s = self.state.string(id)?;
                 s.trim()
                     .parse::<f64>()
                     .map(|f| (f, true))
@@ -264,7 +215,7 @@ impl LuaHost {
         let cap = cpu.mem().read_u64(hdr + table::ARR_CAP as u64);
         let len = cpu.mem().read_u64(hdr + table::ARR_LEN as u64);
         let new_cap = (cap * 2).max(4);
-        let new_arr = self.alloc(new_cap * TVALUE_SIZE)?;
+        let new_arr = self.state.alloc(new_cap * TVALUE_SIZE)?;
         let old_arr = cpu.mem().read_u64(hdr + table::ARR_PTR as u64);
         for i in 0..len {
             let tv = Self::read_tv(cpu, old_arr + i * TVALUE_SIZE);
@@ -298,7 +249,7 @@ impl LuaHost {
     }
 
     fn new_table(&mut self, cpu: &mut Cpu, capacity: u64) -> Result<u64, HostError> {
-        let hdr = self.alloc(table::HEADER_SIZE + capacity * TVALUE_SIZE)?;
+        let hdr = self.state.alloc(table::HEADER_SIZE + capacity * TVALUE_SIZE)?;
         let arr = hdr + table::HEADER_SIZE;
         cpu.host_store_u64(hdr + table::ARR_PTR as u64, arr);
         cpu.host_store_u64(hdr + table::ARR_CAP as u64, capacity);
@@ -332,7 +283,7 @@ impl LuaHost {
             };
             let s = format!("{}{}", part(self, b)?, part(self, c)?);
             let bytes = s.len() as u64;
-            let id = self.intern(&s);
+            let id = self.state.intern(&s);
             Self::write_tv(cpu, ra, Self::encode(Hv::Str(id)));
             return Ok(Cost::affine(60, 2, bytes));
         }
@@ -404,7 +355,7 @@ impl LuaHost {
             Op::CmpLt | Op::CmpLe => {
                 let ord = match (b, c) {
                     (Hv::Str(x), Hv::Str(y)) => {
-                        let (sx, sy) = (self.string(x)?, self.string(y)?);
+                        let (sx, sy) = (self.state.string(x)?, self.state.string(y)?);
                         cost = cost.plus(Cost::affine(0, 2, sx.len().min(sy.len()) as u64));
                         sx.cmp(sy)
                     }
@@ -441,7 +392,7 @@ impl LuaHost {
         };
         let key = self.table_key(k)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(50, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(50, 6, self.state.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(60),
         };
         let tv = self.table_get(cpu, hdr, key)?;
@@ -463,7 +414,7 @@ impl LuaHost {
         };
         let key = self.table_key(k)?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(70, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(70, 6, self.state.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(80),
         };
         let value = Self::read_tv(cpu, rc);
@@ -506,7 +457,7 @@ impl LuaHost {
                 }
                 cost = Cost::affine(60, 3, line.len() as u64)
                     .plus(Cost::affine(0, 25, args.len() as u64));
-                self.output.push_str(&line);
+                self.state.print(&line);
                 Hv::Nil
             }
             Builtin::Clock => {
@@ -549,7 +500,7 @@ impl LuaHost {
                 let Hv::Str(id) = arg(0) else {
                     return Err(err("sub on a non-string".into()));
                 };
-                let s = self.string(id)?.to_string();
+                let s = self.state.string(id)?.to_string();
                 let i = as_int(arg(1))?;
                 let j = match arg(2) {
                     Hv::Nil => -1,
@@ -557,12 +508,12 @@ impl LuaHost {
                 };
                 let out = string_sub(&s, i, j);
                 cost = Cost::affine(40, 2, out.len() as u64);
-                Hv::Str(self.intern(&out))
+                Hv::Str(self.state.intern(&out))
             }
             Builtin::Len => {
                 cost = Cost::fixed(15);
                 match arg(0) {
-                    Hv::Str(id) => Hv::Int(self.string(id)?.len() as i64),
+                    Hv::Str(id) => Hv::Int(self.state.string(id)?.len() as i64),
                     Hv::Table(hdr) => {
                         Hv::Int(cpu.mem().read_u64(hdr + table::ARR_LEN as u64) as i64)
                     }
@@ -573,7 +524,7 @@ impl LuaHost {
                 cost = Cost::fixed(20);
                 let v = as_int(arg(0))?;
                 let b = u8::try_from(v).map_err(|_| err(format!("char: {v} out of range")))?;
-                Hv::Str(self.intern(&(b as char).to_string()))
+                Hv::Str(self.state.intern(&(b as char).to_string()))
             }
             Builtin::Byte => {
                 cost = Cost::fixed(20);
@@ -584,7 +535,7 @@ impl LuaHost {
                     Hv::Nil => 1,
                     v => as_int(v)?,
                 };
-                let s = self.string(id)?;
+                let s = self.state.string(id)?;
                 match s.as_bytes().get((i - 1).max(0) as usize) {
                     Some(b) if i >= 1 => Hv::Int(*b as i64),
                     _ => Hv::Nil,
@@ -604,7 +555,7 @@ impl LuaHost {
             Builtin::Tostring => {
                 let s = self.format(arg(0))?;
                 cost = Cost::affine(60, 2, s.len() as u64);
-                Hv::Str(self.intern(&s))
+                Hv::Str(self.state.intern(&s))
             }
         };
         Self::write_tv(cpu, base, Self::encode(result));
@@ -634,7 +585,7 @@ impl LuaHost {
         let v = self.decode(Self::read_tv(cpu, rb))?;
         match v {
             Hv::Str(id) => {
-                let len = self.string(id)?.len() as i64;
+                let len = self.state.string(id)?.len() as i64;
                 Self::write_tv(cpu, ra, Self::encode(Hv::Int(len)));
                 Ok(Cost::fixed(15))
             }
@@ -643,6 +594,20 @@ impl LuaHost {
                 format!("attempt to get length of a {} value", Self::type_name(other)),
             )),
         }
+    }
+}
+
+impl GuestHost for LuaHost {
+    fn new(state: HostState) -> LuaHost {
+        LuaHost {
+            state,
+            hash_parts: Vec::new(),
+            globals: HashMap::new(),
+        }
+    }
+
+    fn state(&self) -> &HostState {
+        &self.state
     }
 }
 

@@ -69,6 +69,19 @@ pub enum ExecError {
     Failed(String),
 }
 
+impl fmt::Display for ExecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExecError::StepBudget { steps } => {
+                write!(f, "program did not halt within {steps} simulated instructions")
+            }
+            ExecError::Failed(detail) => f.write_str(detail),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
 /// A pool-level failure, tagged with the cell it came from.
 #[derive(Debug, Clone)]
 pub enum RunnerError {

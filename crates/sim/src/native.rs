@@ -15,9 +15,10 @@
 //! `cycles = ⌈instructions × 1.3⌉` (a typical interpreter-era CPI for this
 //! class of core).
 
-use tarch_core::{Cpu, Trap};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use tarch_core::{Cpu, Trap};
 
 /// Cycles charged per charged instruction, in tenths (13 = CPI 1.3).
 pub const HELPER_CPI_TENTHS: u64 = 13;
@@ -110,6 +111,105 @@ pub trait NativeHost {
     /// Returns [`HostError`] for unknown helper ids or invalid arguments —
     /// this aborts the simulation, like a fatal runtime error would.
     fn ecall(&mut self, cpu: &mut Cpu) -> Result<(), HostError>;
+}
+
+/// Start of the guest heap every engine's host bump-allocates from.
+pub const HEAP_BASE: u64 = 0x0200_0000;
+/// Heap exhaustion limit.
+pub const HEAP_LIMIT: u64 = 0x0800_0000;
+
+/// An interning string table: ids are dense indices in first-seen order,
+/// and equal strings share one id.
+#[derive(Debug, Clone, Default)]
+pub struct StringTable {
+    strings: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+impl StringTable {
+    /// The id of `s`, adding it if it is new.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        if let Some(id) = self.ids.get(s) {
+            return *id;
+        }
+        let id = self.strings.len() as u32;
+        self.strings.push(s.to_string());
+        self.ids.insert(s.to_string(), id);
+        id
+    }
+
+    /// The string with id `id`.
+    pub fn get(&self, id: u32) -> Option<&str> {
+        self.strings.get(id as usize).map(String::as_str)
+    }
+
+    /// The strings in id order.
+    pub fn into_strings(self) -> Vec<String> {
+        self.strings
+    }
+}
+
+impl From<Vec<String>> for StringTable {
+    fn from(strings: Vec<String>) -> StringTable {
+        let ids = strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
+        StringTable { strings, ids }
+    }
+}
+
+/// The state every engine's host keeps alike: the interned strings, the
+/// program's printed output, and a bump allocator over the guest heap
+/// ([`HEAP_BASE`]..[`HEAP_LIMIT`]; GC is off, as in the paper's runs).
+#[derive(Debug, Clone)]
+pub struct HostState {
+    strings: StringTable,
+    output: String,
+    heap_ptr: u64,
+}
+
+impl HostState {
+    /// State pre-loaded with an image's interned strings.
+    pub fn new(strings: Vec<String>) -> HostState {
+        HostState { strings: strings.into(), output: String::new(), heap_ptr: HEAP_BASE }
+    }
+
+    /// Everything the program printed.
+    pub fn output(&self) -> &str {
+        &self.output
+    }
+
+    /// Appends to the program's output.
+    pub fn print(&mut self, text: &str) {
+        self.output.push_str(text);
+    }
+
+    /// The id of `s`, interning it if it is new.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        self.strings.intern(s)
+    }
+
+    /// The string with id `id`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HostError`] for an id no string has.
+    pub fn string(&self, id: u32) -> Result<&str, HostError> {
+        self.strings.get(id).ok_or_else(|| HostError::new(0, format!("bad string id {id}")))
+    }
+
+    /// Allocates `bytes` of 16-byte-aligned guest heap.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HostError`] when the heap is exhausted.
+    pub fn alloc(&mut self, bytes: u64) -> Result<u64, HostError> {
+        let addr = (self.heap_ptr + 15) & !15;
+        let end = addr + bytes;
+        if end > HEAP_LIMIT {
+            return Err(HostError::new(0, "heap exhausted (GC is disabled)"));
+        }
+        self.heap_ptr = end;
+        Ok(addr)
+    }
 }
 
 /// A host that rejects every `ecall`; suitable for pure-assembly programs.

@@ -21,10 +21,10 @@
 use crate::bytecode::{Bc, Const, Module, Op};
 use crate::helpers_mod as helpers;
 use crate::layout::{callinfo, funcinfo, map, object, NIL};
-use std::collections::HashMap;
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, Program, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label, ProgramBuilder};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
+use tarch_sim::{Image, StringTable};
 
 /// VM pc.
 const PC: Reg = Reg::S0;
@@ -49,21 +49,10 @@ const CI_LIM: Reg = Reg::S11;
 /// Current bytecode word.
 const W: Reg = Reg::T0;
 
-/// A built wasmrt image.
-#[derive(Debug, Clone)]
-pub struct WasmImage {
-    /// Assembled program.
-    pub program: Program,
-    /// Handler entry pcs.
-    pub handler_entries: Vec<(Op, u64)>,
-    /// Dispatch loop pc.
-    pub dispatch_pc: u64,
-    /// Interned strings.
-    pub strings: Vec<String>,
-    /// ISA level (the emitted code does not depend on it; kept for
-    /// reporting symmetry with the other engines).
-    pub level: IsaLevel,
-}
+/// A built wasmrt image. Its program is the same at every ISA level (the
+/// level is kept for reporting symmetry with the other engines) and
+/// contains no typed-hardware instruction.
+pub type WasmImage = Image<Op>;
 
 /// Generates the interpreter image.
 ///
@@ -87,8 +76,7 @@ struct Gen<'a> {
     handler_labels: Vec<(Op, Label)>,
     stack_ov: Label,
     div_zero: Label,
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
+    strings: StringTable,
     func_code: Vec<Label>,
     func_consts: Vec<Label>,
     dispatch_table: Label,
@@ -121,8 +109,7 @@ impl<'a> Gen<'a> {
             handler_labels,
             stack_ov,
             div_zero,
-            strings: Vec::new(),
-            string_ids: HashMap::new(),
+            strings: StringTable::default(),
             func_code,
             func_consts,
             dispatch_table,
@@ -130,16 +117,6 @@ impl<'a> Gen<'a> {
             halt_bc,
             globals_area,
         }
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
     }
 
     fn handler(&self, op: Op) -> Label {
@@ -764,7 +741,7 @@ impl<'a> Gen<'a> {
                 let dword = match k {
                     Const::Int(v) => *v as u64,
                     Const::Float(v) => v.to_bits(),
-                    Const::Str(s) => self.intern(s) as u64,
+                    Const::Str(s) => self.strings.intern(s) as u64,
                 };
                 self.b.dword(dword);
             }
@@ -772,20 +749,7 @@ impl<'a> Gen<'a> {
     }
 
     fn finish(self) -> Result<WasmImage, AsmError> {
-        let program = self.b.finish()?;
-        let mut handler_entries: Vec<(Op, u64)> = Op::ALL
-            .iter()
-            .map(|op| (*op, program.symbol(&format!("op_{}", op.name())).expect("handler symbol")))
-            .collect();
-        handler_entries.sort_by_key(|(_, pc)| *pc);
-        let dispatch_pc = program.symbol("dispatch").expect("dispatch symbol");
-        Ok(WasmImage {
-            program,
-            handler_entries,
-            dispatch_pc,
-            strings: self.strings,
-            level: self.level,
-        })
+        Image::finish(self.b, self.strings.into_strings(), self.level)
     }
 }
 

@@ -21,6 +21,9 @@
 //! addresses in linear memory and are *integer-compatible*: `Int ∨ Tab =
 //! Tab`, so the Lua idiom of using `0` as a null child pointer (see the
 //! binary-trees workload) type-checks and compiles to raw i64 compares.
+//! A value of such a class may be either at run time, so rendering it
+//! (`print`, `write`, `tostring`) is a compile error; `..` renders it as
+//! an integer.
 //! Joining `Bool`/`Str` with a numeric class is a compile error.
 //!
 //! Table identities unify (union–find) when tables flow together through
@@ -193,6 +196,9 @@ enum TabKind {
 struct TabNode {
     parent: u32,
     kind: TabKind,
+    /// An `Int` was joined into this class (`Int ∨ Tab = Tab`), so a
+    /// value of it may be an integer at run time.
+    int_joined: bool,
 }
 
 /// The persistent type state: cells for slots/globals/returns, the table
@@ -260,7 +266,7 @@ impl TypeEnv {
 
     fn new_tab(&mut self) -> u32 {
         let id = self.tabs.len() as u32;
-        self.tabs.push(TabNode { parent: id, kind: TabKind::Open });
+        self.tabs.push(TabNode { parent: id, kind: TabKind::Open, int_joined: false });
         id
     }
 
@@ -302,7 +308,14 @@ impl TypeEnv {
             (Nil, x) | (x, Nil) => x,
             (x, y) if x == y => x,
             (Int, F64) | (F64, Int) => F64,
-            (Int, Tab(t)) | (Tab(t), Int) => Tab(t),
+            (Int, Tab(t)) | (Tab(t), Int) => {
+                let node = &mut self.tabs[t as usize];
+                if !node.int_joined {
+                    node.int_joined = true;
+                    self.changed = true;
+                }
+                Tab(t)
+            }
             (Tab(x), Tab(y)) => Tab(self.unify(x, y)?),
             (x, y) => {
                 return Err(CompileError::new(format!(
@@ -336,8 +349,20 @@ impl TypeEnv {
         };
         self.tabs[child as usize].parent = root;
         self.tabs[root as usize].kind = merged;
+        self.tabs[root as usize].int_joined |= self.tabs[child as usize].int_joined;
         self.changed = true;
         Ok(root)
+    }
+
+    /// Whether a value of class `t` may be either an integer or a table.
+    fn int_or_tab(&mut self, t: ValType) -> bool {
+        match t {
+            Tab(id) => {
+                let r = self.find(id);
+                self.tabs[r as usize].int_joined
+            }
+            _ => false,
+        }
     }
 
     /// Records an integer-keyed use; returns the element class.
@@ -1010,6 +1035,16 @@ impl<'a> FnCompiler<'a> {
             }
             self.env.resolve_memo(midx, want);
         }
+        // Rendering picks its format from the static type code, and an
+        // `Int ∨ Tab` value has none: it is a table handle or an integer.
+        if matches!(b, Builtin::Print | Builtin::Write | Builtin::Tostring)
+            && types.iter().any(|t| self.env.int_or_tab(*t))
+        {
+            return Err(self.err_ctx(CompileError::new(format!(
+                "builtin `{b:?}` given a value that may be an integer or a table \
+                 (int/table ambiguity); convert it with `..` first"
+            ))));
+        }
         let codes: Vec<TyCode> = types.iter().map(|t| self.ty_code(*t)).collect();
         let delta = 1 - args.len() as i32;
         // `insert(t, v)` appends: record the element class.
@@ -1324,6 +1359,7 @@ mod tests {
     use super::*;
     use crate::bytecode::Op;
     use miniscript::parse;
+    use tarch_core::{CoreConfig, IsaLevel};
 
     fn ops(src: &str) -> Vec<Vec<Op>> {
         let chunk = parse(src).unwrap();
@@ -1408,11 +1444,15 @@ mod tests {
                 if l == 0 then return n[1] end
                 return n[1] + chk(l)
             end
-            print(chk(mk(3)))
+            print(\"\" .. chk(mk(3)))
         ";
         let chunk = parse(src).unwrap();
         let module = compile(&chunk).unwrap();
         assert_eq!(module.protos.len(), 3);
+        let mut reference = miniscript::Interp::new();
+        reference.run(&chunk).unwrap();
+        let mut vm = crate::WasmVm::new(&module, IsaLevel::Typed, CoreConfig::paper()).unwrap();
+        assert_eq!(vm.run(1_000_000).unwrap().output, reference.output());
     }
 
     #[test]

@@ -1,126 +1,49 @@
-//! Engine driver for `wasmrt`: infer types → compile → generate → simulate.
+//! `wasmrt`'s four parts for the shared guest-VM shell ([`tarch_sim::GuestVm`]):
+//! front end (parse, then type-infer and compile), image builder, opcode
+//! type and `ecall` host.
 
 use crate::bytecode::{Module, Op};
 use crate::codegen::{build_image, WasmImage};
 use crate::compiler::{compile, CompileError};
 use crate::runtime::WasmHost;
 use miniscript::ParseError;
-use std::collections::HashMap;
-use std::error::Error;
-use std::fmt;
-use tarch_core::{BranchStats, CoreConfig, IsaLevel, PerfCounters};
+use tarch_core::IsaLevel;
 use tarch_isa::asm::AsmError;
-use tarch_sim::{Machine, RunOutcome, SimError};
 
-/// Error from building or running the engine.
-#[derive(Debug)]
-pub enum EngineError {
-    /// MiniScript parse error.
-    Parse(ParseError),
-    /// Type-inference or bytecode compilation error.
-    Compile(CompileError),
-    /// Interpreter assembly error (codegen bug).
-    Asm(AsmError),
-    /// Simulation error (trap or runtime error).
-    Sim(SimError),
-    /// Step budget exhausted.
-    StepLimit {
-        /// The exhausted budget.
-        max_steps: u64,
-    },
-}
+/// The `wasmrt` engine, as the shell sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct Wasm;
 
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::Parse(e) => e.fmt(f),
-            EngineError::Compile(e) => e.fmt(f),
-            EngineError::Asm(e) => e.fmt(f),
-            EngineError::Sim(e) => e.fmt(f),
-            EngineError::StepLimit { max_steps } => {
-                write!(f, "program did not halt within {max_steps} simulated instructions")
-            }
-        }
+impl tarch_sim::Engine for Wasm {
+    type Module = Module;
+    type Op = Op;
+    type Host = WasmHost;
+    type ParseError = ParseError;
+    type CompileError = CompileError;
+
+    fn front_end(src: &str) -> Result<Module, EngineError> {
+        let chunk = miniscript::parse(src).map_err(EngineError::Parse)?;
+        compile(&chunk).map_err(EngineError::Compile)
+    }
+
+    fn build_image(module: &Module, level: IsaLevel) -> Result<WasmImage, AsmError> {
+        build_image(module, level)
     }
 }
 
-impl Error for EngineError {}
+impl tarch_sim::Opcode for Op {
+    const ALL: &'static [Op] = &Op::ALL;
 
-impl From<ParseError> for EngineError {
-    fn from(e: ParseError) -> EngineError {
-        EngineError::Parse(e)
-    }
-}
-
-impl From<CompileError> for EngineError {
-    fn from(e: CompileError) -> EngineError {
-        EngineError::Compile(e)
-    }
-}
-
-impl From<AsmError> for EngineError {
-    fn from(e: AsmError) -> EngineError {
-        EngineError::Asm(e)
-    }
-}
-
-impl From<SimError> for EngineError {
-    fn from(e: SimError) -> EngineError {
-        EngineError::Sim(e)
-    }
-}
-
-/// Per-opcode attribution from an instrumented run.
-#[derive(Debug, Clone, Default)]
-pub struct OpProfile {
-    /// Dynamic bytecode counts.
-    pub dynamic: HashMap<Op, u64>,
-    /// Native instructions attributed to each opcode's handler.
-    pub instructions: HashMap<Op, u64>,
-}
-
-impl OpProfile {
-    /// Total dynamic bytecodes.
-    pub fn total_bytecodes(&self) -> u64 {
-        self.dynamic.values().sum()
-    }
-
-    /// Average native instructions per dynamic instance of `op`.
-    pub fn instr_per_bytecode(&self, op: Op) -> f64 {
-        let d = self.dynamic.get(&op).copied().unwrap_or(0);
-        if d == 0 {
-            0.0
-        } else {
-            self.instructions.get(&op).copied().unwrap_or(0) as f64 / d as f64
-        }
-    }
-}
-
-/// Results of one engine run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Printed output.
-    pub output: String,
-    /// Hardware counters. For this engine `type_checks`, `type_hits`,
-    /// `tagged_mem` and `typed_alu` are zero by construction — the image
-    /// contains no typed-hardware instructions (see [`WasmImage`]).
-    pub counters: PerfCounters,
-    /// Branch statistics.
-    pub branch: BranchStats,
-    /// ISA level.
-    pub level: IsaLevel,
-    /// Optional per-opcode attribution.
-    pub profile: Option<OpProfile>,
-}
-
-impl RunReport {
-    /// Control-flow mispredictions per kilo-instruction.
-    pub fn branch_mpki(&self) -> f64 {
-        self.counters.per_kilo_instr(self.branch.total_misses())
+    fn name(self) -> &'static str {
+        Op::name(self)
     }
 }
 
 /// A ready-to-run `wasmrt` engine instance.
+///
+/// Its reports' `type_checks`, `type_hits`, `tagged_mem` and `typed_alu`
+/// counters are zero by construction: the image contains no
+/// typed-hardware instructions (see [`WasmImage`]).
 ///
 /// # Examples
 ///
@@ -135,155 +58,13 @@ impl RunReport {
 /// assert_eq!(report.counters.type_checks, 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct WasmVm {
-    machine: Machine<WasmHost>,
-    // Immutable after construction and shared by reference count, so
-    // cloning a VM (fleet tenants) never deep-copies the program image.
-    image: std::sync::Arc<WasmImage>,
-}
+pub type WasmVm = tarch_sim::GuestVm<Wasm>;
 
-impl WasmVm {
-    /// Builds an engine for a compiled module.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] on codegen failure.
-    pub fn new(module: &Module, level: IsaLevel, core: CoreConfig) -> Result<WasmVm, EngineError> {
-        let image = std::sync::Arc::new(build_image(module, level)?);
-        let host = WasmHost::new(image.strings.clone());
-        let mut machine = Machine::new(core, host);
-        machine.load(&image.program);
-        Ok(WasmVm { machine, image })
-    }
+/// Error from building or running the engine.
+pub type EngineError = tarch_sim::EngineError<Wasm>;
 
-    /// Parses, type-infers, compiles and builds in one step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] on parse/compile/codegen failure.
-    pub fn from_source(
-        src: &str,
-        level: IsaLevel,
-        core: CoreConfig,
-    ) -> Result<WasmVm, EngineError> {
-        let chunk = miniscript::parse(src)?;
-        let module = compile(&chunk)?;
-        WasmVm::new(&module, level, core)
-    }
+/// Results of one engine run.
+pub type RunReport = tarch_sim::RunReport<Op>;
 
-    /// The generated image.
-    pub fn image(&self) -> &WasmImage {
-        &self.image
-    }
-
-    /// The simulated core (read access for measurement tooling).
-    pub fn cpu(&self) -> &tarch_core::Cpu {
-        self.machine.cpu()
-    }
-
-    /// The simulated core, mutably (measurement tooling, e.g. enabling
-    /// the opcode-pair profile behind `repro bench --profile-pairs`).
-    pub fn cpu_mut(&mut self) -> &mut tarch_core::Cpu {
-        self.machine.cpu_mut()
-    }
-
-    /// Freezes simulated memory into a shared base image so `clone()`s
-    /// of this VM share pages copy-on-write (fork-server idiom: build
-    /// once, freeze, stamp out clones). See `tarch_core::Cpu::freeze_memory`.
-    pub fn freeze(&mut self) {
-        self.machine.cpu_mut().freeze_memory();
-    }
-
-    /// Runs one scheduling slice of up to `max_steps` simulated
-    /// instructions, servicing `ecall`s. Unlike [`WasmVm::run`], exhausting
-    /// the slice is not an error — the VM can be resumed with another
-    /// call — so this is the entry point for preemptive schedulers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] on traps and runtime errors.
-    pub fn run_slice(&mut self, max_steps: u64) -> Result<RunOutcome, EngineError> {
-        Ok(self.machine.run(max_steps)?)
-    }
-
-    /// Whether the guest program has executed `halt`.
-    pub fn is_halted(&self) -> bool {
-        self.machine.cpu().is_halted()
-    }
-
-    /// Report of everything observable so far, without running: output,
-    /// counters, branch statistics. For slice-based callers
-    /// ([`WasmVm::run_slice`]) that finish a guest across several slices.
-    pub fn report_now(&self) -> RunReport {
-        self.report(None)
-    }
-
-    /// Runs to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] on traps, runtime errors, or step-limit
-    /// exhaustion.
-    pub fn run(&mut self, max_steps: u64) -> Result<RunReport, EngineError> {
-        match self.machine.run(max_steps)? {
-            RunOutcome::Halted => Ok(self.report(None)),
-            RunOutcome::StepLimit => Err(EngineError::StepLimit { max_steps }),
-        }
-    }
-
-    /// Runs with per-opcode attribution.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`WasmVm::run`].
-    pub fn run_profiled(&mut self, max_steps: u64) -> Result<RunReport, EngineError> {
-        let entries: HashMap<u64, Op> =
-            self.image.handler_entries.iter().map(|(op, pc)| (*pc, *op)).collect();
-        let mut profile = OpProfile::default();
-        let mut current: Option<Op> = None;
-        let mut since_entry = 0u64;
-        let outcome = self.machine.run_observed(max_steps, |pc| {
-            if let Some(op) = entries.get(&pc) {
-                if let Some(prev) = current {
-                    *profile.instructions.entry(prev).or_insert(0) += since_entry;
-                }
-                *profile.dynamic.entry(*op).or_insert(0) += 1;
-                current = Some(*op);
-                since_entry = 0;
-            }
-            since_entry += 1;
-        })?;
-        if let Some(prev) = current {
-            *profile.instructions.entry(prev).or_insert(0) += since_entry;
-        }
-        match outcome {
-            RunOutcome::Halted => Ok(self.report(Some(profile))),
-            RunOutcome::StepLimit => Err(EngineError::StepLimit { max_steps }),
-        }
-    }
-
-    fn report(&self, profile: Option<OpProfile>) -> RunReport {
-        RunReport {
-            output: self.machine.host().output().to_string(),
-            counters: *self.machine.cpu().counters(),
-            branch: self.machine.cpu().branch_stats(),
-            level: self.image.level,
-            profile,
-        }
-    }
-}
-
-/// One-shot convenience runner.
-///
-/// # Errors
-///
-/// Returns [`EngineError`] on any failure along the pipeline.
-pub fn run_source(
-    src: &str,
-    level: IsaLevel,
-    core: CoreConfig,
-    max_steps: u64,
-) -> Result<RunReport, EngineError> {
-    WasmVm::from_source(src, level, core)?.run(max_steps)
-}
+/// Per-opcode attribution from an instrumented run.
+pub type OpProfile = tarch_sim::OpProfile<Op>;

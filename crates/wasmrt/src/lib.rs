@@ -29,6 +29,9 @@
 //! hardware accelerates exactly the tag traffic a static type system
 //! removes at compile time.
 //!
+//! [`WasmVm`] is the guest-VM shell every engine shares
+//! (`tarch_sim::GuestVm`), over this crate's [`Wasm`] engine.
+//!
 //! # Examples
 //!
 //! ```
@@ -66,5 +69,5 @@ mod runtime;
 pub use bytecode::{validate, Bc, Builtin, Const, Module, Op, Proto, TyCode, ValidateError};
 pub use codegen::{build_image, WasmImage};
 pub use compiler::{compile, CompileError};
-pub use engine::{run_source, EngineError, OpProfile, RunReport, WasmVm};
+pub use engine::{EngineError, OpProfile, RunReport, Wasm, WasmVm};
 pub use runtime::WasmHost;

@@ -14,12 +14,12 @@
 
 use crate::bytecode::{Builtin, TyCode};
 use crate::helpers_mod as helpers;
-use crate::layout::{map, object, NIL};
+use crate::layout::{object, NIL};
 use miniscript::{format_float, string_sub};
 use std::collections::HashMap;
 use tarch_core::{canonical_f64_bits, Cpu};
 use tarch_isa::Reg;
-use tarch_sim::{Cost, HostError, NativeHost};
+use tarch_sim::{Cost, GuestHost, HostError, HostState, NativeHost};
 
 /// Hash-part key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -31,59 +31,11 @@ enum HKey {
 /// The native host for the `wasmrt` engine.
 #[derive(Debug, Clone)]
 pub struct WasmHost {
-    strings: Vec<String>,
-    string_ids: HashMap<String, u32>,
+    state: HostState,
     hash_parts: Vec<HashMap<HKey, u64>>,
-    output: String,
-    heap_ptr: u64,
 }
 
 impl WasmHost {
-    /// Creates a host pre-loaded with the image's interned strings.
-    pub fn new(strings: Vec<String>) -> WasmHost {
-        let string_ids =
-            strings.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        WasmHost {
-            strings,
-            string_ids,
-            hash_parts: Vec::new(),
-            output: String::new(),
-            heap_ptr: map::HEAP_BASE,
-        }
-    }
-
-    /// Everything the program printed.
-    pub fn output(&self) -> &str {
-        &self.output
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(id) = self.string_ids.get(s) {
-            return *id;
-        }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), id);
-        id
-    }
-
-    fn string(&self, id: u32) -> Result<&str, HostError> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| HostError::new(0, format!("bad string id {id}")))
-    }
-
-    fn alloc(&mut self, bytes: u64) -> Result<u64, HostError> {
-        let addr = (self.heap_ptr + 15) & !15;
-        let end = addr + bytes;
-        if end > map::HEAP_LIMIT {
-            return Err(HostError::new(0, "heap exhausted (GC is disabled)"));
-        }
-        self.heap_ptr = end;
-        Ok(addr)
-    }
-
     /// Renders a raw word under its static type code.
     fn format(&self, code: TyCode, raw: u64) -> Result<String, HostError> {
         if raw == NIL && code != TyCode::F64 {
@@ -92,7 +44,7 @@ impl WasmHost {
         Ok(match code {
             TyCode::Int => (raw as i64).to_string(),
             TyCode::F64 => format_float(f64::from_bits(raw)),
-            TyCode::Str => self.string(raw as u32)?.to_string(),
+            TyCode::Str => self.state.string(raw as u32)?.to_string(),
             TyCode::Bool => if raw & 1 != 0 { "true" } else { "false" }.to_string(),
             TyCode::Ref => "table".to_string(),
         })
@@ -173,7 +125,7 @@ impl WasmHost {
         let cap = cpu.mem().read_u64(hdr + object::CAP as u64);
         let len = cpu.mem().read_u64(hdr + object::LEN as u64);
         let new_cap = (cap * 2).max(4);
-        let new_elems = self.alloc(new_cap * 8)?;
+        let new_elems = self.state.alloc(new_cap * 8)?;
         let old = cpu.mem().read_u64(hdr + object::ELEMS_PTR as u64);
         for i in 0..len {
             let v = Self::read(cpu, old + i * 8);
@@ -204,7 +156,7 @@ impl WasmHost {
     }
 
     fn new_array(&mut self, cpu: &mut Cpu, capacity: u64) -> Result<u64, HostError> {
-        let hdr = self.alloc(object::HEADER_SIZE + capacity * 8)?;
+        let hdr = self.state.alloc(object::HEADER_SIZE + capacity * 8)?;
         let elems = hdr + object::HEADER_SIZE;
         cpu.host_store_u64(hdr + object::ELEMS_PTR as u64, elems);
         cpu.host_store_u64(hdr + object::CAP as u64, capacity);
@@ -230,7 +182,7 @@ impl WasmHost {
         let hdr = Self::read(cpu, base);
         let key = Self::hkey(kind, Self::read(cpu, base + 8))?;
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(50, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(50, 6, self.state.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(60),
         };
         let v = self.elem_get(cpu, hdr, key)?;
@@ -245,7 +197,7 @@ impl WasmHost {
         let key = Self::hkey(kind, Self::read(cpu, base + 8))?;
         let value = Self::read(cpu, base + 16);
         let cost = match &key {
-            HKey::Str(id) => Cost::affine(70, 6, self.string(*id)?.len() as u64),
+            HKey::Str(id) => Cost::affine(70, 6, self.state.string(*id)?.len() as u64),
             HKey::Int(_) => Cost::fixed(80),
         };
         let extra = self.elem_set(cpu, hdr, key, value)?;
@@ -261,7 +213,7 @@ impl WasmHost {
         let rhs = self.format(rhs_code, Self::read(cpu, base + 8))?;
         let s = format!("{lhs}{rhs}");
         let bytes = s.len() as u64;
-        let id = self.intern(&s);
+        let id = self.state.intern(&s);
         Self::write(cpu, base, id as u64);
         Ok(Cost::affine(60, 2, bytes))
     }
@@ -269,7 +221,7 @@ impl WasmHost {
     fn helper_strlen(&mut self, cpu: &mut Cpu) -> Result<Cost, HostError> {
         let addr = cpu.regs().read(Reg::A1).v;
         let id = Self::read(cpu, addr) as u32;
-        let len = self.string(id)?.len() as u64;
+        let len = self.state.string(id)?.len() as u64;
         Self::write(cpu, addr, len);
         Ok(Cost::fixed(15))
     }
@@ -309,7 +261,7 @@ impl WasmHost {
                 }
                 cost = Cost::affine(60, 3, line.len() as u64)
                     .plus(Cost::affine(0, 25, nargs as u64));
-                self.output.push_str(&line);
+                self.state.print(&line);
                 NIL
             }
             Builtin::Clock => {
@@ -347,17 +299,17 @@ impl WasmHost {
                 }
             }
             Builtin::Sub => {
-                let s = self.string(arg(0) as u32)?.to_string();
+                let s = self.state.string(arg(0) as u32)?.to_string();
                 let i = arg(1) as i64;
                 let j = if nargs > 2 { arg(2) as i64 } else { -1 };
                 let out = string_sub(&s, i, j);
                 cost = Cost::affine(40, 2, out.len() as u64);
-                self.intern(&out) as u64
+                self.state.intern(&out) as u64
             }
             Builtin::Len => {
                 cost = Cost::fixed(15);
                 match code(0)? {
-                    TyCode::Str => self.string(arg(0) as u32)?.len() as u64,
+                    TyCode::Str => self.state.string(arg(0) as u32)?.len() as u64,
                     _ => cpu.mem().read_u64(arg(0) + object::LEN as u64),
                 }
             }
@@ -365,12 +317,12 @@ impl WasmHost {
                 cost = Cost::fixed(20);
                 let v = arg(0) as i64;
                 let b = u8::try_from(v).map_err(|_| err(format!("char: {v} out of range")))?;
-                self.intern(&(b as char).to_string()) as u64
+                self.state.intern(&(b as char).to_string()) as u64
             }
             Builtin::Byte => {
                 cost = Cost::fixed(20);
                 let i = if nargs > 1 { arg(1) as i64 } else { 1 };
-                let s = self.string(arg(0) as u32)?;
+                let s = self.state.string(arg(0) as u32)?;
                 match s.as_bytes().get((i - 1).max(0) as usize) {
                     Some(b) if i >= 1 => *b as u64,
                     _ => NIL,
@@ -387,11 +339,21 @@ impl WasmHost {
             Builtin::Tostring => {
                 let s = self.format(code(0)?, arg(0))?;
                 cost = Cost::affine(60, 2, s.len() as u64);
-                self.intern(&s) as u64
+                self.state.intern(&s) as u64
             }
         };
         Self::write(cpu, base, result);
         Ok(cost)
+    }
+}
+
+impl GuestHost for WasmHost {
+    fn new(state: HostState) -> WasmHost {
+        WasmHost { state, hash_parts: Vec::new() }
+    }
+
+    fn state(&self) -> &HostState {
+        &self.state
     }
 }
 

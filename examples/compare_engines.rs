@@ -1,5 +1,5 @@
-//! Compare both scripting engines across the three ISA levels on two
-//! representative workloads — the core experiment of the paper in
+//! Compare the three scripting engines across the three ISA levels on
+//! two representative workloads — the core experiment of the paper in
 //! miniature.
 //!
 //! ```text
@@ -8,6 +8,8 @@
 
 use tarch_bench::workloads::{by_name, Scale};
 use tarch_core::{CoreConfig, IsaLevel};
+use tarch_fleet::build_guest;
+use tarch_runner::EngineKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in ["fibo", "n-sieve"] {
@@ -18,24 +20,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:<24} {:>12} {:>12} {:>9} {:>9} {:>9}",
             "engine/level", "instructions", "cycles", "speedup", "type-hit", "chklb"
         );
-        // Lua-like register engine.
-        let mut base_cycles = 0u64;
-        for level in IsaLevel::ALL {
-            let mut vm = luart::LuaVm::from_source(&src, level, CoreConfig::paper())?;
-            let r = vm.run(2_000_000_000)?;
-            if level == IsaLevel::Baseline {
-                base_cycles = r.counters.cycles;
+        for engine in EngineKind::ALL {
+            let mut base_cycles = 0u64;
+            for level in IsaLevel::ALL {
+                let mut guest = build_guest(engine, &src, level, CoreConfig::paper())?;
+                let r = guest.run(2_000_000_000)?;
+                if level == IsaLevel::Baseline {
+                    base_cycles = r.counters.cycles;
+                }
+                print_row(engine.id(), level, &r.counters, base_cycles);
             }
-            print_row("luart", level, &r.counters, base_cycles);
-        }
-        // NaN-boxing stack engine.
-        for level in IsaLevel::ALL {
-            let mut vm = jsrt::JsVm::from_source(&src, level, CoreConfig::paper())?;
-            let r = vm.run(2_000_000_000)?;
-            if level == IsaLevel::Baseline {
-                base_cycles = r.counters.cycles;
-            }
-            print_row("jsrt", level, &r.counters, base_cycles);
         }
         println!();
     }

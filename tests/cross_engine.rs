@@ -9,12 +9,16 @@
 //!
 //! That is eleven independent executions per workload agreeing on output —
 //! the strongest end-to-end correctness statement this repository makes.
-//! The `wasmrt` legs additionally assert the third engine's headline
-//! property: zero typed-hardware activity at every ISA level.
+//! The simulated engines run through the engine registry
+//! (`tarch_fleet::build_guest`). The `wasmrt` legs additionally assert the
+//! third engine's headline property: zero typed-hardware activity at every
+//! ISA level.
 
 use miniscript::{parse, Interp};
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{CoreConfig, IsaLevel};
+use tarch_fleet::build_guest;
+use tarch_runner::EngineKind;
 
 const MAX_STEPS: u64 = 2_000_000_000;
 
@@ -39,24 +43,60 @@ fn check_workload(name: &str) {
     assert_eq!(host_out, expected, "{name}: host VM diverged");
 
     // Simulated engines at every ISA level.
-    for level in IsaLevel::ALL {
-        let mut vm = luart::LuaVm::new(&module, level, CoreConfig::paper())
-            .unwrap_or_else(|e| panic!("{name} luart {level}: {e}"));
-        let r = vm.run(MAX_STEPS).unwrap_or_else(|e| panic!("{name} luart {level}: {e}"));
-        assert_eq!(r.output, expected, "{name}: luart {level} diverged");
+    for engine in EngineKind::ALL {
+        for level in IsaLevel::ALL {
+            let tag = format!("{name}: {} {level}", engine.id());
+            let mut guest = build_guest(engine, &src, level, CoreConfig::paper())
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let r = guest.run(MAX_STEPS).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(r.output, expected, "{tag} diverged");
+            if engine == EngineKind::Wasm {
+                assert_eq!(r.counters.type_checks, 0, "{tag} ran type checks");
+                assert_eq!(r.counters.tagged_mem, 0, "{tag} ran tagged mem ops");
+                assert_eq!(r.counters.typed_alu, 0, "{tag} ran typed ALU ops");
+            }
+        }
+    }
+}
 
-        let mut vm = jsrt::JsVm::from_source(&src, level, CoreConfig::paper())
-            .unwrap_or_else(|e| panic!("{name} jsrt {level}: {e}"));
-        let r = vm.run(MAX_STEPS).unwrap_or_else(|e| panic!("{name} jsrt {level}: {e}"));
-        assert_eq!(r.output, expected, "{name}: jsrt {level} diverged");
-
-        let mut vm = wasmrt::WasmVm::from_source(&src, level, CoreConfig::paper())
-            .unwrap_or_else(|e| panic!("{name} wasmrt {level}: {e}"));
-        let r = vm.run(MAX_STEPS).unwrap_or_else(|e| panic!("{name} wasmrt {level}: {e}"));
-        assert_eq!(r.output, expected, "{name}: wasmrt {level} diverged");
-        assert_eq!(r.counters.type_checks, 0, "{name}: wasmrt {level} ran type checks");
-        assert_eq!(r.counters.tagged_mem, 0, "{name}: wasmrt {level} ran tagged mem ops");
-        assert_eq!(r.counters.typed_alu, 0, "{name}: wasmrt {level} ran typed ALU ops");
+/// A value whose static class joined `Int` into `Tab` (a table element
+/// that is sometimes a child table, sometimes an integer): the dynamic
+/// engines print what the reference prints, and the statically typed
+/// engine, which has no type code to render it with, refuses to compile
+/// the program. A table that never met an integer prints as `table`
+/// everywhere.
+#[test]
+fn int_or_table_values_print_like_the_reference_or_fail_to_compile() {
+    let ambiguous = "
+        function build(item, depth)
+            local node = {item, 0, 0}
+            if depth > 0 then
+                node[2] = build(item + item - 1, depth - 1)
+                node[3] = build(item + item, depth - 1)
+            end
+            return node
+        end
+        function check(node)
+            local left = node[2]
+            if left == 0 then return node[1] end
+            return node[1] + check(left) - check(node[3])
+        end
+        print(check(build(3, 2)))
+    ";
+    let plain = "print({})";
+    for src in [ambiguous, plain] {
+        let expected = reference_output(src, src);
+        for engine in EngineKind::ALL {
+            let built = build_guest(engine, src, IsaLevel::Typed, CoreConfig::paper());
+            if engine == EngineKind::Wasm && src == ambiguous {
+                let err = built.expect_err("wasmrt must reject the int/table ambiguity");
+                assert!(err.contains("int/table ambiguity"), "{err}");
+                continue;
+            }
+            let mut guest = built.unwrap_or_else(|e| panic!("{}: {e}", engine.id()));
+            let r = guest.run(MAX_STEPS).unwrap_or_else(|e| panic!("{}: {e}", engine.id()));
+            assert_eq!(r.output, expected, "{}: {src}", engine.id());
+        }
     }
 }
 

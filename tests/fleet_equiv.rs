@@ -28,8 +28,6 @@ const VM_STEPS: u64 = 2_000_000_000;
 /// Deliberately small and odd-sized so slice boundaries land mid-block.
 const SLICE_STEPS: u64 = 777;
 
-const ENGINES: [EngineKind; 3] = [EngineKind::Lua, EngineKind::Js, EngineKind::Wasm];
-
 /// The execution engines: one-instruction-at-a-time stepping, the
 /// basic-block engine without tier-3 compilation, and the fully tiered
 /// paper configuration with a low threshold so even test-scale programs
@@ -74,7 +72,7 @@ fn fresh_reference(engine: EngineKind, src: &str, level: IsaLevel, core: CoreCon
 fn clone_from_snapshot_is_bit_identical_to_fresh_vm() {
     let w = workloads::by_name("fibo").expect("known workload");
     let src = w.source(Scale::Test);
-    for engine in ENGINES {
+    for engine in EngineKind::ALL {
         for level in IsaLevel::ALL {
             for (core_name, core) in cores() {
                 let tag = format!("fibo: {engine:?} {level} [{core_name}]");
@@ -97,7 +95,7 @@ fn preempted_clone_matches_uninterrupted_fresh_run() {
     // demand bit-identical counters against one uninterrupted fresh run.
     let w = workloads::by_name("fibo").expect("known workload");
     let src = w.source(Scale::Test);
-    for engine in ENGINES {
+    for engine in EngineKind::ALL {
         for (core_name, core) in cores() {
             let tag = format!("fibo: {engine:?} sliced [{core_name}]");
             let reference = fresh_reference(engine, &src, IsaLevel::Typed, core.clone(), &tag);
@@ -130,7 +128,7 @@ fn mid_run_clone_of_tiered_guest_shares_warm_compiled_cache() {
     let w = workloads::by_name("fibo").expect("known workload");
     let src = w.source(Scale::Test);
     let core = CoreConfig { tier_threshold: 2, ..CoreConfig::paper() };
-    for engine in ENGINES {
+    for engine in EngineKind::ALL {
         let tag = format!("fibo: {engine:?} mid-run clone [tiered]");
         let reference = fresh_reference(engine, &src, IsaLevel::Typed, core.clone(), &tag);
         let mut parent =
@@ -168,7 +166,7 @@ fn self_modifying_clone_does_not_leak_into_siblings() {
     let w = workloads::by_name("fibo").expect("known workload");
     let src = w.source(Scale::Test);
     let halt = u64::from(Instruction::Halt.encode().expect("halt encodes"));
-    for engine in ENGINES {
+    for engine in EngineKind::ALL {
         for (core_name, core) in cores() {
             let tag = format!("fibo: {engine:?} smc [{core_name}]");
             let reference = fresh_reference(engine, &src, IsaLevel::Typed, core.clone(), &tag);

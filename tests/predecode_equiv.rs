@@ -19,8 +19,10 @@
 use std::collections::BTreeMap;
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{BranchStats, CoreConfig, Cpu, PerfCounters, StepEvent, Trap};
+use tarch_fleet::build_guest;
 use tarch_isa::asm::Program;
 use tarch_isa::{samples, Instruction, Reg};
+use tarch_runner::EngineKind;
 
 const TEXT_BASE: u64 = 0x1000;
 const DATA_BASE: u64 = 0x2_0000;
@@ -185,53 +187,23 @@ fn every_sample_form_is_counter_identical() {
 fn check_vm_equivalence(workload: &str) {
     let w = workloads::by_name(workload).expect("known workload");
     let src = w.source(Scale::Test);
-    let chunk = miniscript::parse(&src).expect("parses");
-    let module = luart::compile(&chunk).expect("compiles");
 
-    for level in tarch_core::IsaLevel::ALL {
-        let run_lua = |variant: Variant| {
-            let mut vm = luart::LuaVm::new(&module, level, config(variant))
-                .unwrap_or_else(|e| panic!("{workload} luart {level} [{}]: {e}", variant.name));
-            vm.run(VM_STEPS)
-                .unwrap_or_else(|e| panic!("{workload} luart {level} [{}]: {e}", variant.name))
-        };
-        let reference = run_lua(REFERENCE);
-        for variant in VARIANTS {
-            let observed = run_lua(variant);
-            let tag = format!("{workload}: luart {level} [{}]", variant.name);
-            assert_eq!(observed.output, reference.output, "{tag} output diverged");
-            assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
-            assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
-        }
-
-        let run_js = |variant: Variant| {
-            let mut vm = jsrt::JsVm::from_source(&src, level, config(variant))
-                .unwrap_or_else(|e| panic!("{workload} jsrt {level} [{}]: {e}", variant.name));
-            vm.run(VM_STEPS)
-                .unwrap_or_else(|e| panic!("{workload} jsrt {level} [{}]: {e}", variant.name))
-        };
-        let reference = run_js(REFERENCE);
-        for variant in VARIANTS {
-            let observed = run_js(variant);
-            let tag = format!("{workload}: jsrt {level} [{}]", variant.name);
-            assert_eq!(observed.output, reference.output, "{tag} output diverged");
-            assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
-            assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
-        }
-
-        let run_wasm = |variant: Variant| {
-            let mut vm = wasmrt::WasmVm::from_source(&src, level, config(variant))
-                .unwrap_or_else(|e| panic!("{workload} wasmrt {level} [{}]: {e}", variant.name));
-            vm.run(VM_STEPS)
-                .unwrap_or_else(|e| panic!("{workload} wasmrt {level} [{}]: {e}", variant.name))
-        };
-        let reference = run_wasm(REFERENCE);
-        for variant in VARIANTS {
-            let observed = run_wasm(variant);
-            let tag = format!("{workload}: wasmrt {level} [{}]", variant.name);
-            assert_eq!(observed.output, reference.output, "{tag} output diverged");
-            assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
-            assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
+    for engine in EngineKind::ALL {
+        for level in tarch_core::IsaLevel::ALL {
+            let run = |variant: Variant| {
+                let tag = format!("{workload} {} {level} [{}]", engine.id(), variant.name);
+                let mut guest = build_guest(engine, &src, level, config(variant))
+                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                guest.run(VM_STEPS).unwrap_or_else(|e| panic!("{tag}: {e}"))
+            };
+            let reference = run(REFERENCE);
+            for variant in VARIANTS {
+                let observed = run(variant);
+                let tag = format!("{workload}: {} {level} [{}]", engine.id(), variant.name);
+                assert_eq!(observed.output, reference.output, "{tag} output diverged");
+                assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
+                assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
+            }
         }
     }
 }
@@ -259,8 +231,8 @@ fn distill_profile(cpu: &Cpu) -> tarch_core::PgoProfile {
 /// driving superblock formation, per-workload fusion filtering, and
 /// sample-triggered tier-up — every counter, branch statistic and output
 /// byte must match the naive reference, across the chain × fuse × tier
-/// engine matrix. A deliberately empty profile (the stale-profile
-/// degenerate case) must behave identically too.
+/// engine matrix, on every engine. A deliberately empty profile (the
+/// stale-profile degenerate case) must behave identically too.
 #[test]
 fn pgo_guided_runs_are_counter_identical() {
     // Profile-run variant: blocks + chain so the edge recorder observes
@@ -288,86 +260,36 @@ fn pgo_guided_runs_are_counter_identical() {
 
     let w = workloads::by_name("fibo").expect("known workload");
     let src = w.source(Scale::Test);
-    let chunk = miniscript::parse(&src).expect("parses");
-    let module = luart::compile(&chunk).expect("compiles");
 
-    for level in tarch_core::IsaLevel::ALL {
-        // Lua: profile, then check every guided variant against naive.
-        let profile = {
-            let mut vm =
-                luart::LuaVm::new(&module, level, config(PROFILER)).expect("builds");
-            vm.cpu_mut().enable_pair_profile();
-            vm.cpu_mut().enable_edge_profile();
-            vm.run(VM_STEPS).expect("profile run completes");
-            distill_profile(vm.cpu())
-        };
-        assert!(!profile.is_empty(), "test-scale fibo must yield a real profile");
-        let reference = {
-            let mut vm = luart::LuaVm::new(&module, level, config(REFERENCE)).expect("builds");
-            vm.run(VM_STEPS).expect("runs")
-        };
-        for (tag, p) in
-            [("measured", profile.clone()), ("empty", tarch_core::PgoProfile::default())]
-        {
-            for variant in GUIDED {
-                let mut cfg = config(variant);
-                cfg.pgo = Some(std::sync::Arc::new(p.clone()));
-                let mut vm = luart::LuaVm::new(&module, level, cfg).expect("builds");
-                let observed = vm.run(VM_STEPS).expect("guided run completes");
-                let tag = format!("luart {level} [{}] ({tag} profile)", variant.name);
-                assert_eq!(observed.output, reference.output, "{tag} output diverged");
-                assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
-                assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
+    for engine in EngineKind::ALL {
+        for level in tarch_core::IsaLevel::ALL {
+            let build = |cfg: CoreConfig| {
+                build_guest(engine, &src, level, cfg).unwrap_or_else(|e| panic!("builds: {e}"))
+            };
+            // Profile, then check every guided variant against naive.
+            let profile = {
+                let mut guest = build(config(PROFILER));
+                guest.cpu_mut().enable_pair_profile();
+                guest.cpu_mut().enable_edge_profile();
+                guest.run(VM_STEPS).expect("profile run completes");
+                distill_profile(guest.cpu())
+            };
+            assert!(!profile.is_empty(), "test-scale fibo must yield a real {engine:?} profile");
+            let reference = build(config(REFERENCE)).run(VM_STEPS).expect("runs");
+            for (tag, p) in
+                [("measured", profile.clone()), ("empty", tarch_core::PgoProfile::default())]
+            {
+                for variant in GUIDED {
+                    let mut cfg = config(variant);
+                    cfg.pgo = Some(std::sync::Arc::new(p.clone()));
+                    let observed = build(cfg).run(VM_STEPS).expect("guided run completes");
+                    let tag =
+                        format!("{} {level} [{}] ({tag} profile)", engine.id(), variant.name);
+                    assert_eq!(observed.output, reference.output, "{tag} output diverged");
+                    assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
+                    assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
+                }
             }
-        }
-
-        // JS: same loop through the stack-based engine.
-        let profile = {
-            let mut vm = jsrt::JsVm::from_source(&src, level, config(PROFILER)).expect("builds");
-            vm.cpu_mut().enable_pair_profile();
-            vm.cpu_mut().enable_edge_profile();
-            vm.run(VM_STEPS).expect("profile run completes");
-            distill_profile(vm.cpu())
-        };
-        let reference = {
-            let mut vm =
-                jsrt::JsVm::from_source(&src, level, config(REFERENCE)).expect("builds");
-            vm.run(VM_STEPS).expect("runs")
-        };
-        for variant in GUIDED {
-            let mut cfg = config(variant);
-            cfg.pgo = Some(std::sync::Arc::new(profile.clone()));
-            let mut vm = jsrt::JsVm::from_source(&src, level, cfg).expect("builds");
-            let observed = vm.run(VM_STEPS).expect("guided run completes");
-            let tag = format!("jsrt {level} [{}]", variant.name);
-            assert_eq!(observed.output, reference.output, "{tag} output diverged");
-            assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
-            assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
-        }
-
-        // WASM: same loop through the statically typed engine.
-        let profile = {
-            let mut vm =
-                wasmrt::WasmVm::from_source(&src, level, config(PROFILER)).expect("builds");
-            vm.cpu_mut().enable_pair_profile();
-            vm.cpu_mut().enable_edge_profile();
-            vm.run(VM_STEPS).expect("profile run completes");
-            distill_profile(vm.cpu())
-        };
-        let reference = {
-            let mut vm =
-                wasmrt::WasmVm::from_source(&src, level, config(REFERENCE)).expect("builds");
-            vm.run(VM_STEPS).expect("runs")
-        };
-        for variant in GUIDED {
-            let mut cfg = config(variant);
-            cfg.pgo = Some(std::sync::Arc::new(profile.clone()));
-            let mut vm = wasmrt::WasmVm::from_source(&src, level, cfg).expect("builds");
-            let observed = vm.run(VM_STEPS).expect("guided run completes");
-            let tag = format!("wasmrt {level} [{}]", variant.name);
-            assert_eq!(observed.output, reference.output, "{tag} output diverged");
-            assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
-            assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
         }
     }
 }
