@@ -201,6 +201,23 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_miss_on_a_pool_sized_stack() {
+        let dir = tmpdir("nesting");
+        let cache = ResultCache::open(&dir).unwrap();
+        let key = JobKey(7, 8);
+        std::fs::write(dir.join(format!("{}.json", key.hex())), "[".repeat(1_000_000)).unwrap();
+        // 2 MiB is the default stack of the pool's worker threads.
+        let loaded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || cache.load(&key))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(loaded.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn distinct_keys_do_not_collide() {
         let dir = tmpdir("distinct");
         let cache = ResultCache::open(&dir).unwrap();

@@ -1,6 +1,6 @@
 //! The job model: one simulation cell and its stable content key.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use tarch_core::{CoreConfig, IsaLevel};
 
 /// Bumped whenever the key derivation or the cached result layout
@@ -104,6 +104,11 @@ impl Scale {
 /// the cache's soundness condition. The key does **not** cover the
 /// simulator *code*: after changing simulator semantics, run with the
 /// cache disabled or delete the cache directory (see EXPERIMENTS.md).
+///
+/// The two halves are FNV-1a 64 over the same canonical bytes from two
+/// offset bases. [`JobSpec::new`] computes both in one pass: it formats
+/// the canonical fields straight into a hashing sink that advances both
+/// lanes per byte, so no canonical string is ever built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobKey(pub u64, pub u64);
 
@@ -124,15 +129,19 @@ impl JobKey {
     }
 }
 
-/// FNV-1a 64-bit with a caller-chosen offset basis (two bases give the
-/// two independent halves of a [`JobKey`]).
-fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The two FNV-1a 64 lanes of a [`JobKey`] as a formatting sink: every
+/// byte written advances both lanes.
+struct KeyHasher(u64, u64);
+
+impl fmt::Write for KeyHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(PRIME);
+            self.1 = (self.1 ^ b as u64).wrapping_mul(PRIME);
+        }
+        Ok(())
     }
-    h
 }
 
 /// One runnable simulation cell: workload + engine + ISA level + scale +
@@ -160,7 +169,9 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Builds a spec and derives its content key.
+    /// Builds a spec and derives its content key in one pass over the
+    /// canonical bytes, which are hashed as they are formatted and never
+    /// stored (see [`JobKey`]).
     pub fn new(
         workload: impl Into<String>,
         engine: EngineKind,
@@ -172,8 +183,10 @@ impl JobSpec {
     ) -> JobSpec {
         let workload = workload.into();
         let source = source.into();
+        let mut h = KeyHasher(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
         // \x1f separators prevent field-boundary ambiguity.
-        let canonical = format!(
+        write!(
+            h,
             "v{KEY_SCHEMA}\x1f{}\x1f{}\x1f{}\x1f{}\x1f{:?}\x1f{}",
             engine.id(),
             level.name(),
@@ -181,10 +194,9 @@ impl JobSpec {
             profiled,
             config,
             source,
-        );
-        let key =
-            JobKey(fnv1a(0xcbf2_9ce4_8422_2325, canonical.as_bytes()),
-                   fnv1a(0x6c62_272e_07bb_0142, canonical.as_bytes()));
+        )
+        .expect("hashing is infallible");
+        let key = JobKey(h.0, h.1);
         JobSpec { workload, engine, level, scale, profiled, source, core: config.clone(), key }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The cache files and `BENCH_*.json` artifacts are plain JSON, but the
 //! workspace must build with no registry access, so this is a small
-//! hand-rolled implementation instead of serde. Two properties matter
+//! hand-rolled implementation instead of serde. Four properties matter
 //! here beyond correctness:
 //!
 //! * **lossless integers** — performance counters are `u64` values that
@@ -10,9 +10,21 @@
 //!   ([`Json::Num`]) and are converted on access;
 //! * **deterministic output** — objects preserve insertion order, so the
 //!   same data always serializes to the same bytes (cache round-trip
-//!   tests compare artifacts textually).
+//!   tests compare artifacts textually);
+//! * **linear time** — the reader visits each input byte a bounded number
+//!   of times and copies each run of unescaped string bytes as one slice,
+//!   as the writer does; every cache hit and artifact reload goes through
+//!   it;
+//! * **bounded nesting** — arrays and objects nest at most 128 levels,
+//!   so a hostile or corrupt file is a located parse error (a cache
+//!   miss), never a stack overflow.
 
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The
+/// committed documents nest five levels deep; the cap only bounds the
+/// reader's recursion.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,7 +178,7 @@ impl Json {
     ///
     /// Returns a message with the byte offset of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -183,27 +195,38 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Only ASCII bytes are escaped, so
+/// the runs between them are pushed as whole slices.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -232,8 +255,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -260,61 +290,68 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         // Validate by parsing as f64 (covers every JSON number form).
         text.parse::<f64>().map_err(|_| format!("bad number at byte {start}"))?;
         Ok(Json::Num(text.to_string()))
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let start = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote or backslash is copied
+            // verbatim; both are ASCII, so the run ends on a char boundary.
+            let run = self.pos;
+            self.pos = self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| run + n);
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
-                None => return Err("unterminated string".to_string()),
+                None => return Err(format!("unterminated string at byte {start}")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.escape(&mut out)?;
                 }
             }
         }
+    }
+
+    /// The escape after a backslash; `pos` is on the character after it.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                // Exactly four hex digits; no sign, no fewer.
+                let code = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .and_then(|hex| {
+                        hex.iter().try_fold(0, |acc, &b| Some(acc << 4 | (b as char).to_digit(16)?))
+                    })
+                    .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos - 1))?;
+                // Surrogate pairs are not produced by our writer; map
+                // lone surrogates to the replacement char.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                self.pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {}", self.pos)),
+        }
+        self.pos += 1;
+        Ok(())
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -425,6 +462,59 @@ mod tests {
         let doc = Json::Str(s.to_string());
         let back = Json::parse(&doc.to_pretty_string()).unwrap();
         assert_eq!(back.as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn seeded_strings_roundtrip() {
+        // Multi-byte UTF-8 of every width, the escaped ASCII bytes, and
+        // the other control characters.
+        const ALPHABET: &[char] = &[
+            'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}',
+            '\u{1f}', '\u{7f}', 'é', 'ß', '✓', '€', '\u{fffd}', '𝄞', '😀',
+        ];
+        fn string(rng: &mut tarch_testkit::Rng) -> String {
+            (0..rng.range_usize(0, 40)).map(|_| *rng.choice(ALPHABET)).collect()
+        }
+        let mut rng = tarch_testkit::Rng::new(0x5eed);
+        for _ in 0..500 {
+            let doc = Json::Obj(vec![
+                (string(&mut rng), Json::Str(string(&mut rng))),
+                (string(&mut rng), Json::Arr(vec![Json::Str(string(&mut rng)), Json::Null])),
+            ]);
+            let text = doc.to_pretty_string();
+            let back = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text:?}"));
+            assert_eq!(back, doc);
+            assert_eq!(back.to_pretty_string(), text);
+        }
+    }
+
+    #[test]
+    fn four_mib_string_parses() {
+        // A quadratic reader takes minutes here, so a regression hangs
+        // the suite instead of flaking a timing assertion.
+        let chunk = "plain ascii text, then ✓ é 😀 and an escape \" and \\ and \n.";
+        let s = chunk.repeat((4 << 20) / chunk.len() + 1);
+        let doc = Json::Arr(vec![Json::Str(s)]);
+        assert_eq!(Json::parse(&doc.to_pretty_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        let deepest_ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest_ok).is_ok());
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let objects = "{\"k\": ".repeat(1_000_000);
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn unicode_escape_needs_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041\u00e9\u2713""#).unwrap().as_str(), Some("Aé✓"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u004""#, r#""\u00g1""#, r#""\u 041""#] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.contains("at byte 1"), "{bad}: {err}");
+        }
     }
 
     #[test]
