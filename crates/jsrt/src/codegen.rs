@@ -736,7 +736,7 @@ impl<'a> Gen<'a> {
         self.b.ld(Reg::T1, -8, SP);
         self.guard_prefix(Reg::T1, box_prefix17(tag::OBJECT), Reg::T3, Reg::T4, slow);
         self.unbox_unsigned(Reg::T1);
-        self.b.ld(Reg::T5, object::LEN, Reg::T1);
+        self.b.ld(Reg::T5, object::ARR_LEN, Reg::T1);
         self.b.li(Reg::T2, box_prefix17(tag::INT));
         self.rebox(Reg::T5, Reg::T2, Reg::T3);
         self.b.sd(Reg::T5, -8, SP);
@@ -836,10 +836,10 @@ impl<'a> Gen<'a> {
     /// `elem = elems_ptr + (key-1)*8`, bounds-checked. `hdr` holds the
     /// header address, `key` the integer key. Clobbers T5.
     fn emit_elem_index(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label) {
-        self.b.ld(Reg::T5, object::LEN, hdr);
+        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
         self.b.addi(elem, key, -1);
         self.b.bgeu(elem, Reg::T5, slow);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
     }
@@ -901,16 +901,16 @@ impl<'a> Gen<'a> {
     /// Dense write with in-place append, like `luart`'s.
     fn emit_setelem_bounds(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label, store: Label) {
         let in_range = self.b.new_label("jsse_in_range");
-        self.b.ld(Reg::T5, object::LEN, hdr);
+        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
         self.b.addi(elem, key, -1);
         self.b.bltu(elem, Reg::T5, in_range);
         self.b.bne(elem, Reg::T5, slow);
-        self.b.ld(Reg::T4, object::CAP, hdr);
+        self.b.ld(Reg::T4, object::ARR_CAP, hdr);
         self.b.bgeu(Reg::T5, Reg::T4, slow);
         self.b.addi(Reg::T5, Reg::T5, 1);
-        self.b.sd(Reg::T5, object::LEN, hdr);
+        self.b.sd(Reg::T5, object::ARR_LEN, hdr);
         self.b.bind(in_range);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
         self.b.j(store);

@@ -27,9 +27,4 @@ pub const NEG_SLOW: u64 = 10;
 pub const ERROR: u64 = 11;
 
 /// Error codes for [`ERROR`].
-pub mod errcode {
-    /// Stack overflow.
-    pub const STACK_OVERFLOW: u64 = 1;
-    /// Integer division/modulo by zero.
-    pub const DIV_BY_ZERO: u64 = 2;
-}
+pub use luart::native::errcode;

@@ -74,20 +74,9 @@ pub fn chk_byte(tag: u8) -> u8 {
 /// The `undefined` value.
 pub const UNDEFINED: u64 = BOX_PREFIX | ((tag::UNDEF as u64) << TAG_SHIFT);
 
-/// Array object header offsets (in the simulated heap; elements are 8-byte
-/// NaN-boxed values).
-pub mod object {
-    /// Address of the dense elements.
-    pub const ELEMS_PTR: i32 = 0;
-    /// Capacity in elements.
-    pub const CAP: i32 = 8;
-    /// Length (dense border).
-    pub const LEN: i32 = 16;
-    /// Host-side property-map id.
-    pub const HASH_ID: i32 = 24;
-    /// Header size.
-    pub const HEADER_SIZE: u64 = 32;
-}
+/// Array object header offsets: the one 32-byte table header of the shared
+/// runtime; elements are 8-byte NaN-boxed values.
+pub use luart::native::table as object;
 
 /// Function-info record offsets (32-byte records).
 pub mod funcinfo {

@@ -35,9 +35,4 @@ pub const LEN_SLOW: u64 = 10;
 pub const ERROR: u64 = 11;
 
 /// Error codes passed to [`ERROR`].
-pub mod errcode {
-    /// CallInfo or value stack overflow.
-    pub const STACK_OVERFLOW: u64 = 1;
-    /// Division or modulo by integer zero.
-    pub const DIV_BY_ZERO: u64 = 2;
-}
+pub use crate::native::errcode;

@@ -31,19 +31,9 @@ pub const TVALUE_SIZE: u64 = 16;
 /// Offset of the tag byte within a tag-value pair.
 pub const TAG_OFFSET: i32 = 8;
 
-/// Table header field offsets (32-byte header in the simulated heap).
-pub mod table {
-    /// Address of the array part (TValues).
-    pub const ARR_PTR: i32 = 0;
-    /// Array part capacity, in elements.
-    pub const ARR_CAP: i32 = 8;
-    /// Array part length (`#t` border), in elements.
-    pub const ARR_LEN: i32 = 16;
-    /// Host-side hash-part id.
-    pub const HASH_ID: i32 = 24;
-    /// Header size in bytes.
-    pub const HEADER_SIZE: u64 = 32;
-}
+/// Table header field offsets: the one 32-byte header of the shared
+/// runtime; the array part holds TValues.
+pub use crate::native::table;
 
 /// Function-info record offsets (32-byte records in the data section).
 pub mod funcinfo {

@@ -54,6 +54,7 @@ mod engine;
 pub mod helpers;
 mod hostvm;
 pub mod layout;
+pub mod native;
 mod runtime;
 
 pub use bytecode::{Bc, Builtin, Const, Module, Op, Proto, RK_CONST};

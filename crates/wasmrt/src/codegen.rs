@@ -495,7 +495,7 @@ impl<'a> Gen<'a> {
     fn h_alen(&mut self) {
         // The handle is a raw header address: one load, no unboxing.
         self.b.ld(Reg::T1, -8, SP);
-        self.b.ld(Reg::T2, object::LEN, Reg::T1);
+        self.b.ld(Reg::T2, object::ARR_LEN, Reg::T1);
         self.b.sd(Reg::T2, -8, SP);
         self.next();
     }
@@ -524,10 +524,10 @@ impl<'a> Gen<'a> {
 
     /// `elem = elems_ptr + (key-1)*8`, bounds-checked. Clobbers T5.
     fn emit_elem_index(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label) {
-        self.b.ld(Reg::T5, object::LEN, hdr);
+        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
         self.b.addi(elem, key, -1);
         self.b.bgeu(elem, Reg::T5, slow);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
     }
@@ -552,16 +552,16 @@ impl<'a> Gen<'a> {
     /// Dense write with in-place append, like `luart`'s and `jsrt`'s.
     fn emit_setelem_bounds(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label, store: Label) {
         let in_range = self.b.new_label("was_in_range");
-        self.b.ld(Reg::T5, object::LEN, hdr);
+        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
         self.b.addi(elem, key, -1);
         self.b.bltu(elem, Reg::T5, in_range);
         self.b.bne(elem, Reg::T5, slow);
-        self.b.ld(Reg::T4, object::CAP, hdr);
+        self.b.ld(Reg::T4, object::ARR_CAP, hdr);
         self.b.bgeu(Reg::T5, Reg::T4, slow);
         self.b.addi(Reg::T5, Reg::T5, 1);
-        self.b.sd(Reg::T5, object::LEN, hdr);
+        self.b.sd(Reg::T5, object::ARR_LEN, hdr);
         self.b.bind(in_range);
-        self.b.ld(Reg::T5, object::ELEMS_PTR, hdr);
+        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
         self.b.slli(elem, elem, 3);
         self.b.add(elem, elem, Reg::T5);
         self.b.j(store);

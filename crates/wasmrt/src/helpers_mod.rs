@@ -38,9 +38,4 @@ pub mod keykind {
 }
 
 /// Error codes for [`ERROR`].
-pub mod errcode {
-    /// Stack overflow.
-    pub const STACK_OVERFLOW: u64 = 1;
-    /// Integer division/modulo by zero.
-    pub const DIV_BY_ZERO: u64 = 2;
-}
+pub use luart::native::errcode;

@@ -34,19 +34,9 @@
 /// low bit clear (falsy under the bit-0 truthiness test).
 pub const NIL: u64 = i64::MIN as u64;
 
-/// Table header offsets (elements are 8-byte *untagged* dwords).
-pub mod object {
-    /// Address of the dense elements.
-    pub const ELEMS_PTR: i32 = 0;
-    /// Capacity in elements.
-    pub const CAP: i32 = 8;
-    /// Length (dense border).
-    pub const LEN: i32 = 16;
-    /// Host-side hash-part id.
-    pub const HASH_ID: i32 = 24;
-    /// Header size.
-    pub const HEADER_SIZE: u64 = 32;
-}
+/// Table header offsets: the one 32-byte table header of the shared runtime;
+/// elements are 8-byte *untagged* dwords.
+pub use luart::native::table as object;
 
 /// Function-info record offsets (32-byte records).
 pub mod funcinfo {

@@ -100,6 +100,50 @@ fn int_or_table_values_print_like_the_reference_or_fail_to_compile() {
     }
 }
 
+/// Runtime operands each engine must decode by its own value rules: a
+/// nil where a table, string or number belongs, a boolean in `..`, an
+/// integral float where a builtin wants an integer. Where the reference
+/// raises an error, every engine fails to build or to run; otherwise
+/// every engine prints what the reference prints.
+#[test]
+fn runtime_operands_fail_or_print_like_the_reference() {
+    let programs = [
+        "local u = {} u.y = 7 local t = {} print(t.x.y)",
+        "local t = {} t.w = 'abc' print(#t.z)",
+        "local t = {} t.w = 1 print(floor(t.z))",
+        "local t = {} t.w = 1 print(abs(t.z))",
+        "local t = {} t.w = 1 print(min(t.z, 1))",
+        "local t = {} t.w = 1 print(max(1, t.z))",
+        "local t = {} t.w = 'hello' print(sub(t.z, 1, 2))",
+        "local t = {} t.w = 'hello' print(byte(t.z))",
+        "local t = {} t.w = 'hello' print(len(t.z))",
+        "local t = {} t.w = 'b' print('a' .. t.z)",
+        "print('a' .. true)",
+        "print(char(65.0))",
+        "print(sub('hello', 2.0))",
+        "print(byte('AB', 2.0))",
+    ];
+    for src in programs {
+        let expected = parse(src).map_err(|e| e.to_string()).and_then(|chunk| {
+            let mut interp = Interp::new();
+            interp.run(&chunk).map_err(|e| e.to_string())?;
+            Ok(interp.output().to_string())
+        });
+        for engine in EngineKind::ALL {
+            let run = build_guest(engine, src, IsaLevel::Typed, CoreConfig::paper())
+                .and_then(|mut g| g.run(MAX_STEPS).map_err(|e| e.to_string()));
+            match (&expected, run) {
+                (Ok(want), Ok(r)) => assert_eq!(&r.output, want, "{}: {src}", engine.id()),
+                (Ok(_), Err(e)) => panic!("{}: {src}: {e}", engine.id()),
+                (Err(_), Ok(r)) => {
+                    panic!("{}: {src}: printed {:?}; the reference errors", engine.id(), r.output)
+                }
+                (Err(_), Err(_)) => {}
+            }
+        }
+    }
+}
+
 #[test]
 fn ackermann_all_configs_agree() {
     check_workload("ackermann");
