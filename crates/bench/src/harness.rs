@@ -10,7 +10,6 @@
 
 use crate::workloads::{Scale, Workload};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::PathBuf;
 use tarch_core::{CoreConfig, IsaLevel};
 use tarch_fleet::build_guest;
@@ -371,21 +370,6 @@ impl Matrix {
         let this = self.try_cell(workload, engine, level)?.counters.instructions;
         Some(1.0 - this as f64 / base as f64)
     }
-
-    /// Geometric-mean speedup across all workloads (Figure 5's geomean).
-    pub fn geomean_speedup(&self, engine: EngineKind, level: IsaLevel) -> f64 {
-        geomean(self.workloads().iter().map(|w| self.speedup(w, engine, level)))
-    }
-
-    /// Geometric mean of per-benchmark cycle counts for one configuration
-    /// (used by the Table 8 EDP computation).
-    pub fn geomean_cycles(&self, engine: EngineKind, level: IsaLevel) -> f64 {
-        geomean(
-            self.workloads()
-                .iter()
-                .map(|w| self.cell(w, engine, level).counters.cycles as f64),
-        )
-    }
 }
 
 /// Geometric mean of an iterator of positive values.
@@ -401,12 +385,6 @@ pub fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     } else {
         (log_sum / n as f64).exp()
     }
-}
-
-/// Helper for display of errors (kept from the serial harness for
-/// callers formatting engine failures).
-pub fn format_cell_error(w: &Workload, engine: EngineKind, level: IsaLevel, e: &dyn fmt::Display) -> String {
-    format!("{} / {engine:?} / {level}: {e}", w.name)
 }
 
 #[cfg(test)]

@@ -424,16 +424,6 @@ impl Cpu {
         self.note_code_store(addr, 8);
     }
 
-    /// Drops every predecoded instruction and cached basic block (the
-    /// `flush_trt` analogue for the decode caches). Never needed for
-    /// correctness — guest stores and host writes invalidate
-    /// automatically — but available to tests and context-switch code
-    /// that wants cold decode caches.
-    pub fn flush_predecode(&mut self) {
-        self.predecode.flush();
-        self.blocks.flush();
-    }
-
     /// Predecode-table effectiveness statistics (host-side metric; not an
     /// architectural counter).
     pub fn predecode_stats(&self) -> PredecodeStats {

@@ -704,34 +704,6 @@ impl Instruction {
             || matches!(self, Instruction::SetSpr { spr: Spr::ExpType, .. })
     }
 
-    /// Whether this is a control-flow instruction (branch, jump, or an
-    /// instruction that may redirect to `R_hdl`).
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Branch { .. }
-                | Instruction::Jal { .. }
-                | Instruction::Jalr { .. }
-                | Instruction::Typed { .. }
-                | Instruction::Tchk { .. }
-                | Instruction::Chklb { .. }
-        )
-    }
-
-    /// Whether this instruction reads or writes data memory.
-    pub fn is_mem(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Load { .. }
-                | Instruction::Store { .. }
-                | Instruction::FpLoad { .. }
-                | Instruction::FpStore { .. }
-                | Instruction::Tld { .. }
-                | Instruction::Tsd { .. }
-                | Instruction::Chklb { .. }
-        )
-    }
-
     /// The integer destination register written by this instruction, if any.
     /// `x0` destinations are reported as `None` (writes to `x0` are dropped).
     pub fn int_dest(&self) -> Option<Reg> {
@@ -757,32 +729,6 @@ impl Instruction {
             None
         } else {
             Some(rd)
-        }
-    }
-
-    /// Integer source registers read by this instruction.
-    pub fn int_sources(&self) -> (Option<Reg>, Option<Reg>) {
-        match *self {
-            Instruction::Alu { rs1, rs2, .. }
-            | Instruction::Branch { rs1, rs2, .. }
-            | Instruction::Typed { rs1, rs2, .. }
-            | Instruction::Tchk { rs1, rs2, .. } => (Some(rs1), Some(rs2)),
-            Instruction::Store { rs1, rs2, .. } | Instruction::Tsd { rs1, rs2, .. } => {
-                (Some(rs1), Some(rs2))
-            }
-            Instruction::AluImm { rs1, .. }
-            | Instruction::Load { rs1, .. }
-            | Instruction::Jalr { rs1, .. }
-            | Instruction::FpLoad { rs1, .. }
-            | Instruction::FpStore { rs1, .. }
-            | Instruction::FcvtDL { rs1, .. }
-            | Instruction::FmvDX { rs1, .. }
-            | Instruction::Tld { rs1, .. }
-            | Instruction::SetSpr { rs1, .. }
-            | Instruction::Tget { rs1, .. }
-            | Instruction::Chklb { rs1, .. } => (Some(rs1), None),
-            Instruction::Tset { rs1, rd } => (Some(rs1), Some(rd)),
-            _ => (None, None),
         }
     }
 }

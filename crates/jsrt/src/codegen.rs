@@ -1,9 +1,12 @@
-//! TRV64 code generator for the `jsrt` stack-machine interpreter.
-//!
-//! Same architecture as `luart`'s generator — threaded dispatch plus one
-//! handler per opcode, three variants of the five hot bytecodes (ADD, SUB,
-//! MUL, GETELEM, SETELEM; paper Table 3) — but over 8-byte NaN-boxed
-//! values on an operand stack:
+//! `jsrt`'s handlers over the shared interpreter skeleton
+//! ([`luart::image`]), which supplies the memory map, the frames, the
+//! prologue, the dispatch loop, the data section and the stack-machine
+//! code `jsrt` shares with `wasmrt` (operand stack, constants, locals,
+//! calls, returns and dense element access). What is `jsrt`'s own is a
+//! handler per opcode over 8-byte NaN-boxed values, the opcode field at
+//! bit 24 and the NaN-boxed constant encoding. The five hot bytecodes
+//! (ADD, SUB, MUL, GETELEM, SETELEM; paper Table 3) come in three
+//! variants:
 //!
 //! * **Baseline** unboxing guards compare the 17-bit box prefix + tag with
 //!   shift/compare sequences, sign-extend payloads, and re-box results,
@@ -17,34 +20,18 @@
 //!   type check, ALU binding, overflow detection and re-boxing all happen
 //!   in hardware.
 
-use crate::bytecode::{Const, Module, Op};
+use crate::bytecode::{Bc, Const, Module, Op};
 use crate::helpers_mod as helpers;
-use crate::layout::{self, callinfo, funcinfo, map, object, tag};
+use crate::layout::{self, object, tag};
+use luart::image::{stack_frame_info, Function, Skeleton, TypeSetup, BASE, KB, PC, SP, W};
+use std::ops::{Deref, DerefMut};
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
-use tarch_sim::{Image, StringTable};
+use tarch_sim::Image;
 
-/// VM pc.
-const PC: Reg = Reg::S0;
-/// Locals base.
-const LOCALS: Reg = Reg::S1;
-/// Constants base.
-const KB: Reg = Reg::S2;
-/// Dispatch table.
-const DT: Reg = Reg::S3;
-/// CallInfo stack pointer.
-const CI: Reg = Reg::S4;
-/// Function table.
-const FT: Reg = Reg::S5;
-/// Operand stack pointer (points one past TOS; grows upward).
-const SP: Reg = Reg::S6;
-/// Value stack limit.
-const STK_LIM: Reg = Reg::S7;
 /// CallInfo stack limit.
 const CI_LIM: Reg = Reg::S11;
-/// Current bytecode word.
-const W: Reg = Reg::T0;
 
 /// High 17 bits of a boxed value with a given tag: `(0x1fff << 4) | tag`.
 fn box_prefix17(t: u8) -> i64 {
@@ -60,106 +47,63 @@ pub type JsImage = Image<Op>;
 ///
 /// Returns [`AsmError`] on assembly failure (codegen bug).
 pub fn build_image(module: &Module, level: IsaLevel) -> Result<JsImage, AsmError> {
-    let mut g = Gen::new(module, level);
-    g.emit_entry();
-    g.emit_dispatch();
-    g.emit_handlers();
-    g.emit_data();
-    g.finish()
+    let mut g = Gen(Skeleton::new(level, module.protos.len(), CI_LIM));
+    g.prologue(Some(TypeSetup {
+        exptype: layout::chk_byte(tag::INT),
+        spr: layout::spr_settings(),
+        trt: layout::trt_rules(),
+    }));
+    let main = &module.protos[module.main];
+    g.frames(module.main, Some(main.nlocals.into()), helpers::ERROR);
+    g.dispatch_loop(24);
+    for op in Op::ALL {
+        g.bind_handler(op);
+        g.emit(op);
+    }
+    let strings = &mut g.strings;
+    let funcs: Vec<Function> = module
+        .protos
+        .iter()
+        .map(|p| Function {
+            info: stack_frame_info(p.nlocals, p.max_stack),
+            code: p.code.iter().map(|bc| bc.encode()).collect(),
+            consts: p
+                .consts
+                .iter()
+                .map(|k| match k {
+                    Const::Int(v) => match i32::try_from(*v) {
+                        Ok(v32) => layout::box_int(v32),
+                        Err(_) => (*v as f64).to_bits(),
+                    },
+                    Const::Float(v) => v.to_bits(),
+                    Const::Str(s) => layout::boxed(tag::STR, strings.intern(s) as u64),
+                })
+                .collect(),
+        })
+        .collect();
+    g.tables(&funcs, Bc::new(Op::Halt, 0).encode());
+    g.functions(&funcs, 8);
+    g.0.finish()
 }
 
-struct Gen<'a> {
-    b: ProgramBuilder,
-    module: &'a Module,
-    level: IsaLevel,
-    dispatch: Label,
-    handler_labels: Vec<(Op, Label)>,
-    stack_ov: Label,
-    div_zero: Label,
-    strings: StringTable,
-    func_code: Vec<Label>,
-    func_consts: Vec<Label>,
-    dispatch_table: Label,
-    functable: Label,
-    halt_bc: Label,
+/// The handlers, over the skeleton.
+struct Gen(Skeleton<Op>);
+
+impl Deref for Gen {
+    type Target = Skeleton<Op>;
+
+    fn deref(&self) -> &Skeleton<Op> {
+        &self.0
+    }
 }
 
-impl<'a> Gen<'a> {
-    fn new(module: &'a Module, level: IsaLevel) -> Gen<'a> {
-        let mut b = ProgramBuilder::new(map::TEXT_BASE, map::DATA_BASE);
-        let dispatch = b.new_label("dispatch");
-        let stack_ov = b.new_label("stack_overflow");
-        let div_zero = b.new_label("div_zero");
-        let handler_labels =
-            Op::ALL.iter().map(|op| (*op, b.new_label(&format!("op_{}", op.name())))).collect();
-        let func_code =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("code_{i}"))).collect();
-        let func_consts =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("consts_{i}"))).collect();
-        let dispatch_table = b.new_label("dispatch_table");
-        let functable = b.new_label("functable");
-        let halt_bc = b.new_label("halt_bc");
-        Gen {
-            b,
-            module,
-            level,
-            dispatch,
-            handler_labels,
-            stack_ov,
-            div_zero,
-            strings: StringTable::default(),
-            func_code,
-            func_consts,
-            dispatch_table,
-            functable,
-            halt_bc,
-        }
+impl DerefMut for Gen {
+    fn deref_mut(&mut self) -> &mut Skeleton<Op> {
+        &mut self.0
     }
+}
 
-    fn handler(&self, op: Op) -> Label {
-        self.handler_labels.iter().find(|(o, _)| *o == op).expect("all ops labelled").1
-    }
-
-    fn next(&mut self) {
-        let d = self.dispatch;
-        self.b.j(d);
-    }
-
-    fn ecall(&mut self, id: u64) {
-        self.b.li(Reg::A7, id as i64);
-        self.b.ecall();
-    }
-
-    /// `dst = sign-extended 24-bit operand`.
-    fn decode_imm(&mut self, dst: Reg) {
-        self.b.slli(dst, W, 40);
-        self.b.srai(dst, dst, 40);
-    }
-
-    /// `dst = zero-extended 24-bit operand`.
-    fn decode_uimm(&mut self, dst: Reg) {
-        self.b.slli(dst, W, 40);
-        self.b.srli(dst, dst, 40);
-    }
-
-    /// `dst = sign-extended operand * 4` (jump offset in bytes).
-    fn decode_offset(&mut self, dst: Reg) {
-        self.b.slli(dst, W, 40);
-        self.b.srai(dst, dst, 38);
-    }
-
-    /// Push the value in `src` (clobbers nothing else).
-    fn push(&mut self, src: Reg) {
-        self.b.sd(src, 0, SP);
-        self.b.addi(SP, SP, 8);
-    }
-
-    /// Pop into `dst`.
-    fn pop(&mut self, dst: Reg) {
-        self.b.addi(SP, SP, -8);
-        self.b.ld(dst, 0, SP);
-    }
-
+impl Gen {
     /// Sign-extend a boxed payload in place (47-bit).
     fn unbox_signed(&mut self, r: Reg) {
         self.b.slli(r, r, 17);
@@ -188,119 +132,39 @@ impl<'a> Gen<'a> {
         self.b.bne(t1, t2, slow);
     }
 
-    fn emit_entry(&mut self) {
-        self.b.set_entry_here();
-        if self.level == IsaLevel::CheckedLoad {
-            // Pin R_exptype to the Int check byte; element handlers that
-            // check Object restore it afterwards.
-            self.b.li(Reg::T1, layout::chk_byte(tag::INT) as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::ExpType, rs1: Reg::T1 });
-        }
-        if self.level == IsaLevel::Typed {
-            let spr = layout::spr_settings();
-            self.b.li(Reg::T1, spr.offset as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::Offset, rs1: Reg::T1 });
-            self.b.li(Reg::T1, spr.mask as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::Mask, rs1: Reg::T1 });
-            self.b.li(Reg::T1, spr.shift as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::Shift, rs1: Reg::T1 });
-            for rule in layout::trt_rules() {
-                self.b.li(Reg::T1, rule.pack() as i64);
-                self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::TrtPush, rs1: Reg::T1 });
-            }
-        }
-        let (dt, ft, hb) = (self.dispatch_table, self.functable, self.halt_bc);
-        self.b.la(DT, dt);
-        self.b.la(FT, ft);
-        self.b.li(CI, map::CI_BASE as i64);
-        self.b.li(CI_LIM, map::CI_LIMIT as i64);
-        self.b.li(STK_LIM, map::STACK_LIMIT as i64);
-        self.b.li(LOCALS, map::STACK_BASE as i64);
-        let main = &self.module.protos[self.module.main];
-        self.b.li(SP, (map::STACK_BASE + main.nlocals as u64 * 8) as i64);
-        let (mc, mk) = (self.func_code[self.module.main], self.func_consts[self.module.main]);
-        self.b.la(KB, mk);
-        self.b.la(PC, mc);
-        self.b.la(Reg::T1, hb);
-        self.b.sd(Reg::T1, callinfo::RET_PC, CI);
-        self.b.sd(LOCALS, callinfo::RET_LOCALS, CI);
-        self.b.sd(KB, callinfo::RET_CONSTS, CI);
-        self.b.addi(CI, CI, callinfo::STRIDE as i32);
-        self.next();
-
-        let so = self.stack_ov;
-        self.b.bind(so);
-        self.b.li(Reg::A0, helpers::errcode::STACK_OVERFLOW as i64);
-        self.ecall(helpers::ERROR);
-        self.b.halt();
-        let dz = self.div_zero;
-        self.b.bind(dz);
-        self.b.li(Reg::A0, helpers::errcode::DIV_BY_ZERO as i64);
-        self.ecall(helpers::ERROR);
-        self.b.halt();
-    }
-
-    fn emit_dispatch(&mut self) {
-        let d = self.dispatch;
-        self.b.bind(d);
-        self.b.lwu(W, 0, PC);
-        self.b.addi(PC, PC, 4);
-        self.b.srli(Reg::T1, W, 24);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, DT);
-        self.b.ld(Reg::T1, 0, Reg::T1);
-        self.b.jr(Reg::T1);
-    }
-
-    fn emit_handlers(&mut self) {
-        for op in Op::ALL {
-            let label = self.handler(op);
-            self.b.bind(label);
-            match op {
-                Op::PushK => self.h_pushk(),
-                Op::PushI => self.h_pushi(),
-                Op::PushUndef => self.h_pushundef(),
-                Op::PushBool => self.h_pushbool(),
-                Op::GetLocal => self.h_getlocal(),
-                Op::SetLocal => self.h_setlocal(),
-                Op::Pop => {
-                    self.b.addi(SP, SP, -8);
-                    self.next();
-                }
-                Op::Add | Op::Sub | Op::Mul => self.h_arith_hot(op),
-                Op::Div => self.h_div(),
-                Op::IDiv | Op::Mod => self.h_intdiv(op),
-                Op::Concat => self.h_concat(),
-                Op::Eq | Op::Ne => self.h_cmp_eq(op),
-                Op::Lt | Op::Le => self.h_cmp_ord(op),
-                Op::Not => self.h_not(),
-                Op::Neg => self.h_neg(),
-                Op::Len => self.h_len(),
-                Op::Jump => self.h_jump(),
-                Op::JIf | Op::JNot => self.h_jcond(op),
-                Op::GetElem => self.h_getelem(),
-                Op::SetElem => self.h_setelem(),
-                Op::GetGlobal => self.h_getglobal(),
-                Op::SetGlobal => self.h_setglobal(),
-                Op::NewArr => self.h_newarr(),
-                Op::Call => self.h_call(),
-                Op::CallB => self.h_callb(),
-                Op::Ret | Op::RetV => self.h_ret(op),
-                Op::Halt => self.b.halt(),
-            }
+    fn emit(&mut self, op: Op) {
+        match op {
+            Op::PushK => self.push_slot(KB),
+            Op::PushI => self.h_pushi(),
+            Op::PushUndef => self.h_pushundef(),
+            Op::PushBool => self.h_pushbool(),
+            Op::GetLocal => self.push_slot(BASE),
+            Op::SetLocal => self.pop_slot(BASE),
+            Op::Pop => self.drop_top(),
+            Op::Add | Op::Sub | Op::Mul => self.h_arith_hot(op),
+            Op::Div => self.h_div(),
+            Op::IDiv | Op::Mod => self.h_intdiv(op),
+            Op::Concat => self.h_concat(),
+            Op::Eq | Op::Ne => self.h_cmp_eq(op),
+            Op::Lt | Op::Le => self.h_cmp_ord(op),
+            Op::Not => self.h_not(),
+            Op::Neg => self.h_neg(),
+            Op::Len => self.h_len(),
+            Op::Jump => self.jump(),
+            Op::JIf | Op::JNot => self.h_jcond(op),
+            Op::GetElem => self.h_getelem(),
+            Op::SetElem => self.h_setelem(),
+            Op::GetGlobal => self.h_getglobal(),
+            Op::SetGlobal => self.h_setglobal(),
+            Op::NewArr => self.new_table(helpers::NEWARR),
+            Op::Call => self.call(0xff),
+            Op::CallB => self.h_callb(),
+            Op::Ret | Op::RetV => self.h_ret(op),
+            Op::Halt => self.b.halt(),
         }
     }
 
-    // --- stack & constants ---------------------------------------------
-
-    fn h_pushk(&mut self) {
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, KB);
-        self.b.ld(Reg::T2, 0, Reg::T1);
-        self.push(Reg::T2);
-        self.next();
-    }
+    // --- constants ---------------------------------------------------------
 
     fn h_pushi(&mut self) {
         self.decode_imm(Reg::T1);
@@ -325,24 +189,6 @@ impl<'a> Gen<'a> {
         self.b.slli(Reg::T2, Reg::T2, 47);
         self.b.or(Reg::T1, Reg::T1, Reg::T2);
         self.push(Reg::T1);
-        self.next();
-    }
-
-    fn h_getlocal(&mut self) {
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, LOCALS);
-        self.b.ld(Reg::T2, 0, Reg::T1);
-        self.push(Reg::T2);
-        self.next();
-    }
-
-    fn h_setlocal(&mut self) {
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, LOCALS);
-        self.pop(Reg::T2);
-        self.b.sd(Reg::T2, 0, Reg::T1);
         self.next();
     }
 
@@ -748,13 +594,7 @@ impl<'a> Gen<'a> {
         self.next();
     }
 
-    // --- control flow --------------------------------------------------------
-
-    fn h_jump(&mut self) {
-        self.decode_offset(Reg::T1);
-        self.b.add(PC, PC, Reg::T1);
-        self.next();
-    }
+    // --- control flow ----------------------------------------------------------
 
     fn h_jcond(&mut self, op: Op) {
         let falsy = self.b.new_label("jsjc_falsy");
@@ -782,11 +622,7 @@ impl<'a> Gen<'a> {
                 self.guard_prefix(Reg::T2, box_prefix17(tag::INT), Reg::T3, Reg::T4, slow);
                 self.unbox_unsigned(Reg::T1);
                 self.unbox_signed(Reg::T2);
-                self.emit_elem_index(Reg::T1, Reg::T2, Reg::T6, slow);
-                self.b.ld(Reg::T3, 0, Reg::T6);
-                self.b.sd(Reg::T3, -16, SP);
-                self.b.addi(SP, SP, -8);
-                self.next();
+                self.elem_get(Reg::T1, Reg::T2, slow);
             }
             IsaLevel::CheckedLoad => {
                 self.b.thdl(slow);
@@ -806,22 +642,14 @@ impl<'a> Gen<'a> {
                 self.b.bne(Reg::T4, Reg::T3, slow);
                 self.unbox_unsigned(Reg::T1);
                 self.unbox_signed(Reg::T2);
-                self.emit_elem_index(Reg::T1, Reg::T2, Reg::T6, slow);
-                self.b.ld(Reg::T3, 0, Reg::T6);
-                self.b.sd(Reg::T3, -16, SP);
-                self.b.addi(SP, SP, -8);
-                self.next();
+                self.elem_get(Reg::T1, Reg::T2, slow);
             }
             IsaLevel::Typed => {
                 self.b.tld(Reg::A2, -16, SP); // obj: tag 6, payload = header
                 self.b.tld(Reg::A3, -8, SP); // key: tag 1, payload = index
                 self.b.thdl(slow);
                 self.b.tchk(Reg::A2, Reg::A3);
-                self.emit_elem_index(Reg::A2, Reg::A3, Reg::T6, slow);
-                self.b.ld(Reg::T3, 0, Reg::T6);
-                self.b.sd(Reg::T3, -16, SP);
-                self.b.addi(SP, SP, -8);
-                self.next();
+                self.elem_get(Reg::A2, Reg::A3, slow);
             }
         }
         self.b.bind(slow);
@@ -833,21 +661,9 @@ impl<'a> Gen<'a> {
         self.next();
     }
 
-    /// `elem = elems_ptr + (key-1)*8`, bounds-checked. `hdr` holds the
-    /// header address, `key` the integer key. Clobbers T5.
-    fn emit_elem_index(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label) {
-        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
-        self.b.addi(elem, key, -1);
-        self.b.bgeu(elem, Reg::T5, slow);
-        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
-        self.b.slli(elem, elem, 3);
-        self.b.add(elem, elem, Reg::T5);
-    }
-
     fn h_setelem(&mut self) {
         // Stack: [obj, key, val] at SP-24, SP-16, SP-8.
         let slow = self.b.new_label("jsse_slow");
-        let store = self.b.new_label("jsse_store");
         match self.level {
             IsaLevel::Baseline | IsaLevel::CheckedLoad => {
                 if self.level == IsaLevel::Baseline {
@@ -883,12 +699,7 @@ impl<'a> Gen<'a> {
                 self.b.mv(Reg::T2, Reg::A3);
             }
         }
-        self.emit_setelem_bounds(Reg::T1, Reg::T2, Reg::T6, slow, store);
-        self.b.bind(store);
-        self.b.ld(Reg::T3, -8, SP);
-        self.b.sd(Reg::T3, 0, Reg::T6);
-        self.b.addi(SP, SP, -24);
-        self.next();
+        self.elem_set(Reg::T1, Reg::T2, slow, "jsse");
         self.b.bind(slow);
         self.b.addi(Reg::A1, SP, -24);
         self.b.addi(Reg::A2, SP, -16);
@@ -898,25 +709,7 @@ impl<'a> Gen<'a> {
         self.next();
     }
 
-    /// Dense write with in-place append, like `luart`'s.
-    fn emit_setelem_bounds(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label, store: Label) {
-        let in_range = self.b.new_label("jsse_in_range");
-        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
-        self.b.addi(elem, key, -1);
-        self.b.bltu(elem, Reg::T5, in_range);
-        self.b.bne(elem, Reg::T5, slow);
-        self.b.ld(Reg::T4, object::ARR_CAP, hdr);
-        self.b.bgeu(Reg::T5, Reg::T4, slow);
-        self.b.addi(Reg::T5, Reg::T5, 1);
-        self.b.sd(Reg::T5, object::ARR_LEN, hdr);
-        self.b.bind(in_range);
-        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
-        self.b.slli(elem, elem, 3);
-        self.b.add(elem, elem, Reg::T5);
-        self.b.j(store);
-    }
-
-    // --- globals, arrays, calls ---------------------------------------------
+    // --- globals and builtin calls -----------------------------------------
 
     fn h_getglobal(&mut self) {
         self.decode_uimm(Reg::A2);
@@ -935,43 +728,6 @@ impl<'a> Gen<'a> {
         self.b.addi(Reg::A1, SP, -8);
         self.ecall(helpers::SETGLOBAL);
         self.b.addi(SP, SP, -8);
-        self.next();
-    }
-
-    fn h_newarr(&mut self) {
-        self.decode_uimm(Reg::A2);
-        self.b.mv(Reg::A1, SP);
-        self.ecall(helpers::NEWARR);
-        self.b.addi(SP, SP, 8);
-        self.next();
-    }
-
-    fn h_call(&mut self) {
-        let ov = self.stack_ov;
-        self.b.bgeu(CI, CI_LIM, ov);
-        self.b.sd(PC, callinfo::RET_PC, CI);
-        self.b.sd(LOCALS, callinfo::RET_LOCALS, CI);
-        self.b.sd(KB, callinfo::RET_CONSTS, CI);
-        self.b.addi(CI, CI, callinfo::STRIDE as i32);
-        // nargs → new locals base.
-        self.b.srli(Reg::T2, W, 16);
-        self.b.andi(Reg::T2, Reg::T2, 0xff);
-        self.b.slli(Reg::T2, Reg::T2, 3);
-        self.b.sub(LOCALS, SP, Reg::T2);
-        // Callee FuncInfo.
-        self.b.slli(Reg::T3, W, 48);
-        self.b.srli(Reg::T3, Reg::T3, 48);
-        self.b.slli(Reg::T3, Reg::T3, 5);
-        self.b.add(Reg::T3, Reg::T3, FT);
-        self.b.ld(PC, funcinfo::CODE, Reg::T3);
-        self.b.ld(KB, funcinfo::CONSTS, Reg::T3);
-        self.b.ld(Reg::T4, funcinfo::NLOCALS, Reg::T3);
-        self.b.slli(Reg::T4, Reg::T4, 3);
-        self.b.add(SP, LOCALS, Reg::T4);
-        self.b.ld(Reg::T4, funcinfo::FRAME, Reg::T3);
-        self.b.slli(Reg::T4, Reg::T4, 3);
-        self.b.add(Reg::T4, Reg::T4, LOCALS);
-        self.b.bgeu(Reg::T4, STK_LIM, ov);
         self.next();
     }
 
@@ -996,71 +752,6 @@ impl<'a> Gen<'a> {
             self.b.li(Reg::T1, box_prefix17(tag::UNDEF));
             self.b.slli(Reg::T1, Reg::T1, 47);
         }
-        self.b.mv(Reg::T2, LOCALS); // callee locals base = result slot
-        self.b.addi(CI, CI, -(callinfo::STRIDE as i32));
-        self.b.ld(PC, callinfo::RET_PC, CI);
-        self.b.ld(LOCALS, callinfo::RET_LOCALS, CI);
-        self.b.ld(KB, callinfo::RET_CONSTS, CI);
-        self.b.sd(Reg::T1, 0, Reg::T2);
-        self.b.addi(SP, Reg::T2, 8);
-        self.next();
-    }
-
-    // --- data ------------------------------------------------------------------
-
-    fn emit_data(&mut self) {
-        self.b.align_data(8);
-        let dt = self.dispatch_table;
-        self.b.bind_data(dt);
-        for op in Op::ALL {
-            let h = self.handler(op);
-            self.b.dword_label(h);
-        }
-        let ft = self.functable;
-        self.b.bind_data(ft);
-        for i in 0..self.module.protos.len() {
-            let (c, k) = (self.func_code[i], self.func_consts[i]);
-            let p = &self.module.protos[i];
-            self.b.dword_label(c);
-            self.b.dword_label(k);
-            self.b.dword(p.nlocals as u64);
-            self.b.dword(p.nlocals as u64 + p.max_stack as u64 + 1);
-        }
-        let hb = self.halt_bc;
-        self.b.bind_data(hb);
-        let halt_word = crate::bytecode::Bc::new(Op::Halt, 0).encode();
-        self.b.bytes(&halt_word.to_le_bytes());
-        self.b.bytes(&halt_word.to_le_bytes());
-
-        for i in 0..self.module.protos.len() {
-            self.b.align_data(8);
-            let cl = self.func_code[i];
-            self.b.bind_data(cl);
-            let words: Vec<u8> = self.module.protos[i]
-                .code
-                .iter()
-                .flat_map(|bc| bc.encode().to_le_bytes())
-                .collect();
-            self.b.bytes(&words);
-            self.b.align_data(8);
-            let kl = self.func_consts[i];
-            self.b.bind_data(kl);
-            let consts = self.module.protos[i].consts.clone();
-            for k in &consts {
-                let dword = match k {
-                    Const::Int(v) => match i32::try_from(*v) {
-                        Ok(v32) => layout::box_int(v32),
-                        Err(_) => (*v as f64).to_bits(),
-                    },
-                    Const::Float(v) => v.to_bits(),
-                    Const::Str(s) => layout::boxed(tag::STR, self.strings.intern(s) as u64),
-                };
-                self.b.dword(dword);
-            }
-        }
-    }
-
-    fn finish(self) -> Result<JsImage, AsmError> {
-        Image::finish(self.b, self.strings.into_strings(), self.level)
+        self.ret_tail();
     }
 }

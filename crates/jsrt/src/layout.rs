@@ -1,4 +1,6 @@
-//! NaN-boxing value layout of the `jsrt` engine (paper Section 4.2).
+//! NaN-boxing value layout of the `jsrt` engine (paper Section 4.2); its
+//! memory map and frame records are the shared skeleton's
+//! ([`luart::image`]).
 //!
 //! SpiderMonkey's scheme: a value is a 64-bit double-word. Doubles are
 //! stored raw; every non-double sets the 13 most-significant bits to one
@@ -78,50 +80,9 @@ pub const UNDEFINED: u64 = BOX_PREFIX | ((tag::UNDEF as u64) << TAG_SHIFT);
 /// runtime; elements are 8-byte NaN-boxed values.
 pub use luart::native::table as object;
 
-/// Function-info record offsets (32-byte records).
-pub mod funcinfo {
-    /// Code address.
-    pub const CODE: i32 = 0;
-    /// Constants address.
-    pub const CONSTS: i32 = 8;
-    /// Local slot count.
-    pub const NLOCALS: i32 = 16;
-    /// Frame size (locals + max operand stack), in slots.
-    pub const FRAME: i32 = 24;
-    /// Record stride.
-    pub const STRIDE: u64 = 32;
-}
-
-/// Call-info record offsets.
-pub mod callinfo {
-    /// Saved VM pc.
-    pub const RET_PC: i32 = 0;
-    /// Saved locals base.
-    pub const RET_LOCALS: i32 = 8;
-    /// Saved constants base.
-    pub const RET_CONSTS: i32 = 16;
-    /// Frame stride.
-    pub const STRIDE: u64 = 32;
-}
-
-/// Memory map (same skeleton as `luart`, 8-byte value slots).
-pub mod map {
-    /// Interpreter text.
-    pub const TEXT_BASE: u64 = 0x0001_0000;
-    /// Static data.
-    pub const DATA_BASE: u64 = 0x0040_0000;
-    /// Combined locals + operand stack.
-    pub const STACK_BASE: u64 = 0x0100_0000;
-    /// Stack limit.
-    pub const STACK_LIMIT: u64 = 0x017f_0000;
-    /// CallInfo stack.
-    pub const CI_BASE: u64 = 0x0180_0000;
-    /// CallInfo limit.
-    pub const CI_LIMIT: u64 = 0x01a0_0000;
-    /// Bump-allocated heap (GC is off, as in the paper's runs), shared by
-    /// every engine's host.
-    pub use tarch_sim::{HEAP_BASE, HEAP_LIMIT};
-}
+/// The memory map and the frame records, shared by every engine
+/// (`luart`'s skeleton, with 8-byte value slots here).
+pub use luart::image::{callinfo, funcinfo, map};
 
 /// SPR settings per paper Table 4 (SpiderMonkey column): NaN detection on,
 /// shift 47, mask 0x0f — plus overflow detection (Section 7.1: a

@@ -1,11 +1,8 @@
-//! TRV64 code generator: emits the `luart` interpreter.
-//!
-//! The generated program *is* the scripting engine: a threaded dispatch
-//! loop plus one handler per bytecode, with the engine's static data
-//! (dispatch table, function table, bytecode, constant tables) in the data
-//! section. It runs on the simulated Typed Architecture core, so dynamic
-//! instruction counts, branch behaviour and I-cache pressure emerge from
-//! real execution.
+//! `luart`'s handlers over the shared interpreter skeleton
+//! ([`crate::image`]), which supplies the memory map, the frames, the
+//! prologue, the dispatch loop and the data section. What is `luart`'s own
+//! is a handler per bytecode over 16-byte tag-value pairs, the opcode
+//! field at bit 26 and the 16-byte constant encoding.
 //!
 //! Three variants of the five hot bytecodes (paper Table 3) are selected by
 //! [`IsaLevel`]:
@@ -20,34 +17,18 @@
 //!   `tchk`, mirroring Figure 3; the type-miss handler is the baseline
 //!   guard chain ("nothing but the original code", Section 3.2).
 
-use crate::bytecode::{Const, Module, Op};
+use crate::bytecode::{Bc, Const, Module, Op};
 use crate::helpers;
-use crate::layout::{callinfo, funcinfo, map, table, tag, TAG_OFFSET};
-use crate::layout;
+use crate::image::{funcinfo, Function, Skeleton, TypeSetup, BASE, FT, KB, PC, STK_LIM, W};
+use crate::layout::{self, table, tag, TAG_OFFSET};
+use std::ops::{Deref, DerefMut};
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, ProgramBuilder};
+use tarch_isa::asm::{AsmError, Label};
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
-use tarch_sim::{Image, StringTable};
+use tarch_sim::Image;
 
-// Register conventions of the generated interpreter.
-/// VM program counter (byte address of the next bytecode).
-const PC: Reg = Reg::S0;
-/// Frame base (address of `R(0)`).
-const BASE: Reg = Reg::S1;
-/// Constants base of the current function.
-const KB: Reg = Reg::S2;
-/// Dispatch table base.
-const DT: Reg = Reg::S3;
-/// CallInfo stack pointer.
-const CI: Reg = Reg::S4;
-/// Function table base.
-const FT: Reg = Reg::S5;
 /// CallInfo stack limit.
 const CI_LIM: Reg = Reg::S6;
-/// Value stack limit.
-const STK_LIM: Reg = Reg::S7;
-/// Current bytecode word (set by the dispatch loop).
-const W: Reg = Reg::T0;
 // Operand TValue addresses, named after the paper's Figure 1(c) registers.
 const RB: Reg = Reg::S8;
 const RC: Reg = Reg::S9;
@@ -64,72 +45,60 @@ pub type LuaImage = Image<Op>;
 /// Returns [`AsmError`] if the emitted program fails to assemble (it only
 /// can if a handler outgrows branch range, which would be a codegen bug).
 pub fn build_image(module: &Module, level: IsaLevel) -> Result<LuaImage, AsmError> {
-    let mut g = Gen::new(module, level);
-    g.emit_entry();
-    g.emit_dispatch();
-    g.emit_handlers();
-    g.emit_data();
-    g.finish()
+    let mut g = Gen(Skeleton::new(level, module.protos.len(), CI_LIM));
+    g.prologue(Some(TypeSetup {
+        exptype: tag::INT,
+        spr: layout::spr_settings(),
+        trt: layout::trt_rules(),
+    }));
+    g.frames(module.main, None, helpers::ERROR);
+    g.dispatch_loop(26);
+    for op in Op::ALL {
+        g.bind_handler(op);
+        g.emit(op);
+    }
+    let strings = &mut g.strings;
+    let funcs: Vec<Function> = module
+        .protos
+        .iter()
+        .map(|p| Function {
+            info: [p.nregs as u64 + 1, 0],
+            code: p.code.iter().map(|bc| bc.encode()).collect(),
+            // A 16-byte tag-value pair per constant.
+            consts: p
+                .consts
+                .iter()
+                .flat_map(|k| match k {
+                    Const::Int(v) => [*v as u64, tag::INT as u64],
+                    Const::Float(v) => [v.to_bits(), tag::FLOAT as u64],
+                    Const::Str(s) => [strings.intern(s) as u64, tag::STR as u64],
+                })
+                .collect(),
+        })
+        .collect();
+    g.tables(&funcs, Bc::new(Op::Halt, 0, 0, 0).encode());
+    g.functions(&funcs, 16);
+    g.0.finish()
 }
 
-struct Gen<'a> {
-    b: ProgramBuilder,
-    module: &'a Module,
-    level: IsaLevel,
-    dispatch: Label,
-    handler_labels: Vec<(Op, Label)>,
-    stack_ov: Label,
-    div_zero: Label,
-    strings: StringTable,
-    func_code: Vec<Label>,
-    func_consts: Vec<Label>,
-    dispatch_table: Label,
-    functable: Label,
-    halt_bc: Label,
-    main_code: Label,
-    main_consts: Label,
+/// The handlers, over the skeleton.
+struct Gen(Skeleton<Op>);
+
+impl Deref for Gen {
+    type Target = Skeleton<Op>;
+
+    fn deref(&self) -> &Skeleton<Op> {
+        &self.0
+    }
 }
 
-impl<'a> Gen<'a> {
-    fn new(module: &'a Module, level: IsaLevel) -> Gen<'a> {
-        let mut b = ProgramBuilder::new(map::TEXT_BASE, map::DATA_BASE);
-        let dispatch = b.new_label("dispatch");
-        let stack_ov = b.new_label("stack_overflow");
-        let div_zero = b.new_label("div_zero");
-        let handler_labels =
-            Op::ALL.iter().map(|op| (*op, b.new_label(&format!("op_{}", op.name())))).collect();
-        let func_code =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("code_{i}"))).collect();
-        let func_consts =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("consts_{i}"))).collect();
-        let dispatch_table = b.new_label("dispatch_table");
-        let functable = b.new_label("functable");
-        let halt_bc = b.new_label("halt_bc");
-        let main_code = b.new_label("main_code_alias");
-        let main_consts = b.new_label("main_consts_alias");
-        Gen {
-            b,
-            module,
-            level,
-            dispatch,
-            handler_labels,
-            stack_ov,
-            div_zero,
-            strings: StringTable::default(),
-            func_code,
-            func_consts,
-            dispatch_table,
-            functable,
-            halt_bc,
-            main_code,
-            main_consts,
-        }
+impl DerefMut for Gen {
+    fn deref_mut(&mut self) -> &mut Skeleton<Op> {
+        &mut self.0
     }
+}
 
-    fn handler(&self, op: Op) -> Label {
-        self.handler_labels.iter().find(|(o, _)| *o == op).expect("all ops labelled").1
-    }
-
+impl Gen {
     // --- decode helpers -------------------------------------------------
 
     /// `dst = BASE + A*16`.
@@ -179,8 +148,9 @@ impl<'a> Gen<'a> {
         self.b.bind(done);
     }
 
-    /// `dst = sign-extended 18-bit jump offset * 4` (bytecode words→bytes).
-    fn decode_offset(&mut self, dst: Reg) {
+    /// `dst = sign-extended 18-bit sBx jump offset * 4` (bytecode
+    /// words→bytes).
+    fn decode_sbx(&mut self, dst: Reg) {
         self.b.slli(dst, W, 46);
         self.b.srai(dst, dst, 44);
     }
@@ -193,118 +163,34 @@ impl<'a> Gen<'a> {
         self.b.sd(t2, TAG_OFFSET, dst_addr);
     }
 
-    /// `j dispatch`.
-    fn next(&mut self) {
-        let d = self.dispatch;
-        self.b.j(d);
-    }
-
-    /// Emits an `ecall` to a native helper (id in `a7`).
-    fn ecall(&mut self, id: u64) {
-        self.b.li(Reg::A7, id as i64);
-        self.b.ecall();
-    }
-
-    // --- program sections ------------------------------------------------
-
-    fn emit_entry(&mut self) {
-        self.b.set_entry_here();
-        if self.level == IsaLevel::CheckedLoad {
-            // The Checked Load build keeps R_exptype pinned to Int between
-            // checks (the fast-path type is fixed at build time); handlers
-            // that check other types restore the invariant afterwards.
-            self.b.li(Reg::T1, tag::INT as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::ExpType, rs1: Reg::T1 });
-        }
-        // Typed Architecture configuration (Section 4.1 / Tables 4–5).
-        if self.level == IsaLevel::Typed {
-            let spr = layout::spr_settings();
-            self.b.li(Reg::T1, spr.offset as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::Offset, rs1: Reg::T1 });
-            self.b.li(Reg::T1, spr.mask as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::Mask, rs1: Reg::T1 });
-            self.b.li(Reg::T1, spr.shift as i64);
-            self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::Shift, rs1: Reg::T1 });
-            for rule in layout::trt_rules() {
-                self.b.li(Reg::T1, rule.pack() as i64);
-                self.b.emit(Instruction::SetSpr { spr: tarch_isa::Spr::TrtPush, rs1: Reg::T1 });
-            }
-        }
-        let (dt, ft) = (self.dispatch_table, self.functable);
-        self.b.la(DT, dt);
-        self.b.la(FT, ft);
-        self.b.li(CI, map::CI_BASE as i64);
-        self.b.li(CI_LIM, map::CI_LIMIT as i64);
-        self.b.li(STK_LIM, map::STACK_LIMIT as i64);
-        self.b.li(BASE, map::STACK_BASE as i64);
-        let (mc, mk, hb) = (self.main_code, self.main_consts, self.halt_bc);
-        self.b.la(KB, mk);
-        self.b.la(PC, mc);
-        // Bottom CallInfo returns into a HALT bytecode.
-        self.b.la(Reg::T1, hb);
-        self.b.sd(Reg::T1, callinfo::RET_PC, CI);
-        self.b.sd(BASE, callinfo::RET_BASE, CI);
-        self.b.sd(KB, callinfo::RET_CONSTS, CI);
-        self.b.addi(CI, CI, callinfo::STRIDE as i32);
-        self.next();
-
-        // Shared error stubs.
-        let so = self.stack_ov;
-        self.b.bind(so);
-        self.b.li(Reg::A0, helpers::errcode::STACK_OVERFLOW as i64);
-        self.ecall(helpers::ERROR);
-        self.b.halt();
-        let dz = self.div_zero;
-        self.b.bind(dz);
-        self.b.li(Reg::A0, helpers::errcode::DIV_BY_ZERO as i64);
-        self.ecall(helpers::ERROR);
-        self.b.halt();
-    }
-
-    fn emit_dispatch(&mut self) {
-        let d = self.dispatch;
-        self.b.bind(d);
-        self.b.lwu(W, 0, PC);
-        self.b.addi(PC, PC, 4);
-        self.b.srli(Reg::T1, W, 26);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, DT);
-        self.b.ld(Reg::T1, 0, Reg::T1);
-        self.b.jr(Reg::T1);
-    }
-
-    fn emit_handlers(&mut self) {
-        for op in Op::ALL {
-            let label = self.handler(op);
-            self.b.bind(label);
-            match op {
-                Op::Move => self.h_move(),
-                Op::LoadK => self.h_loadk(),
-                Op::LoadNil => self.h_loadnil(),
-                Op::LoadBool => self.h_loadbool(),
-                Op::NewTable => self.h_newtable(),
-                Op::Add | Op::Sub | Op::Mul => self.h_arith_hot(op),
-                Op::Div => self.h_div(),
-                Op::IDiv | Op::Mod => self.h_intdiv(op),
-                Op::Unm => self.h_unm(),
-                Op::Not => self.h_not(),
-                Op::Len => self.h_len(),
-                Op::Concat => self.h_concat(),
-                Op::CmpEq | Op::CmpNe => self.h_cmp_eq(op),
-                Op::CmpLt | Op::CmpLe => self.h_cmp_ord(op),
-                Op::Jmp => self.h_jmp(),
-                Op::JmpIf | Op::JmpNot => self.h_jmp_cond(op),
-                Op::GetTable => self.h_gettable(),
-                Op::SetTable => self.h_settable(),
-                Op::GetGlobal => self.h_getglobal(),
-                Op::SetGlobal => self.h_setglobal(),
-                Op::Call => self.h_call(),
-                Op::CallB => self.h_callb(),
-                Op::Return => self.h_return(),
-                Op::ForPrep => self.h_forprep(),
-                Op::ForLoop => self.h_forloop(),
-                Op::Halt => self.b.halt(),
-            }
+    fn emit(&mut self, op: Op) {
+        match op {
+            Op::Move => self.h_move(),
+            Op::LoadK => self.h_loadk(),
+            Op::LoadNil => self.h_loadnil(),
+            Op::LoadBool => self.h_loadbool(),
+            Op::NewTable => self.h_newtable(),
+            Op::Add | Op::Sub | Op::Mul => self.h_arith_hot(op),
+            Op::Div => self.h_div(),
+            Op::IDiv | Op::Mod => self.h_intdiv(op),
+            Op::Unm => self.h_unm(),
+            Op::Not => self.h_not(),
+            Op::Len => self.h_len(),
+            Op::Concat => self.h_concat(),
+            Op::CmpEq | Op::CmpNe => self.h_cmp_eq(op),
+            Op::CmpLt | Op::CmpLe => self.h_cmp_ord(op),
+            Op::Jmp => self.h_jmp(),
+            Op::JmpIf | Op::JmpNot => self.h_jmp_cond(op),
+            Op::GetTable => self.h_gettable(),
+            Op::SetTable => self.h_settable(),
+            Op::GetGlobal => self.h_getglobal(),
+            Op::SetGlobal => self.h_setglobal(),
+            Op::Call => self.h_call(),
+            Op::CallB => self.h_callb(),
+            Op::Return => self.h_return(),
+            Op::ForPrep => self.h_forprep(),
+            Op::ForLoop => self.h_forloop(),
+            Op::Halt => self.b.halt(),
         }
     }
 
@@ -385,7 +271,7 @@ impl<'a> Gen<'a> {
     }
 
     fn h_jmp(&mut self) {
-        self.decode_offset(Reg::T1);
+        self.decode_sbx(Reg::T1);
         self.b.add(PC, PC, Reg::T1);
         self.next();
     }
@@ -393,7 +279,7 @@ impl<'a> Gen<'a> {
     fn h_jmp_cond(&mut self, op: Op) {
         // Truthiness: falsy ⇔ tag == NIL, or tag == BOOL with value 0.
         self.decode_a_addr(RA);
-        self.decode_offset(Reg::T1);
+        self.decode_sbx(Reg::T1);
         let jump = self.b.new_label("cond_jump");
         let no_jump = self.b.new_label("cond_fall");
         let (on_falsy, on_truthy) =
@@ -979,11 +865,7 @@ impl<'a> Gen<'a> {
         let ov = self.stack_ov;
         // A = argument window base, B = function index.
         self.decode_a_addr(Reg::T1); // new base address
-        self.b.bgeu(CI, CI_LIM, ov);
-        self.b.sd(PC, callinfo::RET_PC, CI);
-        self.b.sd(BASE, callinfo::RET_BASE, CI);
-        self.b.sd(KB, callinfo::RET_CONSTS, CI);
-        self.b.addi(CI, CI, callinfo::STRIDE as i32);
+        self.save_frame();
         self.b.mv(BASE, Reg::T1);
         self.decode_b_field(Reg::T2);
         self.b.slli(Reg::T2, Reg::T2, 5); // FuncInfo stride = 32
@@ -991,7 +873,7 @@ impl<'a> Gen<'a> {
         self.b.ld(PC, funcinfo::CODE, Reg::T2);
         self.b.ld(KB, funcinfo::CONSTS, Reg::T2);
         // Value-stack overflow check: base + nregs*16 < limit.
-        self.b.ld(Reg::T3, funcinfo::NREGS, Reg::T2);
+        self.b.ld(Reg::T3, funcinfo::WORD0, Reg::T2);
         self.b.slli(Reg::T3, Reg::T3, 4);
         self.b.add(Reg::T3, Reg::T3, BASE);
         self.b.bgeu(Reg::T3, STK_LIM, ov);
@@ -1011,10 +893,7 @@ impl<'a> Gen<'a> {
         self.b.sd(Reg::ZERO, 0, BASE);
         self.b.sd(Reg::ZERO, TAG_OFFSET, BASE);
         self.b.bind(pop);
-        self.b.addi(CI, CI, -(callinfo::STRIDE as i32));
-        self.b.ld(PC, callinfo::RET_PC, CI);
-        self.b.ld(BASE, callinfo::RET_BASE, CI);
-        self.b.ld(KB, callinfo::RET_CONSTS, CI);
+        self.restore_frame();
         self.next();
     }
 
@@ -1022,7 +901,7 @@ impl<'a> Gen<'a> {
 
     fn h_forprep(&mut self) {
         self.decode_a_addr(RA); // control block: idx, limit, step, var
-        self.decode_offset(Reg::T1);
+        self.decode_sbx(Reg::T1);
         let slow = self.b.new_label("forprep_slow");
         let jump = self.b.new_label("forprep_jump");
         self.b.lbu(Reg::T2, TAG_OFFSET, RA);
@@ -1048,7 +927,7 @@ impl<'a> Gen<'a> {
 
     fn h_forloop(&mut self) {
         self.decode_a_addr(RA);
-        self.decode_offset(Reg::T1);
+        self.decode_sbx(Reg::T1);
         let flt = self.b.new_label("forloop_flt");
         let neg = self.b.new_label("forloop_neg");
         let cont = self.b.new_label("forloop_cont");
@@ -1114,72 +993,4 @@ impl<'a> Gen<'a> {
         self.b.bind(exit);
         self.next();
     }
-
-    // --- data section --------------------------------------------------------
-
-    fn emit_data(&mut self) {
-        // Dispatch table: one handler address per opcode.
-        self.b.align_data(8);
-        let dt = self.dispatch_table;
-        self.b.bind_data(dt);
-        for op in Op::ALL {
-            let h = self.handler(op);
-            self.b.dword_label(h);
-        }
-        // Function table.
-        let ft = self.functable;
-        self.b.bind_data(ft);
-        for i in 0..self.module.protos.len() {
-            let (c, k) = (self.func_code[i], self.func_consts[i]);
-            self.b.dword_label(c);
-            self.b.dword_label(k);
-            self.b.dword(self.module.protos[i].nregs as u64 + 1);
-            self.b.dword(0); // reserved
-        }
-        // HALT sentinel bytecode (bottom-of-stack return target).
-        let hb = self.halt_bc;
-        self.b.bind_data(hb);
-        let halt_word = crate::bytecode::Bc::new(Op::Halt, 0, 0, 0).encode();
-        self.b.bytes(&halt_word.to_le_bytes());
-        self.b.bytes(&halt_word.to_le_bytes()); // padding word
-
-        // Per-function bytecode and constants.
-        for i in 0..self.module.protos.len() {
-            self.b.align_data(8);
-            let cl = self.func_code[i];
-            self.b.bind_data(cl);
-            if i == self.module.main {
-                let mc = self.main_code;
-                self.b.bind_data(mc);
-            }
-            let words: Vec<u8> = self.module.protos[i]
-                .code
-                .iter()
-                .flat_map(|bc| bc.encode().to_le_bytes())
-                .collect();
-            self.b.bytes(&words);
-            self.b.align_data(16);
-            let kl = self.func_consts[i];
-            self.b.bind_data(kl);
-            if i == self.module.main {
-                let mk = self.main_consts;
-                self.b.bind_data(mk);
-            }
-            let consts = self.module.protos[i].consts.clone();
-            for k in &consts {
-                let (value, t) = match k {
-                    Const::Int(v) => (*v as u64, tag::INT),
-                    Const::Float(v) => (v.to_bits(), tag::FLOAT),
-                    Const::Str(s) => (self.strings.intern(s) as u64, tag::STR),
-                };
-                self.b.dword(value);
-                self.b.dword(t as u64);
-            }
-        }
-    }
-
-    fn finish(self) -> Result<LuaImage, AsmError> {
-        Image::finish(self.b, self.strings.into_strings(), self.level)
-    }
-
 }

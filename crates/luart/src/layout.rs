@@ -1,4 +1,5 @@
-//! Simulated-memory layout and value representation of the `luart` engine.
+//! Value representation of the `luart` engine; its memory map and frame
+//! records are the shared skeleton's ([`crate::image`]).
 //!
 //! The value layout is Lua 5.3's, exactly as the paper describes in
 //! Section 4.1: a 16-byte tag-value struct with an 8-byte value followed by
@@ -35,48 +36,8 @@ pub const TAG_OFFSET: i32 = 8;
 /// runtime; the array part holds TValues.
 pub use crate::native::table;
 
-/// Function-info record offsets (32-byte records in the data section).
-pub mod funcinfo {
-    /// Address of the function's bytecode.
-    pub const CODE: i32 = 0;
-    /// Address of the function's constant table.
-    pub const CONSTS: i32 = 8;
-    /// Frame size in VM registers.
-    pub const NREGS: i32 = 16;
-    /// Record stride (power of two for cheap indexing).
-    pub const STRIDE: u64 = 32;
-}
-
-/// Call-info record offsets (32-byte frames on the CallInfo stack).
-pub mod callinfo {
-    /// Saved VM pc.
-    pub const RET_PC: i32 = 0;
-    /// Saved frame base.
-    pub const RET_BASE: i32 = 8;
-    /// Saved constants base.
-    pub const RET_CONSTS: i32 = 16;
-    /// Frame stride.
-    pub const STRIDE: u64 = 32;
-}
-
-/// Memory map of the engine inside the simulated machine.
-pub mod map {
-    /// Interpreter text.
-    pub const TEXT_BASE: u64 = 0x0001_0000;
-    /// Static data: dispatch table, function table, bytecode, constants.
-    pub const DATA_BASE: u64 = 0x0040_0000;
-    /// VM value stack (TValue frames).
-    pub const STACK_BASE: u64 = 0x0100_0000;
-    /// Value-stack overflow limit.
-    pub const STACK_LIMIT: u64 = 0x017f_0000;
-    /// CallInfo stack.
-    pub const CI_BASE: u64 = 0x0180_0000;
-    /// CallInfo overflow limit.
-    pub const CI_LIMIT: u64 = 0x01a0_0000;
-    /// Bump-allocated heap (GC is off, as in the paper's runs), shared by
-    /// every engine's host.
-    pub use tarch_sim::{HEAP_BASE, HEAP_LIMIT};
-}
+/// The memory map and the frame records, shared by every engine.
+pub use crate::image::{callinfo, funcinfo, map};
 
 /// The special-purpose register settings for this layout (paper Table 4,
 /// Lua column): tag in the next double-word, zero shift, full-byte mask.
@@ -122,16 +83,5 @@ mod tests {
         assert_eq!(s.shift, 0);
         assert_eq!(s.mask, 0xff);
         assert!(!s.nan_detect());
-    }
-
-    #[test]
-    fn memory_regions_do_not_overlap() {
-        use map::*;
-        let regions =
-            [(TEXT_BASE, DATA_BASE), (DATA_BASE, STACK_BASE), (STACK_BASE, STACK_LIMIT),
-             (CI_BASE, CI_LIMIT), (HEAP_BASE, HEAP_LIMIT)];
-        for w in regions.windows(2) {
-            assert!(w[0].1 <= w[1].0, "{w:?}");
-        }
     }
 }

@@ -53,6 +53,7 @@ mod compiler;
 mod engine;
 pub mod helpers;
 mod hostvm;
+pub mod image;
 pub mod layout;
 pub mod native;
 mod runtime;

@@ -59,17 +59,6 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Miss rate in [0, 1]; zero when no accesses were made.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement.
 ///

@@ -126,11 +126,6 @@ impl FleetArtifact {
         }
     }
 
-    /// Guest instructions retired across all shards.
-    pub fn total_instructions(&self) -> u64 {
-        self.shards.iter().map(|s| s.instructions).sum()
-    }
-
     /// Full JSON document, including volatile host-timing fields.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![

@@ -103,11 +103,6 @@ impl<H: NativeHost> Machine<H> {
         &self.host
     }
 
-    /// The native host, mutably.
-    pub fn host_mut(&mut self) -> &mut H {
-        &mut self.host
-    }
-
     /// Executes one instruction, servicing `ecall`s through the host.
     ///
     /// # Errors

@@ -1,7 +1,10 @@
-//! TRV64 code generator for the `wasmrt` typed-stack interpreter.
-//!
-//! Same threaded-dispatch architecture as `luart` and `jsrt` — one handler
-//! per opcode, indirect jump through a dispatch table — with one deliberate
+//! `wasmrt`'s handlers over the shared interpreter skeleton
+//! ([`luart::image`]), which supplies the memory map, the frames, the
+//! prologue, the dispatch loop, the data section and the stack-machine
+//! code `wasmrt` shares with `jsrt` (operand stack, constants, locals,
+//! calls, returns and dense element access). What is `wasmrt`'s own is a
+//! handler per opcode over untagged 8-byte words, the opcode field at bit
+//! 24, the raw constant encoding and the globals area — and one deliberate
 //! difference: **the emitted code is byte-identical at every ISA level**.
 //!
 //! The bytecode is monomorphic (see [`crate::compiler`]), so there is
@@ -13,41 +16,24 @@
 //! fills and zero dynamic type checks — the measured baseline the paper's
 //! hardware win is relative to, reproduced by construction.
 //!
-//! The frame machinery (function table, call-info stack, combined
-//! locals+operand stack) mirrors `jsrt` exactly so the host-side
+//! Sharing the frame machinery with `jsrt` lets the host-side
 //! accelerations — predecode, superblock compilation, tiered execution,
 //! PGO — apply to this engine unchanged.
 
 use crate::bytecode::{Bc, Const, Module, Op};
 use crate::helpers_mod as helpers;
-use crate::layout::{callinfo, funcinfo, map, object, NIL};
+use crate::layout::{object, NIL};
+use luart::image::{stack_frame_info, Function, Skeleton, BASE, KB, PC, SP, W};
+use std::ops::{Deref, DerefMut};
 use tarch_core::IsaLevel;
-use tarch_isa::asm::{AsmError, Label, ProgramBuilder};
+use tarch_isa::asm::AsmError;
 use tarch_isa::{FReg, FpCmpOp, FpuOp, Instruction, Reg};
-use tarch_sim::{Image, StringTable};
+use tarch_sim::Image;
 
-/// VM pc.
-const PC: Reg = Reg::S0;
-/// Locals base.
-const LOCALS: Reg = Reg::S1;
-/// Constants base.
-const KB: Reg = Reg::S2;
-/// Dispatch table.
-const DT: Reg = Reg::S3;
-/// CallInfo stack pointer.
-const CI: Reg = Reg::S4;
-/// Function table.
-const FT: Reg = Reg::S5;
-/// Operand stack pointer (points one past TOS; grows upward).
-const SP: Reg = Reg::S6;
-/// Value stack limit.
-const STK_LIM: Reg = Reg::S7;
-/// Globals base (static typed global slots in DATA).
-const GB: Reg = Reg::S8;
 /// CallInfo stack limit.
 const CI_LIM: Reg = Reg::S11;
-/// Current bytecode word.
-const W: Reg = Reg::T0;
+/// Globals base (static typed global slots in DATA).
+const GB: Reg = Reg::S8;
 
 /// A built wasmrt image. Its program is the same at every ISA level (the
 /// level is kept for reporting symmetry with the other engines) and
@@ -60,221 +46,113 @@ pub type WasmImage = Image<Op>;
 ///
 /// Returns [`AsmError`] on assembly failure (codegen bug).
 pub fn build_image(module: &Module, level: IsaLevel) -> Result<WasmImage, AsmError> {
-    let mut g = Gen::new(module, level);
-    g.emit_entry();
-    g.emit_dispatch();
-    g.emit_handlers();
-    g.emit_data();
-    g.finish()
+    let mut g = Gen(Skeleton::new(level, module.protos.len(), CI_LIM));
+    // No SPR/TRT programming at any level: the image contains no typed
+    // loads, no checked loads, and no guarded ALU ops.
+    g.prologue(None);
+    let globals = g.b.new_label("globals_area");
+    g.b.la(GB, globals);
+    let main = &module.protos[module.main];
+    g.frames(module.main, Some(main.nlocals.into()), helpers::ERROR);
+    g.dispatch_loop(24);
+    for op in Op::ALL {
+        g.bind_handler(op);
+        g.emit(op);
+    }
+    let strings = &mut g.strings;
+    let funcs: Vec<Function> = module
+        .protos
+        .iter()
+        .map(|p| Function {
+            info: stack_frame_info(p.nlocals, p.max_stack),
+            code: p.code.iter().map(|bc| bc.encode()).collect(),
+            // Raw untagged dwords: full-width i64, IEEE bits, string id.
+            consts: p
+                .consts
+                .iter()
+                .map(|k| match k {
+                    Const::Int(v) => *v as u64,
+                    Const::Float(v) => v.to_bits(),
+                    Const::Str(s) => strings.intern(s) as u64,
+                })
+                .collect(),
+        })
+        .collect();
+    g.tables(&funcs, Bc::new(Op::Halt, 0).encode());
+    // Typed global slots, initialized to NIL.
+    g.b.bind_data(globals);
+    for _ in 0..module.globals.len().max(1) {
+        g.b.dword(NIL);
+    }
+    g.functions(&funcs, 8);
+    g.0.finish()
 }
 
-struct Gen<'a> {
-    b: ProgramBuilder,
-    module: &'a Module,
-    level: IsaLevel,
-    dispatch: Label,
-    handler_labels: Vec<(Op, Label)>,
-    stack_ov: Label,
-    div_zero: Label,
-    strings: StringTable,
-    func_code: Vec<Label>,
-    func_consts: Vec<Label>,
-    dispatch_table: Label,
-    functable: Label,
-    halt_bc: Label,
-    globals_area: Label,
+/// The handlers, over the skeleton.
+struct Gen(Skeleton<Op>);
+
+impl Deref for Gen {
+    type Target = Skeleton<Op>;
+
+    fn deref(&self) -> &Skeleton<Op> {
+        &self.0
+    }
 }
 
-impl<'a> Gen<'a> {
-    fn new(module: &'a Module, level: IsaLevel) -> Gen<'a> {
-        let mut b = ProgramBuilder::new(map::TEXT_BASE, map::DATA_BASE);
-        let dispatch = b.new_label("dispatch");
-        let stack_ov = b.new_label("stack_overflow");
-        let div_zero = b.new_label("div_zero");
-        let handler_labels =
-            Op::ALL.iter().map(|op| (*op, b.new_label(&format!("op_{}", op.name())))).collect();
-        let func_code =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("code_{i}"))).collect();
-        let func_consts =
-            (0..module.protos.len()).map(|i| b.new_label(&format!("consts_{i}"))).collect();
-        let dispatch_table = b.new_label("dispatch_table");
-        let functable = b.new_label("functable");
-        let halt_bc = b.new_label("halt_bc");
-        let globals_area = b.new_label("globals_area");
-        Gen {
-            b,
-            module,
-            level,
-            dispatch,
-            handler_labels,
-            stack_ov,
-            div_zero,
-            strings: StringTable::default(),
-            func_code,
-            func_consts,
-            dispatch_table,
-            functable,
-            halt_bc,
-            globals_area,
-        }
+impl DerefMut for Gen {
+    fn deref_mut(&mut self) -> &mut Skeleton<Op> {
+        &mut self.0
     }
+}
 
-    fn handler(&self, op: Op) -> Label {
-        self.handler_labels.iter().find(|(o, _)| *o == op).expect("all ops labelled").1
-    }
-
-    fn next(&mut self) {
-        let d = self.dispatch;
-        self.b.j(d);
-    }
-
-    fn ecall(&mut self, id: u64) {
-        self.b.li(Reg::A7, id as i64);
-        self.b.ecall();
-    }
-
-    /// `dst = sign-extended 24-bit operand`.
-    fn decode_imm(&mut self, dst: Reg) {
-        self.b.slli(dst, W, 40);
-        self.b.srai(dst, dst, 40);
-    }
-
-    /// `dst = zero-extended 24-bit operand`.
-    fn decode_uimm(&mut self, dst: Reg) {
-        self.b.slli(dst, W, 40);
-        self.b.srli(dst, dst, 40);
-    }
-
-    /// `dst = sign-extended operand * 4` (jump offset in bytes).
-    fn decode_offset(&mut self, dst: Reg) {
-        self.b.slli(dst, W, 40);
-        self.b.srai(dst, dst, 38);
-    }
-
-    /// Push the value in `src`.
-    fn push(&mut self, src: Reg) {
-        self.b.sd(src, 0, SP);
-        self.b.addi(SP, SP, 8);
-    }
-
-    /// Pop into `dst`.
-    fn pop(&mut self, dst: Reg) {
-        self.b.addi(SP, SP, -8);
-        self.b.ld(dst, 0, SP);
-    }
-
+impl Gen {
     /// `dst = NIL` (the sentinel is `1 << 63`).
     fn li_nil(&mut self, dst: Reg) {
         self.b.li(dst, 1);
         self.b.slli(dst, dst, 63);
     }
 
-    fn emit_entry(&mut self) {
-        self.b.set_entry_here();
-        // No SPR/TRT programming at any level: the image contains no typed
-        // loads, no checked loads, and no guarded ALU ops. This entry (and
-        // everything after it) is identical across Baseline / CheckedLoad /
-        // Typed.
-        let (dt, ft, hb, gb) =
-            (self.dispatch_table, self.functable, self.halt_bc, self.globals_area);
-        self.b.la(DT, dt);
-        self.b.la(FT, ft);
-        self.b.la(GB, gb);
-        self.b.li(CI, map::CI_BASE as i64);
-        self.b.li(CI_LIM, map::CI_LIMIT as i64);
-        self.b.li(STK_LIM, map::STACK_LIMIT as i64);
-        self.b.li(LOCALS, map::STACK_BASE as i64);
-        let main = &self.module.protos[self.module.main];
-        self.b.li(SP, (map::STACK_BASE + main.nlocals as u64 * 8) as i64);
-        let (mc, mk) = (self.func_code[self.module.main], self.func_consts[self.module.main]);
-        self.b.la(KB, mk);
-        self.b.la(PC, mc);
-        self.b.la(Reg::T1, hb);
-        self.b.sd(Reg::T1, callinfo::RET_PC, CI);
-        self.b.sd(LOCALS, callinfo::RET_LOCALS, CI);
-        self.b.sd(KB, callinfo::RET_CONSTS, CI);
-        self.b.addi(CI, CI, callinfo::STRIDE as i32);
-        self.next();
-
-        let so = self.stack_ov;
-        self.b.bind(so);
-        self.b.li(Reg::A0, helpers::errcode::STACK_OVERFLOW as i64);
-        self.ecall(helpers::ERROR);
-        self.b.halt();
-        let dz = self.div_zero;
-        self.b.bind(dz);
-        self.b.li(Reg::A0, helpers::errcode::DIV_BY_ZERO as i64);
-        self.ecall(helpers::ERROR);
-        self.b.halt();
-    }
-
-    fn emit_dispatch(&mut self) {
-        let d = self.dispatch;
-        self.b.bind(d);
-        self.b.lwu(W, 0, PC);
-        self.b.addi(PC, PC, 4);
-        self.b.srli(Reg::T1, W, 24);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, DT);
-        self.b.ld(Reg::T1, 0, Reg::T1);
-        self.b.jr(Reg::T1);
-    }
-
-    fn emit_handlers(&mut self) {
-        for op in Op::ALL {
-            let label = self.handler(op);
-            self.b.bind(label);
-            match op {
-                Op::ConstK => self.h_constk(),
-                Op::ConstI => self.h_consti(),
-                Op::ConstNil => self.h_constnil(),
-                Op::LocalGet => self.h_localget(),
-                Op::LocalSet => self.h_localset(),
-                Op::Pop => {
-                    self.b.addi(SP, SP, -8);
-                    self.next();
-                }
-                Op::IAdd | Op::ISub | Op::IMul => self.h_iarith(op),
-                Op::IDiv | Op::IRem => self.h_intdiv(op),
-                Op::INeg => self.h_ineg(),
-                Op::IEq | Op::INe => self.h_ieq(op),
-                Op::ILt | Op::ILe => self.h_iord(op),
-                Op::FAdd | Op::FSub | Op::FMul | Op::FDiv => self.h_farith(op),
-                Op::FNeg => self.h_fneg(),
-                Op::FEq | Op::FNe | Op::FLt | Op::FLe => self.h_fcmp(op),
-                Op::I2F => self.h_i2f(),
-                Op::TestNil => self.h_testnil(),
-                Op::BNot => self.h_bnot(),
-                Op::Br => self.h_br(),
-                Op::BrIf | Op::BrIfNot => self.h_brcond(op),
-                Op::ALen => self.h_alen(),
-                Op::SLen => self.h_slen(),
-                Op::Concat => self.h_concat(),
-                Op::NewArr => self.h_newarr(),
-                Op::ArrGet => self.h_arrget(),
-                Op::ArrSet => self.h_arrset(),
-                Op::MapGet => self.h_mapget(),
-                Op::MapSet => self.h_mapset(),
-                Op::GlobalGet => self.h_globalget(),
-                Op::GlobalSet => self.h_globalset(),
-                Op::Call => self.h_call(),
-                Op::CallB => self.h_callb(),
-                Op::Ret | Op::RetV => self.h_ret(op),
-                Op::Halt => self.b.halt(),
-            }
+    fn emit(&mut self, op: Op) {
+        match op {
+            Op::ConstK => self.push_slot(KB),
+            Op::ConstI => self.h_consti(),
+            Op::ConstNil => self.h_constnil(),
+            Op::LocalGet => self.push_slot(BASE),
+            Op::LocalSet => self.pop_slot(BASE),
+            Op::Pop => self.drop_top(),
+            Op::IAdd | Op::ISub | Op::IMul => self.h_iarith(op),
+            Op::IDiv | Op::IRem => self.h_intdiv(op),
+            Op::INeg => self.h_ineg(),
+            Op::IEq | Op::INe => self.h_ieq(op),
+            Op::ILt | Op::ILe => self.h_iord(op),
+            Op::FAdd | Op::FSub | Op::FMul | Op::FDiv => self.h_farith(op),
+            Op::FNeg => self.h_fneg(),
+            Op::FEq | Op::FNe | Op::FLt | Op::FLe => self.h_fcmp(op),
+            Op::I2F => self.h_i2f(),
+            Op::TestNil => self.h_testnil(),
+            Op::BNot => self.h_bnot(),
+            Op::Br => self.jump(),
+            Op::BrIf | Op::BrIfNot => self.h_brcond(op),
+            Op::ALen => self.h_alen(),
+            Op::SLen => self.h_slen(),
+            Op::Concat => self.h_concat(),
+            Op::NewArr => self.new_table(helpers::NEWARR),
+            Op::ArrGet => self.h_arrget(),
+            Op::ArrSet => self.h_arrset(),
+            Op::MapGet => self.h_mapget(),
+            Op::MapSet => self.h_mapset(),
+            // Statically resolved slots: two ALU ops + a load or store.
+            // jsrt needs a host call and a name lookup here.
+            Op::GlobalGet => self.push_slot(GB),
+            Op::GlobalSet => self.pop_slot(GB),
+            Op::Call => self.call(0x7),
+            Op::CallB => self.h_callb(),
+            Op::Ret | Op::RetV => self.h_ret(op),
+            Op::Halt => self.b.halt(),
         }
     }
 
-    // --- stack & constants ---------------------------------------------
-
-    fn h_constk(&mut self) {
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, KB);
-        self.b.ld(Reg::T2, 0, Reg::T1);
-        self.push(Reg::T2);
-        self.next();
-    }
+    // --- constants ---------------------------------------------------------
 
     fn h_consti(&mut self) {
         // Raw value: no boxing, unlike jsrt's PushI.
@@ -286,24 +164,6 @@ impl<'a> Gen<'a> {
     fn h_constnil(&mut self) {
         self.li_nil(Reg::T1);
         self.push(Reg::T1);
-        self.next();
-    }
-
-    fn h_localget(&mut self) {
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, LOCALS);
-        self.b.ld(Reg::T2, 0, Reg::T1);
-        self.push(Reg::T2);
-        self.next();
-    }
-
-    fn h_localset(&mut self) {
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, LOCALS);
-        self.pop(Reg::T2);
-        self.b.sd(Reg::T2, 0, Reg::T1);
         self.next();
     }
 
@@ -467,12 +327,6 @@ impl<'a> Gen<'a> {
 
     // --- control flow ----------------------------------------------------
 
-    fn h_br(&mut self) {
-        self.decode_offset(Reg::T1);
-        self.b.add(PC, PC, Reg::T1);
-        self.next();
-    }
-
     fn h_brcond(&mut self, op: Op) {
         // The operand is a compiler-guaranteed 0/1 truth word: a single
         // bit-0 test, no tag dispatch (contrast jsrt's emit_truthiness).
@@ -514,33 +368,11 @@ impl<'a> Gen<'a> {
         self.next();
     }
 
-    fn h_newarr(&mut self) {
-        self.decode_uimm(Reg::A2);
-        self.b.mv(Reg::A1, SP);
-        self.ecall(helpers::NEWARR);
-        self.b.addi(SP, SP, 8);
-        self.next();
-    }
-
-    /// `elem = elems_ptr + (key-1)*8`, bounds-checked. Clobbers T5.
-    fn emit_elem_index(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label) {
-        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
-        self.b.addi(elem, key, -1);
-        self.b.bgeu(elem, Reg::T5, slow);
-        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
-        self.b.slli(elem, elem, 3);
-        self.b.add(elem, elem, Reg::T5);
-    }
-
     fn h_arrget(&mut self) {
         let slow = self.b.new_label("wag_slow");
         self.b.ld(Reg::T1, -16, SP);
         self.b.ld(Reg::T2, -8, SP);
-        self.emit_elem_index(Reg::T1, Reg::T2, Reg::T6, slow);
-        self.b.ld(Reg::T3, 0, Reg::T6);
-        self.b.sd(Reg::T3, -16, SP);
-        self.b.addi(SP, SP, -8);
-        self.next();
+        self.elem_get(Reg::T1, Reg::T2, slow);
         self.b.bind(slow);
         self.b.addi(Reg::A1, SP, -16);
         self.b.li(Reg::A2, helpers::keykind::INT as i64);
@@ -549,36 +381,12 @@ impl<'a> Gen<'a> {
         self.next();
     }
 
-    /// Dense write with in-place append, like `luart`'s and `jsrt`'s.
-    fn emit_setelem_bounds(&mut self, hdr: Reg, key: Reg, elem: Reg, slow: Label, store: Label) {
-        let in_range = self.b.new_label("was_in_range");
-        self.b.ld(Reg::T5, object::ARR_LEN, hdr);
-        self.b.addi(elem, key, -1);
-        self.b.bltu(elem, Reg::T5, in_range);
-        self.b.bne(elem, Reg::T5, slow);
-        self.b.ld(Reg::T4, object::ARR_CAP, hdr);
-        self.b.bgeu(Reg::T5, Reg::T4, slow);
-        self.b.addi(Reg::T5, Reg::T5, 1);
-        self.b.sd(Reg::T5, object::ARR_LEN, hdr);
-        self.b.bind(in_range);
-        self.b.ld(Reg::T5, object::ARR_PTR, hdr);
-        self.b.slli(elem, elem, 3);
-        self.b.add(elem, elem, Reg::T5);
-        self.b.j(store);
-    }
-
     fn h_arrset(&mut self) {
         // Stack: [tab, key, val] at SP-24, SP-16, SP-8.
         let slow = self.b.new_label("was_slow");
-        let store = self.b.new_label("was_store");
         self.b.ld(Reg::T1, -24, SP);
         self.b.ld(Reg::T2, -16, SP);
-        self.emit_setelem_bounds(Reg::T1, Reg::T2, Reg::T6, slow, store);
-        self.b.bind(store);
-        self.b.ld(Reg::T3, -8, SP);
-        self.b.sd(Reg::T3, 0, Reg::T6);
-        self.b.addi(SP, SP, -24);
-        self.next();
+        self.elem_set(Reg::T1, Reg::T2, slow, "was");
         self.b.bind(slow);
         self.b.addi(Reg::A1, SP, -24);
         self.b.li(Reg::A2, helpers::keykind::INT as i64);
@@ -604,58 +412,7 @@ impl<'a> Gen<'a> {
         self.next();
     }
 
-    // --- globals ----------------------------------------------------------
-
-    fn h_globalget(&mut self) {
-        // Statically resolved slot: two ALU ops + a load. jsrt needs a
-        // host call and a name lookup here.
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, GB);
-        self.b.ld(Reg::T2, 0, Reg::T1);
-        self.push(Reg::T2);
-        self.next();
-    }
-
-    fn h_globalset(&mut self) {
-        self.decode_uimm(Reg::T1);
-        self.b.slli(Reg::T1, Reg::T1, 3);
-        self.b.add(Reg::T1, Reg::T1, GB);
-        self.pop(Reg::T2);
-        self.b.sd(Reg::T2, 0, Reg::T1);
-        self.next();
-    }
-
     // --- calls ------------------------------------------------------------
-
-    fn h_call(&mut self) {
-        let ov = self.stack_ov;
-        self.b.bgeu(CI, CI_LIM, ov);
-        self.b.sd(PC, callinfo::RET_PC, CI);
-        self.b.sd(LOCALS, callinfo::RET_LOCALS, CI);
-        self.b.sd(KB, callinfo::RET_CONSTS, CI);
-        self.b.addi(CI, CI, callinfo::STRIDE as i32);
-        // nargs (3 bits at 16) → new locals base.
-        self.b.srli(Reg::T2, W, 16);
-        self.b.andi(Reg::T2, Reg::T2, 0x7);
-        self.b.slli(Reg::T2, Reg::T2, 3);
-        self.b.sub(LOCALS, SP, Reg::T2);
-        // Callee FuncInfo.
-        self.b.slli(Reg::T3, W, 48);
-        self.b.srli(Reg::T3, Reg::T3, 48);
-        self.b.slli(Reg::T3, Reg::T3, 5);
-        self.b.add(Reg::T3, Reg::T3, FT);
-        self.b.ld(PC, funcinfo::CODE, Reg::T3);
-        self.b.ld(KB, funcinfo::CONSTS, Reg::T3);
-        self.b.ld(Reg::T4, funcinfo::NLOCALS, Reg::T3);
-        self.b.slli(Reg::T4, Reg::T4, 3);
-        self.b.add(SP, LOCALS, Reg::T4);
-        self.b.ld(Reg::T4, funcinfo::FRAME, Reg::T3);
-        self.b.slli(Reg::T4, Reg::T4, 3);
-        self.b.add(Reg::T4, Reg::T4, LOCALS);
-        self.b.bgeu(Reg::T4, STK_LIM, ov);
-        self.next();
-    }
 
     fn h_callb(&mut self) {
         // a1 = args base, a2 = builtin id, a3 = nargs, a4 = per-arg type
@@ -679,77 +436,7 @@ impl<'a> Gen<'a> {
         } else {
             self.li_nil(Reg::T1);
         }
-        self.b.mv(Reg::T2, LOCALS); // callee locals base = result slot
-        self.b.addi(CI, CI, -(callinfo::STRIDE as i32));
-        self.b.ld(PC, callinfo::RET_PC, CI);
-        self.b.ld(LOCALS, callinfo::RET_LOCALS, CI);
-        self.b.ld(KB, callinfo::RET_CONSTS, CI);
-        self.b.sd(Reg::T1, 0, Reg::T2);
-        self.b.addi(SP, Reg::T2, 8);
-        self.next();
-    }
-
-    // --- data -------------------------------------------------------------
-
-    fn emit_data(&mut self) {
-        self.b.align_data(8);
-        let dt = self.dispatch_table;
-        self.b.bind_data(dt);
-        for op in Op::ALL {
-            let h = self.handler(op);
-            self.b.dword_label(h);
-        }
-        let ft = self.functable;
-        self.b.bind_data(ft);
-        for i in 0..self.module.protos.len() {
-            let (c, k) = (self.func_code[i], self.func_consts[i]);
-            let p = &self.module.protos[i];
-            self.b.dword_label(c);
-            self.b.dword_label(k);
-            self.b.dword(p.nlocals as u64);
-            self.b.dword(p.nlocals as u64 + p.max_stack as u64 + 1);
-        }
-        let hb = self.halt_bc;
-        self.b.bind_data(hb);
-        let halt_word = Bc::new(Op::Halt, 0).encode();
-        self.b.bytes(&halt_word.to_le_bytes());
-        self.b.bytes(&halt_word.to_le_bytes());
-
-        // Typed global slots, initialized to NIL.
-        let ga = self.globals_area;
-        self.b.bind_data(ga);
-        for _ in 0..self.module.globals.len().max(1) {
-            self.b.dword(NIL);
-        }
-
-        for i in 0..self.module.protos.len() {
-            self.b.align_data(8);
-            let cl = self.func_code[i];
-            self.b.bind_data(cl);
-            let words: Vec<u8> = self.module.protos[i]
-                .code
-                .iter()
-                .flat_map(|bc| bc.encode().to_le_bytes())
-                .collect();
-            self.b.bytes(&words);
-            self.b.align_data(8);
-            let kl = self.func_consts[i];
-            self.b.bind_data(kl);
-            let consts = self.module.protos[i].consts.clone();
-            for k in &consts {
-                // Raw untagged dwords: full-width i64, IEEE bits, string id.
-                let dword = match k {
-                    Const::Int(v) => *v as u64,
-                    Const::Float(v) => v.to_bits(),
-                    Const::Str(s) => self.strings.intern(s) as u64,
-                };
-                self.b.dword(dword);
-            }
-        }
-    }
-
-    fn finish(self) -> Result<WasmImage, AsmError> {
-        Image::finish(self.b, self.strings.into_strings(), self.level)
+        self.ret_tail();
     }
 }
 

@@ -23,7 +23,10 @@
 //! binary-trees workload) type-checks and compiles to raw i64 compares.
 //! A value of such a class may be either at run time, so rendering it
 //! (`print`, `write`, `tostring`) is a compile error; `..` renders it as
-//! an integer.
+//! an integer. `..` of a table class that never met an integer is a
+//! compile error, as concatenating a table is a run-time error in the
+//! reference; since a class can gain its `Int` in a later pass, that error
+//! is raised only by the pass that converges.
 //! Joining `Bool`/`Str` with a numeric class is a compile error.
 //!
 //! Table identities unify (union–find) when tables flow together through
@@ -127,6 +130,9 @@ pub fn compile(chunk: &Chunk) -> Result<Module, CompileError> {
         protos.push(c.finish(0));
 
         if !env.changed {
+            if let Some(e) = env.deferred.take() {
+                return Err(e);
+            }
             let module = Module {
                 protos,
                 main: main_idx,
@@ -219,6 +225,8 @@ struct TypeEnv {
     site_counter: usize,
     memo_counter: usize,
     changed: bool,
+    /// An error that stands only if this pass converges.
+    deferred: Option<CompileError>,
 }
 
 impl TypeEnv {
@@ -234,6 +242,7 @@ impl TypeEnv {
             site_counter: 0,
             memo_counter: 0,
             changed: false,
+            deferred: None,
         }
     }
 
@@ -241,6 +250,7 @@ impl TypeEnv {
         self.site_counter = 0;
         self.memo_counter = 0;
         self.changed = false;
+        self.deferred = None;
     }
 
     fn find(&mut self, t: u32) -> u32 {
@@ -860,8 +870,8 @@ impl<'a> FnCompiler<'a> {
             BinOp::Concat => {
                 let ta = self.expr(lhs)?;
                 let tb = self.expr(rhs)?;
-                let ca = self.concat_code(ta)?;
-                let cb = self.concat_code(tb)?;
+                let ca = self.concat_code(ta);
+                let cb = self.concat_code(tb);
                 self.emit(Bc::concat(ca, cb), -1);
                 Ok(Str)
             }
@@ -897,13 +907,21 @@ impl<'a> FnCompiler<'a> {
         Ok(())
     }
 
-    fn concat_code(&self, t: ValType) -> Result<TyCode, CompileError> {
-        Ok(match t {
+    /// The type code `..` renders a value of class `t` with. An
+    /// int-or-table class renders as an integer; a table class with no
+    /// `Int` joined is an error, unless a later pass joins one.
+    fn concat_code(&mut self, t: ValType) -> TyCode {
+        match t {
+            Tab(_) if !self.env.int_or_tab(t) => {
+                let e = self.err_ctx(CompileError::new("concatenation of a table value"));
+                self.env.deferred.get_or_insert(e);
+                TyCode::Int
+            }
             Int | Tab(_) | Unknown | Nil => TyCode::Int,
             F64 => TyCode::F64,
             Str => TyCode::Str,
             Bool => TyCode::Bool,
-        })
+        }
     }
 
     fn ty_code(&self, t: ValType) -> TyCode {

@@ -1,4 +1,4 @@
-//! Untagged value layout and memory map of the `wasmrt` engine.
+//! Untagged value layout of the `wasmrt` engine.
 //!
 //! Where `luart` tags every register and `jsrt` NaN-boxes every stack slot,
 //! `wasmrt` values are **raw 8-byte machine words**: the static type
@@ -24,11 +24,11 @@
 //! the write as entry removal. No workload writes floats to hash parts;
 //! dense float arrays are unaffected (raw stores, no sentinel checks).
 //!
-//! The memory map, object header, function-info, and call-info records are
-//! identical to `jsrt`'s — deliberately, so the host-side accelerations
-//! (predecode, superblocks, tiered codegen, PGO) apply to every engine
-//! without change. Table *elements* here are untagged dwords rather than
-//! NaN-boxed values.
+//! The memory map, table header, function-info and call-info records are
+//! the shared skeleton's ([`luart::image`]), as in `jsrt` — deliberately,
+//! so the host-side accelerations (predecode, superblocks, tiered codegen,
+//! PGO) apply to every engine without change. Table *elements* here are
+//! untagged dwords rather than NaN-boxed values.
 
 /// The `nil` sentinel: `i64::MIN`. Never a valid handle, id, or boolean;
 /// low bit clear (falsy under the bit-0 truthiness test).
@@ -38,52 +38,11 @@ pub const NIL: u64 = i64::MIN as u64;
 /// elements are 8-byte *untagged* dwords.
 pub use luart::native::table as object;
 
-/// Function-info record offsets (32-byte records).
-pub mod funcinfo {
-    /// Code address.
-    pub const CODE: i32 = 0;
-    /// Constants address.
-    pub const CONSTS: i32 = 8;
-    /// Local slot count.
-    pub const NLOCALS: i32 = 16;
-    /// Frame size (locals + max operand stack), in slots.
-    pub const FRAME: i32 = 24;
-    /// Record stride.
-    pub const STRIDE: u64 = 32;
-}
-
-/// Call-info record offsets.
-pub mod callinfo {
-    /// Saved VM pc.
-    pub const RET_PC: i32 = 0;
-    /// Saved locals base.
-    pub const RET_LOCALS: i32 = 8;
-    /// Saved constants base.
-    pub const RET_CONSTS: i32 = 16;
-    /// Frame stride.
-    pub const STRIDE: u64 = 32;
-}
-
-/// Memory map (same skeleton as `jsrt`, 8-byte value slots). The globals
-/// area lives at the start of DATA-resident VM data, after the interpreter's
-/// own tables; its base is carried in a reserved register at run time.
-pub mod map {
-    /// Interpreter text.
-    pub const TEXT_BASE: u64 = 0x0001_0000;
-    /// Static data (dispatch table, function table, code, consts, globals).
-    pub const DATA_BASE: u64 = 0x0040_0000;
-    /// Combined locals + operand stack.
-    pub const STACK_BASE: u64 = 0x0100_0000;
-    /// Stack limit.
-    pub const STACK_LIMIT: u64 = 0x017f_0000;
-    /// CallInfo stack.
-    pub const CI_BASE: u64 = 0x0180_0000;
-    /// CallInfo limit.
-    pub const CI_LIMIT: u64 = 0x01a0_0000;
-    /// Bump-allocated heap (GC is off, as in the paper's runs), shared by
-    /// every engine's host.
-    pub use tarch_sim::{HEAP_BASE, HEAP_LIMIT};
-}
+/// The memory map and the frame records, shared by every engine
+/// (`luart`'s skeleton, with 8-byte value slots here). The globals area
+/// follows the interpreter's own tables in DATA; its base is carried in a
+/// reserved register at run time.
+pub use luart::image::{callinfo, funcinfo, map};
 
 #[cfg(test)]
 mod tests {

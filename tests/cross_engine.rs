@@ -119,6 +119,10 @@ fn runtime_operands_fail_or_print_like_the_reference() {
         "local t = {} t.w = 'hello' print(len(t.z))",
         "local t = {} t.w = 'b' print('a' .. t.z)",
         "print('a' .. true)",
+        "print('a' .. {})",
+        "local t = {} print(t .. 'b')",
+        "local t = {} t.k = {} print('a' .. t.k)",
+        "local x = {} for i = 1, 2 do if i == 2 then print('' .. x) end x = 5 end",
         "print(char(65.0))",
         "print(sub('hello', 2.0))",
         "print(byte('AB', 2.0))",
