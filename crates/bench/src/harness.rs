@@ -14,7 +14,8 @@ use std::path::PathBuf;
 use tarch_core::{CoreConfig, IsaLevel};
 use tarch_fleet::build_guest;
 use tarch_runner::{
-    run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RunConfig, RunStats,
+    run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RenderedConfig, RunConfig,
+    RunStats,
 };
 
 pub use tarch_runner::{CellResult, EngineKind};
@@ -34,20 +35,21 @@ pub fn job_spec(
     scale: Scale,
     profiled: bool,
 ) -> JobSpec {
-    job_spec_with(w, engine, level, scale, profiled, &CoreConfig::paper())
+    JobSpec::new(w.name, engine, level, scale, profiled, w.source(scale), &CoreConfig::paper())
 }
 
 /// [`job_spec`] with an explicit core configuration (A/B runs over the
-/// execution-engine toggles, e.g. `repro bench --no-fuse`).
+/// execution-engine toggles, e.g. `repro bench --no-fuse`), rendered once
+/// for a whole job list.
 pub fn job_spec_with(
     w: &Workload,
     engine: EngineKind,
     level: IsaLevel,
     scale: Scale,
     profiled: bool,
-    core: &CoreConfig,
+    core: &RenderedConfig<'_>,
 ) -> JobSpec {
-    JobSpec::new(w.name, engine, level, scale, profiled, w.source(scale), core)
+    JobSpec::from_rendered(w.name, engine, level, scale, profiled, w.source(scale), core)
 }
 
 /// Executes one job: builds the right VM from the spec *inside the
@@ -200,6 +202,9 @@ impl Matrix {
         scale: Scale,
         opts: &MatrixOptions,
     ) -> Result<MatrixRun, String> {
+        // Every cell shares the options' config except a PGO-guided one,
+        // so that rendering is the only one most lists need.
+        let core = RenderedConfig::new(&opts.core);
         let mut jobs = Vec::new();
         for w in workloads {
             for engine in EngineKind::ALL {
@@ -208,14 +213,17 @@ impl Matrix {
                     // into the core config; the profile participates in
                     // the job key, so guided and unguided runs never
                     // collide in the cache.
-                    let core = match opts.pgo.as_ref().and_then(|s| s.profile(w.name, engine, level)) {
-                        Some(p) => CoreConfig {
-                            pgo: Some(std::sync::Arc::new(p)),
-                            ..opts.core.clone()
-                        },
-                        None => opts.core.clone(),
-                    };
-                    jobs.push(job_spec_with(w, engine, level, scale, false, &core));
+                    jobs.push(match opts.pgo.as_ref().and_then(|s| s.profile(w.name, engine, level)) {
+                        Some(p) => {
+                            let guided = CoreConfig {
+                                pgo: Some(std::sync::Arc::new(p)),
+                                ..opts.core.clone()
+                            };
+                            let guided = RenderedConfig::new(&guided);
+                            job_spec_with(w, engine, level, scale, false, &guided)
+                        }
+                        None => job_spec_with(w, engine, level, scale, false, &core),
+                    });
                 }
             }
         }
@@ -223,7 +231,7 @@ impl Matrix {
             // Figure 9's profiled runs: Typed level only, every engine.
             for w in workloads {
                 for engine in EngineKind::ALL {
-                    jobs.push(job_spec_with(w, engine, IsaLevel::Typed, scale, true, &opts.core));
+                    jobs.push(job_spec_with(w, engine, IsaLevel::Typed, scale, true, &core));
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! two runs' *results* while ignoring *when and how fast* they ran.
 
 use crate::job::{EngineKind, JobKey, JobSpec, Scale};
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::pool::JobOutcome;
 use crate::result::CellResult;
 use std::path::Path;
@@ -63,28 +63,29 @@ impl BenchArtifact {
         format!("BENCH_{}.json", self.created_unix)
     }
 
-    fn job_to_json(o: &JobOutcome) -> Json {
-        Json::Obj(vec![
-            ("workload".into(), Json::str(o.spec.workload.clone())),
-            ("engine".into(), Json::str(o.spec.engine.id())),
-            ("level".into(), Json::str(o.spec.level.name())),
-            ("scale".into(), Json::str(o.spec.scale.id())),
-            ("profiled".into(), Json::Bool(o.spec.profiled)),
+    /// Writes one job; `volatile: false` leaves out its timing and the
+    /// cell's `sim_nanos`.
+    fn write_job(w: &mut JsonWriter, o: &JobOutcome, volatile: bool) {
+        w.obj(|j| {
+            j.key("workload").str(&o.spec.workload);
+            j.key("engine").str(o.spec.engine.id());
+            j.key("level").str(o.spec.level.name());
+            j.key("scale").str(o.spec.scale.id());
+            j.key("profiled").bool(o.spec.profiled);
             // The one core-config fact the comparison report needs per
             // cell: whether the run tier-compiled hot blocks. The rest
             // of the config stays summarized by the content key.
-            ("tier".into(), Json::Bool(o.spec.core.tier)),
-            ("key".into(), Json::str(o.spec.key.hex())),
-            ("cell".into(), o.result.to_json()),
-            (
-                "timing".into(),
-                Json::Obj(vec![
-                    ("cached".into(), Json::Bool(o.cached)),
-                    ("wall_nanos".into(), Json::num(o.wall_nanos)),
-                    ("host_mips".into(), Json::num(o.steps_per_sec() / 1e6)),
-                ]),
-            ),
-        ])
+            j.key("tier").bool(o.spec.core.tier);
+            j.key("key").str(&o.spec.key.hex());
+            o.result.write_json(j.key("cell"), volatile);
+            if volatile {
+                j.key("timing").obj(|t| {
+                    t.key("cached").bool(o.cached);
+                    t.key("wall_nanos").u64(o.wall_nanos);
+                    t.key("host_mips").f64(o.steps_per_sec() / 1e6);
+                });
+            }
+        });
     }
 
     fn job_from_json(v: &Json) -> Result<JobOutcome, String> {
@@ -127,19 +128,27 @@ impl BenchArtifact {
         Ok(JobOutcome { spec, result, cached, wall_nanos })
     }
 
-    /// Full JSON document, including volatile timing fields.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(ARTIFACT_SCHEMA)),
-            ("created_unix".into(), Json::num(self.created_unix)),
-            ("scale".into(), Json::str(self.scale.id())),
-            ("step_budget".into(), Json::num(self.step_budget)),
-            ("host_mips".into(), Json::num(self.host_mips)),
-            (
-                "jobs".into(),
-                Json::Arr(self.outcomes.iter().map(Self::job_to_json).collect()),
-            ),
-        ])
+    /// The JSON document. `volatile: false` leaves out creation time,
+    /// host throughput and per-job timing, which is the fingerprint.
+    fn document(&self, volatile: bool) -> String {
+        JsonWriter::print(|w| {
+            w.obj(|d| {
+                d.key("schema").str(ARTIFACT_SCHEMA);
+                if volatile {
+                    d.key("created_unix").u64(self.created_unix);
+                }
+                d.key("scale").str(self.scale.id());
+                d.key("step_budget").u64(self.step_budget);
+                if volatile {
+                    d.key("host_mips").f64(self.host_mips);
+                }
+                d.key("jobs").arr(|a| {
+                    for o in &self.outcomes {
+                        Self::write_job(a.item(), o, volatile);
+                    }
+                });
+            })
+        })
     }
 
     /// The result-identity portion of the artifact: everything except
@@ -147,33 +156,7 @@ impl BenchArtifact {
     /// same matrix — cached or not, fast or slow — have equal
     /// fingerprints exactly when their simulated results are identical.
     pub fn fingerprint(&self) -> String {
-        let jobs: Vec<Json> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                let mut j = Self::job_to_json(o);
-                if let Json::Obj(fields) = &mut j {
-                    fields.retain(|(k, _)| k != "timing");
-                    // `sim_nanos` inside the cell is wall-clock
-                    // measurement metadata, like `timing`.
-                    for (k, v) in fields.iter_mut() {
-                        if k == "cell" {
-                            if let Json::Obj(cell) = v {
-                                cell.retain(|(k, _)| k != "sim_nanos");
-                            }
-                        }
-                    }
-                }
-                j
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::str(ARTIFACT_SCHEMA)),
-            ("scale".into(), Json::str(self.scale.id())),
-            ("step_budget".into(), Json::num(self.step_budget)),
-            ("jobs".into(), Json::Arr(jobs)),
-        ])
-        .to_pretty_string()
+        self.document(false)
     }
 
     /// Writes the artifact to `path`.
@@ -182,7 +165,7 @@ impl BenchArtifact {
     ///
     /// Returns the underlying I/O error message.
     pub fn write(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json().to_pretty_string())
+        std::fs::write(path, self.document(true))
             .map_err(|e| format!("write {}: {e}", path.display()))
     }
 
@@ -334,8 +317,7 @@ mod tests {
         // Artifacts written before the field existed must still load.
         let a = BenchArtifact::new(Scale::Test, 1, vec![]);
         let text: String = a
-            .to_json()
-            .to_pretty_string()
+            .document(true)
             .lines()
             .filter(|l| !l.contains("host_mips"))
             .collect::<Vec<_>>()
@@ -353,10 +335,7 @@ mod tests {
         let a = BenchArtifact::new(Scale::Test, 1, vec![]);
         let path = std::env::temp_dir()
             .join(format!("tarch-artifact-test-{}-schema.json", std::process::id()));
-        let text = a
-            .to_json()
-            .to_pretty_string()
-            .replace(ARTIFACT_SCHEMA, "tarch-bench/v999");
+        let text = a.document(true).replace(ARTIFACT_SCHEMA, "tarch-bench/v999");
         std::fs::write(&path, text).unwrap();
         let err = BenchArtifact::read(&path).unwrap_err();
         assert!(err.contains("v999"), "{err}");
@@ -368,7 +347,7 @@ mod tests {
         let a = BenchArtifact::new(Scale::Test, 1, vec![outcome(1, false)]);
         let path = std::env::temp_dir()
             .join(format!("tarch-artifact-test-{}-trunc.json", std::process::id()));
-        let full = a.to_json().to_pretty_string();
+        let full = a.document(true);
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert!(BenchArtifact::read(&path).is_err());
         let _ = std::fs::remove_file(&path);

@@ -11,7 +11,7 @@
 //! concurrent workers storing the same key race benignly.
 
 use crate::job::{JobKey, KEY_SCHEMA};
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::result::CellResult;
 use std::path::{Path, PathBuf};
 use std::process;
@@ -45,17 +45,17 @@ impl ResultCache {
     }
 
     fn entry_path(&self, key: &JobKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.hex()))
+        self.dir.join(format!("{key}.json"))
     }
 
     /// Looks up a cached result; any load failure is a miss.
     pub fn load(&self, key: &JobKey) -> Option<CellResult> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let doc = Json::parse(&text).ok()?;
-        if doc.req_u64("key_schema").ok()? != KEY_SCHEMA as u64 {
+        if doc.req_u64("key_schema").ok()? != u64::from(KEY_SCHEMA) {
             return None;
         }
-        if doc.req_str("key").ok()? != key.hex() {
+        if JobKey::parse(doc.req_str("key").ok()?)? != *key {
             return None;
         }
         CellResult::from_json(doc.get("cell")?).ok()
@@ -68,18 +68,20 @@ impl ResultCache {
     ///
     /// Returns the underlying I/O error message.
     pub fn store(&self, key: &JobKey, cell: &CellResult) -> Result<(), String> {
-        let doc = Json::Obj(vec![
-            ("key_schema".into(), Json::num(KEY_SCHEMA)),
-            ("key".into(), Json::str(key.hex())),
-            ("cell".into(), cell.to_json()),
-        ]);
+        let text = JsonWriter::print(|w| {
+            w.obj(|o| {
+                o.key("key_schema").u64(KEY_SCHEMA.into());
+                o.key("key").str(&key.hex());
+                cell.write_json(o.key("cell"), true);
+            })
+        });
         let final_path = self.entry_path(key);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, doc.to_pretty_string())
+        std::fs::write(&tmp, text)
             .map_err(|e| format!("cache write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &final_path)
             .map_err(|e| format!("cache rename {}: {e}", final_path.display()))

@@ -8,7 +8,7 @@
 //! across shards under per-tenant cycle budgets, reported as per-shard
 //! throughput plus tenant-latency percentiles in *simulated* time.
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use crate::percentile::Percentiles;
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -38,26 +38,32 @@ impl ShardSummary {
         if self.cycles == 0 { 0.0 } else { self.instructions as f64 / self.cycles as f64 }
     }
 
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("shard".into(), Json::num(self.shard)),
-            ("tenants".into(), Json::num(self.tenants)),
-            ("completed".into(), Json::num(self.completed)),
-            ("instructions".into(), Json::num(self.instructions)),
-            ("cycles".into(), Json::num(self.cycles)),
-            ("ipc".into(), Json::num(self.ipc())),
-        ])
+    fn write_json(self, w: &mut JsonWriter) {
+        w.obj(|o| {
+            o.key("shard").u64(self.shard.into());
+            o.key("tenants").u64(self.tenants.into());
+            o.key("completed").u64(self.completed.into());
+            o.key("instructions").u64(self.instructions);
+            o.key("cycles").u64(self.cycles);
+            o.key("ipc").f64(self.ipc());
+        });
     }
 
     fn from_json(v: &Json) -> Result<ShardSummary, String> {
         Ok(ShardSummary {
-            shard: v.req_u64("shard")? as u32,
-            tenants: v.req_u64("tenants")? as u32,
-            completed: v.req_u64("completed")? as u32,
+            shard: req_u32(v, "shard")?,
+            tenants: req_u32(v, "tenants")?,
+            completed: req_u32(v, "completed")?,
             instructions: v.req_u64("instructions")?,
             cycles: v.req_u64("cycles")?,
         })
     }
+}
+
+/// A count field that must fit the `u32` it decodes into.
+fn req_u32(v: &Json, key: &str) -> Result<u32, String> {
+    let n = v.req_u64(key)?;
+    u32::try_from(n).map_err(|_| format!("field `{key}` is {n}, above the u32 range"))
 }
 
 /// One serialized fleet run.
@@ -126,39 +132,43 @@ impl FleetArtifact {
         }
     }
 
-    /// Full JSON document, including volatile host-timing fields.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("schema".into(), Json::str(FLEET_SCHEMA)),
-            ("created_unix".into(), Json::num(self.created_unix)),
-            ("workload".into(), Json::str(self.workload.clone())),
-            ("engine".into(), Json::str(self.engine.clone())),
-            ("level".into(), Json::str(self.level.clone())),
-            ("scale".into(), Json::str(self.scale.clone())),
-            ("seed".into(), Json::num(self.seed)),
-            ("tenants".into(), Json::num(self.tenants)),
-            ("budget_cycles".into(), Json::num(self.budget_cycles)),
-            ("slice_steps".into(), Json::num(self.slice_steps)),
-            ("ctxsw_cycles".into(), Json::num(self.ctxsw_cycles)),
-            ("completed".into(), Json::num(self.completed)),
-            ("evicted".into(), Json::num(self.evicted)),
-            (
-                "shards".into(),
-                Json::Arr(self.shards.iter().map(|s| s.to_json()).collect()),
-            ),
-        ];
-        fields.push((
-            "latency_cycles".into(),
-            match &self.latency {
-                Some(p) => p.to_json(),
-                None => Json::Null,
-            },
-        ));
-        fields.push(("construct_nanos".into(), Json::num(self.construct_nanos)));
-        fields.push(("clone_nanos".into(), Json::num(self.clone_nanos)));
-        fields.push(("clone_speedup".into(), Json::num(self.clone_speedup())));
-        fields.push(("wall_nanos".into(), Json::num(self.wall_nanos)));
-        Json::Obj(fields)
+    /// The JSON document. `volatile: false` leaves out creation time and
+    /// host timing, which is the fingerprint.
+    fn document(&self, volatile: bool) -> String {
+        JsonWriter::print(|w| {
+            w.obj(|o| {
+                o.key("schema").str(FLEET_SCHEMA);
+                if volatile {
+                    o.key("created_unix").u64(self.created_unix);
+                }
+                o.key("workload").str(&self.workload);
+                o.key("engine").str(&self.engine);
+                o.key("level").str(&self.level);
+                o.key("scale").str(&self.scale);
+                o.key("seed").u64(self.seed);
+                o.key("tenants").u64(self.tenants.into());
+                o.key("budget_cycles").u64(self.budget_cycles);
+                o.key("slice_steps").u64(self.slice_steps);
+                o.key("ctxsw_cycles").u64(self.ctxsw_cycles);
+                o.key("completed").u64(self.completed.into());
+                o.key("evicted").u64(self.evicted.into());
+                o.key("shards").arr(|a| {
+                    for s in &self.shards {
+                        s.write_json(a.item());
+                    }
+                });
+                match &self.latency {
+                    Some(p) => p.write_json(o.key("latency_cycles")),
+                    None => o.key("latency_cycles").null(),
+                }
+                if volatile {
+                    o.key("construct_nanos").u64(self.construct_nanos);
+                    o.key("clone_nanos").u64(self.clone_nanos);
+                    o.key("clone_speedup").f64(self.clone_speedup());
+                    o.key("wall_nanos").u64(self.wall_nanos);
+                }
+            })
+        })
     }
 
     /// The result-identity portion: everything except creation time and
@@ -166,17 +176,7 @@ impl FleetArtifact {
     /// equal fingerprints exactly when their simulated schedules agree,
     /// which is what the CI determinism smoke asserts.
     pub fn fingerprint(&self) -> String {
-        let mut j = self.to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields.retain(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "created_unix" | "construct_nanos" | "clone_nanos" | "clone_speedup"
-                        | "wall_nanos"
-                )
-            });
-        }
-        j.to_pretty_string()
+        self.document(false)
     }
 
     /// Writes the artifact to `path`.
@@ -185,7 +185,7 @@ impl FleetArtifact {
     ///
     /// Returns the underlying I/O error message.
     pub fn write(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json().to_pretty_string())
+        std::fs::write(path, self.document(true))
             .map_err(|e| format!("write {}: {e}", path.display()))
     }
 
@@ -199,29 +199,26 @@ impl FleetArtifact {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("read {}: {e}", path.display()))?;
         let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        FleetArtifact::from_json(&doc).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    fn from_json(doc: &Json) -> Result<FleetArtifact, String> {
         let schema = doc.req_str("schema")?;
         if schema != FLEET_SCHEMA {
             return Err(format!(
-                "{}: unsupported fleet schema `{schema}` (expected `{FLEET_SCHEMA}`)",
-                path.display()
+                "unsupported fleet schema `{schema}` (expected `{FLEET_SCHEMA}`)"
             ));
         }
-        let shards_json = doc
-            .get("shards")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{}: missing `shards` array", path.display()))?;
+        let shards_json = doc.get("shards").and_then(Json::as_arr).ok_or("missing `shards` array")?;
         let mut shards = Vec::with_capacity(shards_json.len());
         for (i, s) in shards_json.iter().enumerate() {
-            shards.push(
-                ShardSummary::from_json(s)
-                    .map_err(|e| format!("{} shard {i}: {e}", path.display()))?,
-            );
+            shards.push(ShardSummary::from_json(s).map_err(|e| format!("shard {i}: {e}"))?);
         }
         let latency = match doc.get("latency_cycles") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(Percentiles::from_json(v).map_err(|e| {
-                format!("{} latency_cycles: {e}", path.display())
-            })?),
+            Some(v) => Some(
+                Percentiles::from_json(v).map_err(|e| format!("latency_cycles: {e}"))?,
+            ),
         };
         Ok(FleetArtifact {
             created_unix: doc.req_u64("created_unix")?,
@@ -230,12 +227,12 @@ impl FleetArtifact {
             level: doc.req_str("level")?.to_string(),
             scale: doc.req_str("scale")?.to_string(),
             seed: doc.req_u64("seed")?,
-            tenants: doc.req_u64("tenants")? as u32,
+            tenants: req_u32(doc, "tenants")?,
             budget_cycles: doc.req_u64("budget_cycles")?,
             slice_steps: doc.req_u64("slice_steps")?,
             ctxsw_cycles: doc.req_u64("ctxsw_cycles")?,
-            completed: doc.req_u64("completed")? as u32,
-            evicted: doc.req_u64("evicted")? as u32,
+            completed: req_u32(doc, "completed")?,
+            evicted: req_u32(doc, "evicted")?,
             shards,
             latency,
             construct_nanos: doc.req_u64("construct_nanos")?,
@@ -328,11 +325,45 @@ mod tests {
         let a = artifact();
         let path = std::env::temp_dir()
             .join(format!("tarch-fleet-artifact-{}-schema.json", std::process::id()));
-        let text = a.to_json().to_pretty_string().replace(FLEET_SCHEMA, "tarch-fleet/v999");
+        let text = a.document(true).replace(FLEET_SCHEMA, "tarch-fleet/v999");
         std::fs::write(&path, text).unwrap();
         let err = FleetArtifact::read(&path).unwrap_err();
         assert!(err.contains("v999"), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn sub_resolution_clone_writes_null_speedup_and_reads_back() {
+        let mut a = artifact();
+        a.clone_nanos = 0;
+        let path = std::env::temp_dir()
+            .join(format!("tarch-fleet-artifact-{}-inf.json", std::process::id()));
+        a.write(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let back = FleetArtifact::read(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(text.contains("\"clone_speedup\": null,"), "{text}");
+        assert_eq!(Json::parse(&text).unwrap().get("clone_speedup"), Some(&Json::Null));
+        assert_eq!(back.unwrap(), a);
+    }
+
+    #[test]
+    fn counts_above_u32_are_errors_not_truncations() {
+        let text = artifact().document(true);
+        // 2^32 + 16 read back as 16 through an `as u32` cast.
+        for (from, to, error) in [
+            ("\"tenants\": 64,", "\"tenants\": 4294967312,", "field `tenants` is 4294967312"),
+            ("\"completed\": 60,", "\"completed\": 4294967356,", "field `completed`"),
+            ("\"evicted\": 4,", "\"evicted\": 4294967300,", "field `evicted`"),
+            ("\"shard\": 1,", "\"shard\": 4294967297,", "shard 1: field `shard`"),
+            ("\"tenants\": 32,", "\"tenants\": 4294967328,", "shard 0: field `tenants`"),
+            ("\"completed\": 30,", "\"completed\": 4294967326,", "shard 0: field `completed`"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text, "{from}");
+            let err = FleetArtifact::from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+            assert!(err.starts_with(error), "{from}: {err}");
+        }
     }
 
     #[test]

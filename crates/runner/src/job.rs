@@ -106,26 +106,58 @@ impl Scale {
 /// cache disabled or delete the cache directory (see EXPERIMENTS.md).
 ///
 /// The two halves are FNV-1a 64 over the same canonical bytes from two
-/// offset bases. [`JobSpec::new`] computes both in one pass: it formats
-/// the canonical fields straight into a hashing sink that advances both
-/// lanes per byte, so no canonical string is ever built.
+/// offset bases, computed in one pass: the canonical fields are
+/// formatted straight into a hashing sink that advances both lanes per
+/// byte, so no canonical string is ever built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobKey(pub u64, pub u64);
 
 impl JobKey {
     /// 32-hex-digit rendering; doubles as the cache file stem.
     pub fn hex(&self) -> String {
-        format!("{:016x}{:016x}", self.0, self.1)
+        self.to_string()
     }
 
-    /// Parses a [`JobKey::hex`] rendering.
+    /// Hashes the canonical bytes of one job; `config` is the core
+    /// config's `Debug` rendering, formatted on the fly or stored.
+    fn derive(
+        engine: EngineKind,
+        level: IsaLevel,
+        scale: Scale,
+        profiled: bool,
+        config: impl fmt::Display,
+        source: &str,
+    ) -> JobKey {
+        let mut h = KeyHasher(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
+        // \x1f separators prevent field-boundary ambiguity.
+        write!(
+            h,
+            "v{KEY_SCHEMA}\x1f{}\x1f{}\x1f{}\x1f{}\x1f{config}\x1f{source}",
+            engine.id(),
+            level.name(),
+            scale.id(),
+            profiled,
+        )
+        .expect("hashing is infallible");
+        JobKey(h.0, h.1)
+    }
+
+    /// Parses a [`JobKey::hex`] rendering: exactly 32 lowercase hex
+    /// digits, so every key has one spelling.
     pub fn parse(s: &str) -> Option<JobKey> {
-        if s.len() != 32 {
+        if s.len() != 32 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
             return None;
         }
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;
         let lo = u64::from_str_radix(&s[16..], 16).ok()?;
         Some(JobKey(hi, lo))
+    }
+}
+
+impl fmt::Display for JobKey {
+    /// The [`JobKey::hex`] digits.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}{:016x}", self.0, self.1)
     }
 }
 
@@ -141,6 +173,23 @@ impl fmt::Write for KeyHasher {
             self.1 = (self.1 ^ b as u64).wrapping_mul(PRIME);
         }
         Ok(())
+    }
+}
+
+/// A [`CoreConfig`] with its `Debug` rendering, the part of every job key
+/// that describes the simulated core. Rendering costs about as much as
+/// hashing the rest of a key, so a job list renders each distinct config
+/// once and builds its specs with [`JobSpec::from_rendered`].
+#[derive(Debug)]
+pub struct RenderedConfig<'c> {
+    config: &'c CoreConfig,
+    text: String,
+}
+
+impl<'c> RenderedConfig<'c> {
+    /// Renders `config`.
+    pub fn new(config: &'c CoreConfig) -> RenderedConfig<'c> {
+        RenderedConfig { config, text: format!("{config:?}") }
     }
 }
 
@@ -169,9 +218,7 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Builds a spec and derives its content key in one pass over the
-    /// canonical bytes, which are hashed as they are formatted and never
-    /// stored (see [`JobKey`]).
+    /// Builds a spec and derives its content key (see [`JobKey`]).
     pub fn new(
         workload: impl Into<String>,
         engine: EngineKind,
@@ -181,23 +228,28 @@ impl JobSpec {
         source: impl Into<String>,
         config: &CoreConfig,
     ) -> JobSpec {
-        let workload = workload.into();
         let source = source.into();
-        let mut h = KeyHasher(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142);
-        // \x1f separators prevent field-boundary ambiguity.
-        write!(
-            h,
-            "v{KEY_SCHEMA}\x1f{}\x1f{}\x1f{}\x1f{}\x1f{:?}\x1f{}",
-            engine.id(),
-            level.name(),
-            scale.id(),
-            profiled,
-            config,
-            source,
-        )
-        .expect("hashing is infallible");
-        let key = JobKey(h.0, h.1);
+        let key = JobKey::derive(engine, level, scale, profiled, format_args!("{config:?}"), &source);
+        let workload = workload.into();
         JobSpec { workload, engine, level, scale, profiled, source, core: config.clone(), key }
+    }
+
+    /// [`JobSpec::new`] with the config already rendered; the key is the
+    /// same.
+    pub fn from_rendered(
+        workload: impl Into<String>,
+        engine: EngineKind,
+        level: IsaLevel,
+        scale: Scale,
+        profiled: bool,
+        source: impl Into<String>,
+        config: &RenderedConfig<'_>,
+    ) -> JobSpec {
+        let source = source.into();
+        let key = JobKey::derive(engine, level, scale, profiled, &config.text, &source);
+        let workload = workload.into();
+        let core = config.config.clone();
+        JobSpec { workload, engine, level, scale, profiled, source, core, key }
     }
 
     /// Display label for progress lines and diagnostics, e.g.
@@ -264,6 +316,44 @@ mod tests {
         assert_eq!(JobKey::parse(&k.hex()), Some(k));
         assert_eq!(k.hex().len(), 32);
         assert_eq!(JobKey::parse("zz"), None);
+    }
+
+    #[test]
+    fn key_parse_accepts_only_what_hex_emits() {
+        let k = JobKey(0x0123_4567_89ab_cdef, 0xa);
+        assert_eq!(JobKey::parse("0123456789abcdef000000000000000a"), Some(k));
+        // `from_str_radix` alone takes a sign and either case, so these
+        // would parse to keys whose `hex()` differs from the input.
+        for other in [
+            "+00000000000000a+00000000000000b",
+            "-00000000000000a000000000000000b",
+            "0123456789ABCDEF000000000000000A",
+            "0123456789abcdef000000000000000 ",
+            "0123456789abcdef000000000000000a0",
+        ] {
+            assert_eq!(JobKey::parse(other), None, "{other}");
+        }
+    }
+
+    #[test]
+    fn rendered_config_gives_the_same_key() {
+        let mut cfg = CoreConfig::paper();
+        cfg.tier = false;
+        let rendered = RenderedConfig::new(&cfg);
+        for (source, profiled) in [("print(1)", false), ("print(2)", true)] {
+            let a = JobSpec::new("w", EngineKind::Js, IsaLevel::Typed, Scale::Test, profiled, source, &cfg);
+            let b = JobSpec::from_rendered(
+                "w",
+                EngineKind::Js,
+                IsaLevel::Typed,
+                Scale::Test,
+                profiled,
+                source,
+                &rendered,
+            );
+            assert_eq!(a.key, b.key);
+            assert!(!b.core.tier);
+        }
     }
 
     #[test]

@@ -2,8 +2,25 @@
 //!
 //! The cache files and `BENCH_*.json` artifacts are plain JSON, but the
 //! workspace must build with no registry access, so this is a small
-//! hand-rolled implementation instead of serde. Four properties matter
-//! here beyond correctness:
+//! hand-rolled implementation instead of serde. It has two halves:
+//!
+//! * **one writer** — every document, typed or a [`Json`] tree, is printed
+//!   by one streaming printer that owns the layout rules: two-space
+//!   indent, `": "` after a key, a comma and a newline between items, `{}`
+//!   and `[]` for empty containers, and the escape set (`"`, `\`, `\n`,
+//!   `\r`, `\t`, other bytes below 0x20 as `\u00xx`). Typed documents
+//!   (cells, cache entries, artifacts, profiles) print their fields
+//!   straight into one output `String`: no tree is built and no key,
+//!   number or string is copied on the way. A float prints as its
+//!   shortest `Display` form; a non-finite float prints as `null`, since
+//!   JSON has no spelling for infinity or NaN;
+//! * **a borrowing reader** — [`Json::parse`] returns a tree that borrows
+//!   from the input text: keys, number text and strings without escapes
+//!   are slices of it ([`Cow::Borrowed`]). Each array and object owns one
+//!   `Vec` sized to its items; beyond that, only a string with escapes
+//!   allocates. Callers keep the text alive while they decode.
+//!
+//! Four properties matter beyond correctness:
 //!
 //! * **lossless integers** — performance counters are `u64` values that
 //!   can exceed 2^53, so numbers keep their raw decimal text
@@ -12,13 +29,15 @@
 //!   same data always serializes to the same bytes (cache round-trip
 //!   tests compare artifacts textually);
 //! * **linear time** — the reader visits each input byte a bounded number
-//!   of times and copies each run of unescaped string bytes as one slice,
-//!   as the writer does; every cache hit and artifact reload goes through
-//!   it;
+//!   of times; every cache hit and artifact reload goes through it;
 //! * **bounded nesting** — arrays and objects nest at most 128 levels,
 //!   so a hostile or corrupt file is a located parse error (a cache
 //!   miss), never a stack overflow.
+//!
+//! The reader accepts numbers in the JSON grammar only (no leading zeros,
+//! no bare `.` or exponent marker), which is all the writer produces.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// The deepest array/object nesting [`Json::parse`] accepts. The
@@ -26,36 +45,36 @@ use std::fmt::Write as _;
 /// reader's recursion.
 const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value.
+/// A parsed JSON value, borrowing from the text it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, kept as its raw decimal text (lossless for `u64`).
-    Num(String),
+    Num(Cow<'a, str>),
     /// A string (unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object; insertion-ordered, duplicate keys not merged.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
-    /// Builds a number value from anything displayable as a number.
-    pub fn num(v: impl ToString) -> Json {
-        Json::Num(v.to_string())
+impl<'a> Json<'a> {
+    /// Builds an integer value.
+    pub fn num(v: u64) -> Json<'a> {
+        Json::Num(Cow::Owned(v.to_string()))
     }
 
     /// Builds a string value.
-    pub fn str(v: impl Into<String>) -> Json {
+    pub fn str(v: impl Into<Cow<'a, str>>) -> Json<'a> {
         Json::Str(v.into())
     }
 
     /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -95,7 +114,7 @@ impl Json {
     }
 
     /// Array elements.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
@@ -119,56 +138,25 @@ impl Json {
 
     /// Serializes with 2-space indentation and a trailing newline.
     pub fn to_pretty_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
+        JsonWriter::print(|w| self.write(w))
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
+    fn write(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(s) => out.push_str(s),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(s) => w.out.push_str(s),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.arr(|a| {
+                for item in items {
+                    item.write(a.item());
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
+            }),
+            Json::Obj(fields) => w.obj(|o| {
+                for (k, v) in fields {
+                    v.write(o.key(k));
                 }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
-            }
+            }),
         }
     }
 
@@ -177,8 +165,17 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+    pub fn parse(text: &'a str) -> Result<Json<'a>, String> {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            items: Vec::new(),
+            // Enough for a cache entry's open objects, so the scratch
+            // allocates once.
+            fields: Vec::with_capacity(32),
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -189,36 +186,164 @@ impl Json {
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// The one JSON printer (see the module doc for its layout rules). A
+/// value is written at the writer's current position: the whole document
+/// at first, then an object member's value after [`ObjWriter::key`] or an
+/// array element after [`ArrWriter::item`].
+#[derive(Debug)]
+pub(crate) struct JsonWriter {
+    out: String,
+    /// Arrays and objects currently open.
+    depth: usize,
+}
+
+impl JsonWriter {
+    /// Prints the document `body` writes, with a trailing newline.
+    pub(crate) fn print(body: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter { out: String::new(), depth: 0 };
+        body(&mut w);
+        w.out.push('\n');
+        w.out
+    }
+
+    pub(crate) fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    pub(crate) fn bool(&mut self, v: bool) {
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// An integer, its digits formatted in place.
+    pub(crate) fn u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    }
+
+    /// A float in its shortest `Display` form, or `null` when it is not
+    /// finite.
+    pub(crate) fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            let _ = write!(self.out, "{v}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// A string literal. Only ASCII bytes are escaped, so the runs
+    /// between them are pushed as whole slices.
+    pub(crate) fn str(&mut self, s: &str) {
+        let out = &mut self.out;
+        out.push('"');
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            out.push_str(&s[run..i]);
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    let _ = write!(out, "\\u{b:04x}");
+                }
+            }
+            run = i + 1;
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
+
+    /// An object whose members `body` writes.
+    pub(crate) fn obj(&mut self, body: impl FnOnce(&mut ObjWriter<'_>)) {
+        self.out.push('{');
+        self.depth += 1;
+        let mut o = ObjWriter { w: self, empty: true };
+        body(&mut o);
+        let empty = o.empty;
+        self.close('}', empty);
+    }
+
+    /// An array whose elements `body` writes.
+    pub(crate) fn arr(&mut self, body: impl FnOnce(&mut ArrWriter<'_>)) {
+        self.out.push('[');
+        self.depth += 1;
+        let mut a = ArrWriter { w: self, empty: true };
+        body(&mut a);
+        let empty = a.empty;
+        self.close(']', empty);
+    }
+
+    fn close(&mut self, bracket: char, empty: bool) {
+        self.depth -= 1;
+        if !empty {
+            self.newline();
+        }
+        self.out.push(bracket);
+    }
+
+    /// Starts the next item of the innermost open container.
+    fn next_item(&mut self, first: bool) {
+        if !first {
+            self.out.push(',');
+        }
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        const SPACES: &str = "                                                                ";
+        self.out.push('\n');
+        let mut n = 2 * self.depth;
+        while n > 0 {
+            let k = n.min(SPACES.len());
+            self.out.push_str(&SPACES[..k]);
+            n -= k;
+        }
     }
 }
 
-/// Writes `s` as a JSON string literal. Only ASCII bytes are escaped, so
-/// the runs between them are pushed as whole slices.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-        run = i + 1;
+/// The members of one object being written.
+pub(crate) struct ObjWriter<'w> {
+    w: &'w mut JsonWriter,
+    empty: bool,
+}
+
+impl ObjWriter<'_> {
+    /// Starts member `key`; write its value on the returned writer.
+    pub(crate) fn key(&mut self, key: &str) -> &mut JsonWriter {
+        self.w.next_item(self.empty);
+        self.empty = false;
+        self.w.str(key);
+        self.w.out.push_str(": ");
+        self.w
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+}
+
+/// The elements of one array being written.
+pub(crate) struct ArrWriter<'w> {
+    w: &'w mut JsonWriter,
+    empty: bool,
+}
+
+impl ArrWriter<'_> {
+    /// Starts the next element; write it on the returned writer.
+    pub(crate) fn item(&mut self) -> &mut JsonWriter {
+        self.w.next_item(self.empty);
+        self.empty = false;
+        self.w
+    }
 }
 
 struct Parser<'a> {
@@ -227,9 +352,14 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// Items of the open arrays, innermost last; a closing array moves
+    /// its own into one exactly sized `Vec`.
+    items: Vec<Json<'a>>,
+    /// Fields of the open objects, likewise.
+    fields: Vec<(Cow<'a, str>, Json<'a>)>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -253,7 +383,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json<'a>, String> {
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
                 if self.depth == MAX_DEPTH {
@@ -273,7 +403,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, v: Json<'a>) -> Result<Json<'a>, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
@@ -282,33 +412,37 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
+        self.pos += self.bytes[start..]
+            .iter()
+            .take_while(|b| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .count();
         let text = &self.text[start..self.pos];
-        // Validate by parsing as f64 (covers every JSON number form).
-        text.parse::<f64>().map_err(|_| format!("bad number at byte {start}"))?;
-        Ok(Json::Num(text.to_string()))
+        if !is_json_number(text.as_bytes()) {
+            return Err(format!("bad number at byte {start}"));
+        }
+        Ok(Json::Num(Cow::Borrowed(text)))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Everything up to the next quote or backslash, from `pos`; both
+    /// are ASCII, so the run ends on a char boundary.
+    fn run(&mut self) -> &'a str {
+        let run = self.pos;
+        self.pos = self.bytes[run..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(self.bytes.len(), |n| run + n);
+        &self.text[run..self.pos]
+    }
+
+    /// A string: a slice of the input until the first escape, which
+    /// makes it owned.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         let start = self.pos;
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed(self.run());
         loop {
-            // Everything up to the next quote or backslash is copied
-            // verbatim; both are ASCII, so the run ends on a char boundary.
-            let run = self.pos;
-            self.pos = self.bytes[run..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .map_or(self.bytes.len(), |n| run + n);
-            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(format!("unterminated string at byte {start}")),
                 Some(b'"') => {
@@ -316,8 +450,11 @@ impl Parser<'_> {
                     return Ok(out);
                 }
                 _ => {
+                    // On a backslash.
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    let owned = out.to_mut();
+                    self.escape(owned)?;
+                    owned.push_str(self.run());
                 }
             }
         }
@@ -354,36 +491,37 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.drain(base..).collect()));
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        let base = self.fields.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(Json::Obj(Vec::new()));
         }
         loop {
             self.skip_ws();
@@ -392,13 +530,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            fields.push((key, value));
+            self.fields.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(Json::Obj(self.fields.drain(base..).collect()));
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
@@ -406,17 +544,52 @@ impl Parser<'_> {
     }
 }
 
+/// Whether `b` is a JSON number:
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+fn is_json_number(b: &[u8]) -> bool {
+    let digits = |i: usize| b[i..].iter().take_while(|c| c.is_ascii_digit()).count();
+    let mut i = usize::from(b.first() == Some(&b'-'));
+    match b.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => i += digits(i),
+        _ => return false,
+    }
+    if b.get(i) == Some(&b'.') {
+        let n = digits(i + 1);
+        if n == 0 {
+            return false;
+        }
+        i += 1 + n;
+    }
+    if matches!(b.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(b.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        let n = digits(i);
+        if n == 0 {
+            return false;
+        }
+        i += n;
+    }
+    i == b.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn num(text: &str) -> Json<'static> {
+        Json::Num(Cow::Owned(text.into()))
+    }
 
     #[test]
     fn roundtrip_document() {
         let doc = Json::Obj(vec![
             ("name".into(), Json::str("fibo\n\"quoted\"")),
-            ("count".into(), Json::num(20_000_000_000u64)),
-            ("neg".into(), Json::num(-42)),
-            ("pi".into(), Json::num(3.25)),
+            ("count".into(), Json::num(20_000_000_000)),
+            ("neg".into(), num("-42")),
+            ("pi".into(), num("3.25")),
             ("flag".into(), Json::Bool(true)),
             ("none".into(), Json::Null),
             ("items".into(), Json::Arr(vec![Json::num(1), Json::str("x"), Json::Arr(vec![])])),
@@ -428,11 +601,64 @@ mod tests {
     }
 
     #[test]
+    fn parsed_tree_borrows_everything_but_escaped_strings() {
+        let text = r#"{"plain": "abc", "esc": "a\nb", "n": 12, "a": [1, "x"]}"#;
+        let doc = Json::parse(text).unwrap();
+        let Json::Obj(fields) = &doc else { panic!("not an object") };
+        assert!(fields.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert!(matches!(doc.get("plain"), Some(Json::Str(Cow::Borrowed("abc")))));
+        assert!(matches!(doc.get("esc"), Some(Json::Str(Cow::Owned(s))) if s == "a\nb"));
+        assert!(matches!(doc.get("n"), Some(Json::Num(Cow::Borrowed("12")))));
+        assert!(matches!(
+            doc.get("a").and_then(Json::as_arr),
+            Some([Json::Num(Cow::Borrowed("1")), Json::Str(Cow::Borrowed("x"))])
+        ));
+    }
+
+    #[test]
+    fn writer_layout_matches_the_tree_printer() {
+        let printed = JsonWriter::print(|w| {
+            w.obj(|o| {
+                o.key("a").u64(u64::MAX);
+                o.key("b").f64(1.5);
+                o.key("c").arr(|a| {
+                    a.item().null();
+                    a.item().bool(false);
+                    a.item().obj(|_| {});
+                    a.item().arr(|_| {});
+                });
+                o.key("k\"ey").str("v\u{1}");
+            })
+        });
+        assert_eq!(
+            printed,
+            "{\n  \"a\": 18446744073709551615,\n  \"b\": 1.5,\n  \"c\": [\n    null,\n    \
+             false,\n    {},\n    []\n  ],\n  \"k\\\"ey\": \"v\\u0001\"\n}\n"
+        );
+        assert_eq!(Json::parse(&printed).unwrap().to_pretty_string(), printed);
+    }
+
+    #[test]
+    fn non_finite_floats_print_as_null() {
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(JsonWriter::print(|w| w.f64(v)), "null\n");
+        }
+        assert_eq!(JsonWriter::print(|w| w.f64(-0.25)), "-0.25\n");
+        // An out-of-range number reads as infinity; written back as a
+        // float it is `null`, never a bare `inf`.
+        let doc = Json::parse(r#"{"a": 1e400}"#).unwrap();
+        let big = doc.get("a").and_then(Json::as_f64).unwrap();
+        assert!(big.is_infinite());
+        let text = JsonWriter::print(|w| w.obj(|o| o.key("a").f64(big)));
+        assert_eq!(Json::parse(&text).unwrap().get("a"), Some(&Json::Null));
+    }
+
+    #[test]
     fn u64_is_lossless_beyond_2_53() {
         let v = u64::MAX - 1;
         let doc = Json::Obj(vec![("big".into(), Json::num(v))]);
-        let back = Json::parse(&doc.to_pretty_string()).unwrap();
-        assert_eq!(back.req_u64("big").unwrap(), v);
+        let back = Json::parse(&doc.to_pretty_string()).unwrap().req_u64("big").unwrap();
+        assert_eq!(back, v);
     }
 
     #[test]
@@ -452,16 +678,28 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("\"abc").is_err());
+        assert!(Json::parse("\"a\\nbc").is_err());
         assert!(Json::parse("{}x").unwrap_err().contains("trailing"));
         assert!(Json::parse("nul").is_err());
     }
 
     #[test]
+    fn numbers_follow_the_json_grammar() {
+        for good in ["0", "-0", "7", "-12", "0.5", "1.25e-3", "6E+2", "10e5", "18446744073709551615"] {
+            let doc = Json::parse(good).unwrap_or_else(|e| panic!("{good}: {e}"));
+            assert_eq!(doc.to_pretty_string(), format!("{good}\n"));
+        }
+        for bad in ["01", "-", "1.", ".5", "-.5", "1.e5", "1e", "1e+", "--1", "1-2", "+1"] {
+            let err = Json::parse(&format!("[{bad}]")).unwrap_err();
+            assert!(err.contains("at byte 1"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn escapes_roundtrip() {
         let s = "tab\t nl\n cr\r quote\" backslash\\ unicode✓ ctrl\u{1}";
-        let doc = Json::Str(s.to_string());
-        let back = Json::parse(&doc.to_pretty_string()).unwrap();
-        assert_eq!(back.as_str().unwrap(), s);
+        let text = Json::str(s).to_pretty_string();
+        assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
     }
 
     #[test]
@@ -478,8 +716,11 @@ mod tests {
         let mut rng = tarch_testkit::Rng::new(0x5eed);
         for _ in 0..500 {
             let doc = Json::Obj(vec![
-                (string(&mut rng), Json::Str(string(&mut rng))),
-                (string(&mut rng), Json::Arr(vec![Json::Str(string(&mut rng)), Json::Null])),
+                (string(&mut rng).into(), Json::str(string(&mut rng))),
+                (
+                    string(&mut rng).into(),
+                    Json::Arr(vec![Json::str(string(&mut rng)), Json::Null]),
+                ),
             ]);
             let text = doc.to_pretty_string();
             let back = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text:?}"));
@@ -494,7 +735,7 @@ mod tests {
         // the suite instead of flaking a timing assertion.
         let chunk = "plain ascii text, then ✓ é 😀 and an escape \" and \\ and \n.";
         let s = chunk.repeat((4 << 20) / chunk.len() + 1);
-        let doc = Json::Arr(vec![Json::Str(s)]);
+        let doc = Json::Arr(vec![Json::str(s)]);
         assert_eq!(Json::parse(&doc.to_pretty_string()).unwrap(), doc);
     }
 

@@ -7,9 +7,10 @@
 //! * [`job`] — the job model: a [`JobSpec`] names one simulation cell and
 //!   carries a stable [`JobKey`] content key derived from the program
 //!   source and the simulated core configuration;
-//! * [`pool`] — a `std::thread` + `mpsc` worker pool ([`run_jobs`]) that
-//!   executes cells in parallel with a configurable worker count while
-//!   returning results in deterministic (submission) order;
+//! * [`pool`] — a `std::thread::scope` worker pool ([`run_jobs`]) that
+//!   executes cells in parallel with a configurable worker count, the
+//!   calling thread among them, while returning results in deterministic
+//!   (submission) order;
 //! * [`cache`] — a persistent on-disk result cache keyed by [`JobKey`],
 //!   so re-running an experiment skips already-simulated cells;
 //! * [`artifact`] — versioned `BENCH_<timestamp>.json` run artifacts the
@@ -25,7 +26,8 @@
 //!   hot-PC / control-edge / opcode-pair observations from a profile
 //!   run, distilled on load into the engine's `PgoProfile`;
 //! * [`json`] — the minimal hand-rolled JSON reader/writer backing the
-//!   cache and artifact formats (no external dependencies).
+//!   cache and artifact formats (no external dependencies): one streaming
+//!   writer, and a reader whose tree borrows from the input text.
 //!
 //! The crate knows how to *schedule, key, persist and report* jobs but
 //! not how to *execute* them: execution is a caller-supplied closure
@@ -50,7 +52,7 @@ pub use cache::ResultCache;
 pub use compare::{compare, CellDelta, Comparison};
 pub use fleet::{FleetArtifact, ShardSummary, FLEET_SCHEMA};
 pub use percentile::Percentiles;
-pub use job::{EngineKind, JobKey, JobSpec, Scale};
+pub use job::{EngineKind, JobKey, JobSpec, RenderedConfig, Scale};
 pub use json::Json;
 pub use pgo::{PgoArtifact, PgoCell, PgoHotPc, PgoSet, PGO_SCHEMA};
 pub use pool::{

@@ -7,7 +7,7 @@
 //! to a single sample, which interpolating estimators are not; fleet
 //! tail-latency claims must survive `n = 1` smoke configurations.
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 
 /// p50/p95/p99 summary of one sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,16 +43,16 @@ impl Percentiles {
         Percentiles::of(&as_f64)
     }
 
-    /// Serializes as `{"p50": …, "p95": …, "p99": …}`.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("p50".into(), Json::num(self.p50)),
-            ("p95".into(), Json::num(self.p95)),
-            ("p99".into(), Json::num(self.p99)),
-        ])
+    /// Writes `{"p50": …, "p95": …, "p99": …}`.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|o| {
+            o.key("p50").f64(self.p50);
+            o.key("p95").f64(self.p95);
+            o.key("p99").f64(self.p99);
+        });
     }
 
-    /// Deserializes the [`Percentiles::to_json`] shape.
+    /// Deserializes `{"p50": …, "p95": …, "p99": …}`.
     ///
     /// # Errors
     ///
@@ -111,7 +111,8 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let p = Percentiles { p50: 1.5, p95: 9.25, p99: 12.0 };
-        let back = Percentiles::from_json(&p.to_json()).unwrap();
+        let text = JsonWriter::print(|w| p.write_json(w));
+        let back = Percentiles::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
         assert!(Percentiles::from_json(&Json::Obj(vec![])).is_err());
     }

@@ -16,7 +16,7 @@
 //! order, so write → read → write is byte-identical (pinned by test).
 
 use crate::job::{EngineKind, Scale};
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use std::collections::BTreeMap;
 use std::path::Path;
 use tarch_core::{EdgeProfile, IsaLevel, PgoProfile, LINK_HINT_SLOTS};
@@ -130,61 +130,43 @@ impl PgoCell {
         )
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("engine".into(), Json::str(self.engine.id())),
-            ("level".into(), Json::str(self.level.name())),
-            ("sample_period".into(), Json::num(self.sample_period)),
-            ("total_samples".into(), Json::num(self.total_samples)),
-            (
-                "hot_pcs".into(),
-                Json::Arr(
-                    self.hot_pcs
-                        .iter()
-                        .map(|h| {
-                            Json::Obj(vec![
-                                ("pc".into(), Json::num(h.pc)),
-                                ("samples".into(), Json::num(h.samples)),
-                                ("icache".into(), Json::num(h.icache)),
-                                ("dcache".into(), Json::num(h.dcache)),
-                                ("itlb".into(), Json::num(h.itlb)),
-                                ("dtlb".into(), Json::num(h.dtlb)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "edges".into(),
-                Json::Arr(
-                    self.edges
-                        .iter()
-                        .map(|&(from, to, count)| {
-                            Json::Obj(vec![
-                                ("from".into(), Json::num(from)),
-                                ("to".into(), Json::num(to)),
-                                ("count".into(), Json::num(count)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "pairs".into(),
-                Json::Arr(
-                    self.pairs
-                        .iter()
-                        .map(|(prev, cur, count)| {
-                            Json::Obj(vec![
-                                ("prev".into(), Json::str(prev.clone())),
-                                ("cur".into(), Json::str(cur.clone())),
-                                ("count".into(), Json::num(*count)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|o| {
+            o.key("engine").str(self.engine.id());
+            o.key("level").str(self.level.name());
+            o.key("sample_period").u64(self.sample_period);
+            o.key("total_samples").u64(self.total_samples);
+            o.key("hot_pcs").arr(|a| {
+                for h in &self.hot_pcs {
+                    a.item().obj(|o| {
+                        o.key("pc").u64(h.pc);
+                        o.key("samples").u64(h.samples);
+                        o.key("icache").u64(h.icache);
+                        o.key("dcache").u64(h.dcache);
+                        o.key("itlb").u64(h.itlb);
+                        o.key("dtlb").u64(h.dtlb);
+                    });
+                }
+            });
+            o.key("edges").arr(|a| {
+                for &(from, to, count) in &self.edges {
+                    a.item().obj(|o| {
+                        o.key("from").u64(from);
+                        o.key("to").u64(to);
+                        o.key("count").u64(count);
+                    });
+                }
+            });
+            o.key("pairs").arr(|a| {
+                for (prev, cur, count) in &self.pairs {
+                    a.item().obj(|o| {
+                        o.key("prev").str(prev);
+                        o.key("cur").str(cur);
+                        o.key("count").u64(*count);
+                    });
+                }
+            });
+        });
     }
 
     fn from_json(v: &Json) -> Result<PgoCell, String> {
@@ -268,15 +250,21 @@ impl PgoArtifact {
         self.cell(engine, level).map(PgoCell::profile)
     }
 
-    /// Full JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(PGO_SCHEMA)),
-            ("workload".into(), Json::str(self.workload.clone())),
-            ("scale".into(), Json::str(self.scale.id())),
-            ("step_budget".into(), Json::num(self.step_budget)),
-            ("cells".into(), Json::Arr(self.cells.iter().map(PgoCell::to_json).collect())),
-        ])
+    /// The JSON document.
+    fn document(&self) -> String {
+        JsonWriter::print(|w| {
+            w.obj(|o| {
+                o.key("schema").str(PGO_SCHEMA);
+                o.key("workload").str(&self.workload);
+                o.key("scale").str(self.scale.id());
+                o.key("step_budget").u64(self.step_budget);
+                o.key("cells").arr(|a| {
+                    for c in &self.cells {
+                        c.write_json(a.item());
+                    }
+                });
+            })
+        })
     }
 
     /// Writes the artifact to `path`.
@@ -285,7 +273,7 @@ impl PgoArtifact {
     ///
     /// Returns the underlying I/O error message.
     pub fn write(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json().to_pretty_string())
+        std::fs::write(path, self.document())
             .map_err(|e| format!("write {}: {e}", path.display()))
     }
 
@@ -434,7 +422,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert_eq!(back, a);
         // Re-serializing what was read reproduces the original bytes.
-        assert_eq!(back.to_json().to_pretty_string(), text);
+        assert_eq!(back.document(), text);
     }
 
     #[test]
@@ -501,7 +489,7 @@ mod tests {
     fn schema_mismatch_is_rejected() {
         let a = sample_artifact();
         let path = temp("schema");
-        let text = a.to_json().to_pretty_string().replace(PGO_SCHEMA, "tarch-pgo/v999");
+        let text = a.document().replace(PGO_SCHEMA, "tarch-pgo/v999");
         std::fs::write(&path, text).unwrap();
         let err = PgoArtifact::read(&path).unwrap_err();
         let _ = std::fs::remove_file(&path);

@@ -1,11 +1,15 @@
 //! The worker pool: parallel job execution with deterministic result
 //! ordering, cache integration, and run statistics.
 //!
-//! Built on `std::thread::scope` + `mpsc`: workers claim job indices
-//! from an atomic counter (dynamic load balancing — simulation cells
-//! vary by orders of magnitude in length), send `(index, outcome)` pairs
-//! back, and the collector reassembles results in submission order, so a
-//! parallel run is observationally identical to the serial one.
+//! Built on `std::thread::scope`: the calling thread is one of the
+//! workers, and the others are spawned beside it (none when one worker
+//! is asked for). Workers claim job indices from an atomic counter
+//! (dynamic load balancing — simulation cells vary by orders of magnitude
+//! in length), keep their `(index, outcome)` pairs, and return them when
+//! joined. The pairs are then put back in submission order, so a parallel
+//! run is observationally identical to the serial one. The live progress
+//! line comes from shared atomic counters, printed by whichever worker
+//! finishes a job.
 
 use crate::cache::ResultCache;
 use crate::job::JobSpec;
@@ -13,7 +17,6 @@ use crate::result::CellResult;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// Default per-job step budget (generous; `Scale::Full` workloads are
@@ -234,89 +237,37 @@ where
     };
 
     let total = jobs.len();
-    let mut slots: Vec<Option<Result<JobOutcome, RunnerError>>> = Vec::new();
-    slots.resize_with(total, || None);
-
-    if total > 0 {
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let (tx, rx) = mpsc::channel::<(usize, Result<JobOutcome, RunnerError>)>();
-        let exec = &exec;
-        let cache = cache.as_ref();
-        let jobs = &jobs;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let spec = &jobs[i];
-                    let job_started = Instant::now();
-                    let outcome = match cache.and_then(|c| c.load(&spec.key)) {
-                        Some(result) => Ok(JobOutcome {
-                            spec: spec.clone(),
-                            result,
-                            cached: true,
-                            wall_nanos: job_started.elapsed().as_nanos() as u64,
-                        }),
-                        None => match exec(spec, cfg.step_budget) {
-                            Ok(result) => {
-                                if let Some(c) = cache {
-                                    // Best-effort: a failed store only
-                                    // costs a future re-simulation.
-                                    let _ = c.store(&spec.key, &result);
-                                }
-                                Ok(JobOutcome {
-                                    spec: spec.clone(),
-                                    result,
-                                    cached: false,
-                                    wall_nanos: job_started.elapsed().as_nanos() as u64,
-                                })
-                            }
-                            Err(ExecError::StepBudget { steps }) => {
-                                Err(RunnerError::StepBudget { label: spec.label(), steps })
-                            }
-                            Err(ExecError::Failed(detail)) => {
-                                Err(RunnerError::Cell { label: spec.label(), detail })
-                            }
-                        },
-                    };
-                    if tx.send((i, outcome)).is_err() {
-                        break; // collector gone; nothing left to do
-                    }
-                });
-            }
-            drop(tx);
-
-            // Collector: reassemble by index, narrating progress.
-            let mut done = 0usize;
-            let mut hits = 0usize;
-            let mut misses = 0usize;
-            for (i, outcome) in rx {
-                done += 1;
-                if let Ok(o) = &outcome {
-                    if o.cached {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                }
-                if cfg.progress {
-                    let label = match &outcome {
-                        Ok(o) => o.spec.label(),
-                        Err(e) => format!("FAILED: {e}"),
-                    };
-                    eprint!("\r[{done}/{total}] {hits} cached, {misses} simulated  {label:<44}");
-                }
-                slots[i] = Some(outcome);
-            }
+    let next = AtomicUsize::new(0);
+    let progress = Progress::default();
+    // One worker: claims indices until none is left, and returns what it
+    // ran in claim order.
+    let work = || {
+        let mut ran = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = jobs.get(i) else { return ran };
+            let outcome = run_one(spec, cache.as_ref(), cfg.step_budget, &exec);
             if cfg.progress {
-                eprintln!();
+                progress.note(spec, &outcome, total);
             }
-        });
+            ran.push((i, outcome));
+        }
+    };
+    let mut ran = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut ran = work();
+        for other in others {
+            ran.extend(other.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        ran
+    });
+    if cfg.progress && total > 0 {
+        // Workers print out of order; end on the final counts.
+        let hits = progress.hits.load(Ordering::Relaxed);
+        let misses = progress.misses.load(Ordering::Relaxed);
+        eprintln!("\r[{total}/{total}] {hits} cached, {misses} simulated  {:<44}", "");
     }
+    ran.sort_unstable_by_key(|&(i, _)| i);
 
     let mut outcomes = Vec::with_capacity(total);
     let mut stats = RunStats {
@@ -324,18 +275,83 @@ where
         workers,
         ..RunStats::default()
     };
-    for slot in slots {
-        let outcome = slot.expect("every job index reports exactly once")?;
-        if outcome.cached {
+    for (spec, (_, outcome)) in jobs.into_iter().zip(ran) {
+        let Ran { result, cached, wall_nanos } = outcome?;
+        if cached {
             stats.cache_hits += 1;
         } else {
             stats.cache_misses += 1;
-            stats.simulated_instructions += outcome.result.counters.instructions;
+            stats.simulated_instructions += result.counters.instructions;
         }
-        outcomes.push(outcome);
+        outcomes.push(JobOutcome { spec, result, cached, wall_nanos });
     }
     stats.wall_nanos = started.elapsed().as_nanos() as u64;
     Ok(RunReport { outcomes, stats })
+}
+
+/// One job's result before it is paired with its spec again.
+struct Ran {
+    result: CellResult,
+    cached: bool,
+    wall_nanos: u64,
+}
+
+/// Runs one job: a cache hit skips `exec`; a fresh result is stored back
+/// best-effort.
+fn run_one<F>(
+    spec: &JobSpec,
+    cache: Option<&ResultCache>,
+    step_budget: u64,
+    exec: &F,
+) -> Result<Ran, RunnerError>
+where
+    F: Fn(&JobSpec, u64) -> Result<CellResult, ExecError>,
+{
+    let started = Instant::now();
+    let ran = |result, cached| Ran { result, cached, wall_nanos: started.elapsed().as_nanos() as u64 };
+    if let Some(result) = cache.and_then(|c| c.load(&spec.key)) {
+        return Ok(ran(result, true));
+    }
+    match exec(spec, step_budget) {
+        Ok(result) => {
+            if let Some(c) = cache {
+                // Best-effort: a failed store only costs a future
+                // re-simulation.
+                let _ = c.store(&spec.key, &result);
+            }
+            Ok(ran(result, false))
+        }
+        Err(ExecError::StepBudget { steps }) => {
+            Err(RunnerError::StepBudget { label: spec.label(), steps })
+        }
+        Err(ExecError::Failed(detail)) => Err(RunnerError::Cell { label: spec.label(), detail }),
+    }
+}
+
+/// Counts behind the live progress line, shared by the workers.
+#[derive(Default)]
+struct Progress {
+    done: AtomicUsize,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
+}
+
+impl Progress {
+    /// Counts one finished job and prints the line.
+    fn note(&self, spec: &JobSpec, outcome: &Result<Ran, RunnerError>, total: usize) {
+        let bump = |n: &AtomicUsize| n.fetch_add(1, Ordering::Relaxed) + 1;
+        let (hits, misses) = match outcome {
+            Ok(r) if r.cached => (bump(&self.hits), self.misses.load(Ordering::Relaxed)),
+            Ok(_) => (self.hits.load(Ordering::Relaxed), bump(&self.misses)),
+            Err(_) => (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed)),
+        };
+        let done = bump(&self.done);
+        let label = match outcome {
+            Ok(_) => spec.label(),
+            Err(e) => format!("FAILED: {e}"),
+        };
+        eprint!("\r[{done}/{total}] {hits} cached, {misses} simulated  {label:<44}");
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The result of one simulated cell, and its JSON encoding (shared by
 //! the on-disk cache and the `BENCH_*.json` artifacts).
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter};
 use tarch_core::trace::{HotPc, MetricWindow, Occupancy, PcMisses, WindowStats};
 use tarch_core::{BranchStats, PerfCounters, TraceSummary};
 
@@ -42,64 +42,60 @@ impl CellResult {
         self.counters.per_kilo_instr(self.branch.total_misses())
     }
 
-    /// JSON encoding; field-by-field, lossless for every `u64` counter.
-    pub fn to_json(&self) -> Json {
-        let c = &self.counters;
-        let counters = Json::Obj(vec![
-            ("cycles".into(), Json::num(c.cycles)),
-            ("instructions".into(), Json::num(c.instructions)),
-            ("helper_instructions".into(), Json::num(c.helper_instructions)),
-            ("helper_cycles".into(), Json::num(c.helper_cycles)),
-            ("icache_accesses".into(), Json::num(c.icache_accesses)),
-            ("icache_misses".into(), Json::num(c.icache_misses)),
-            ("dcache_accesses".into(), Json::num(c.dcache_accesses)),
-            ("dcache_misses".into(), Json::num(c.dcache_misses)),
-            ("itlb_misses".into(), Json::num(c.itlb_misses)),
-            ("dtlb_misses".into(), Json::num(c.dtlb_misses)),
-            ("type_checks".into(), Json::num(c.type_checks)),
-            ("type_hits".into(), Json::num(c.type_hits)),
-            ("type_misses".into(), Json::num(c.type_misses)),
-            ("overflow_misses".into(), Json::num(c.overflow_misses)),
-            ("chklb_checks".into(), Json::num(c.chklb_checks)),
-            ("chklb_misses".into(), Json::num(c.chklb_misses)),
-            ("loads".into(), Json::num(c.loads)),
-            ("stores".into(), Json::num(c.stores)),
-            ("tagged_mem".into(), Json::num(c.tagged_mem)),
-            ("typed_alu".into(), Json::num(c.typed_alu)),
-            ("fp_ops".into(), Json::num(c.fp_ops)),
-            ("ecalls".into(), Json::num(c.ecalls)),
-        ]);
-        let b = &self.branch;
-        let branch = Json::Obj(vec![
-            ("branches".into(), Json::num(b.branches)),
-            ("branch_misses".into(), Json::num(b.branch_misses)),
-            ("jumps".into(), Json::num(b.jumps)),
-            ("jump_misses".into(), Json::num(b.jump_misses)),
-        ]);
-        Json::Obj(vec![
-            ("counters".into(), counters),
-            ("branch".into(), branch),
-            ("output".into(), Json::str(self.output.clone())),
-            (
-                "bytecodes".into(),
-                match self.bytecodes {
-                    Some(n) => Json::num(n),
-                    None => Json::Null,
-                },
-            ),
-            ("sim_nanos".into(), Json::num(self.sim_nanos)),
-            ("tier_deopts".into(), Json::num(self.tier_deopts)),
-            (
-                "trace".into(),
-                match &self.trace {
-                    Some(t) => trace_to_json(t),
-                    None => Json::Null,
-                },
-            ),
-        ])
+    /// Writes the JSON encoding, field by field, lossless for every
+    /// `u64` counter. `volatile: false` leaves out `sim_nanos`, the
+    /// wall-clock measurement, for result fingerprints.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter, volatile: bool) {
+        w.obj(|o| {
+            let c = &self.counters;
+            o.key("counters").obj(|o| {
+                o.key("cycles").u64(c.cycles);
+                o.key("instructions").u64(c.instructions);
+                o.key("helper_instructions").u64(c.helper_instructions);
+                o.key("helper_cycles").u64(c.helper_cycles);
+                o.key("icache_accesses").u64(c.icache_accesses);
+                o.key("icache_misses").u64(c.icache_misses);
+                o.key("dcache_accesses").u64(c.dcache_accesses);
+                o.key("dcache_misses").u64(c.dcache_misses);
+                o.key("itlb_misses").u64(c.itlb_misses);
+                o.key("dtlb_misses").u64(c.dtlb_misses);
+                o.key("type_checks").u64(c.type_checks);
+                o.key("type_hits").u64(c.type_hits);
+                o.key("type_misses").u64(c.type_misses);
+                o.key("overflow_misses").u64(c.overflow_misses);
+                o.key("chklb_checks").u64(c.chklb_checks);
+                o.key("chklb_misses").u64(c.chklb_misses);
+                o.key("loads").u64(c.loads);
+                o.key("stores").u64(c.stores);
+                o.key("tagged_mem").u64(c.tagged_mem);
+                o.key("typed_alu").u64(c.typed_alu);
+                o.key("fp_ops").u64(c.fp_ops);
+                o.key("ecalls").u64(c.ecalls);
+            });
+            let b = &self.branch;
+            o.key("branch").obj(|o| {
+                o.key("branches").u64(b.branches);
+                o.key("branch_misses").u64(b.branch_misses);
+                o.key("jumps").u64(b.jumps);
+                o.key("jump_misses").u64(b.jump_misses);
+            });
+            o.key("output").str(&self.output);
+            match self.bytecodes {
+                Some(n) => o.key("bytecodes").u64(n),
+                None => o.key("bytecodes").null(),
+            }
+            if volatile {
+                o.key("sim_nanos").u64(self.sim_nanos);
+            }
+            o.key("tier_deopts").u64(self.tier_deopts);
+            match &self.trace {
+                Some(t) => write_trace(o.key("trace"), t),
+                None => o.key("trace").null(),
+            }
+        });
     }
 
-    /// Decodes [`CellResult::to_json`] output.
+    /// Decodes the JSON encoding.
     ///
     /// # Errors
     ///
@@ -155,62 +151,56 @@ impl CellResult {
     }
 }
 
-/// Encodes a [`TraceSummary`] (lossless; every field is a `u64`).
-fn trace_to_json(t: &TraceSummary) -> Json {
-    let hot_pcs = t
-        .hot_pcs
-        .iter()
-        .map(|h| {
-            Json::Obj(vec![
-                ("pc".into(), Json::num(h.pc)),
-                ("samples".into(), Json::num(h.samples)),
-                ("icache_misses".into(), Json::num(h.misses.icache)),
-                ("dcache_misses".into(), Json::num(h.misses.dcache)),
-                ("itlb_misses".into(), Json::num(h.misses.itlb)),
-                ("dtlb_misses".into(), Json::num(h.misses.dtlb)),
-            ])
-        })
-        .collect();
-    let windows = t
-        .windows
-        .iter()
-        .map(|w| {
-            let s = &w.stats;
-            let o = &w.occupancy;
-            Json::Obj(vec![
-                ("start".into(), Json::num(w.start)),
-                ("end".into(), Json::num(w.end)),
-                ("cycles".into(), Json::num(s.cycles)),
-                ("instructions".into(), Json::num(s.instructions)),
-                ("icache_accesses".into(), Json::num(s.icache_accesses)),
-                ("icache_misses".into(), Json::num(s.icache_misses)),
-                ("dcache_accesses".into(), Json::num(s.dcache_accesses)),
-                ("dcache_misses".into(), Json::num(s.dcache_misses)),
-                ("itlb_misses".into(), Json::num(s.itlb_misses)),
-                ("dtlb_misses".into(), Json::num(s.dtlb_misses)),
-                ("branches".into(), Json::num(s.branches)),
-                ("mispredicts".into(), Json::num(s.mispredicts)),
-                ("icache_lines".into(), Json::num(o.icache_lines)),
-                ("dcache_lines".into(), Json::num(o.dcache_lines)),
-                ("itlb_entries".into(), Json::num(o.itlb_entries)),
-                ("dtlb_entries".into(), Json::num(o.dtlb_entries)),
-                ("trt_rules".into(), Json::num(o.trt_rules)),
-                ("blocks".into(), Json::num(o.blocks)),
-                ("compiled".into(), Json::num(o.compiled)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("sample_period".into(), Json::num(t.sample_period)),
-        ("total_samples".into(), Json::num(t.total_samples)),
-        ("events_recorded".into(), Json::num(t.events_recorded)),
-        ("events_dropped".into(), Json::num(t.events_dropped)),
-        ("hot_pcs".into(), Json::Arr(hot_pcs)),
-        ("windows".into(), Json::Arr(windows)),
-    ])
+/// Writes a [`TraceSummary`] (lossless; every field is a `u64`).
+fn write_trace(w: &mut JsonWriter, t: &TraceSummary) {
+    w.obj(|o| {
+        o.key("sample_period").u64(t.sample_period);
+        o.key("total_samples").u64(t.total_samples);
+        o.key("events_recorded").u64(t.events_recorded);
+        o.key("events_dropped").u64(t.events_dropped);
+        o.key("hot_pcs").arr(|a| {
+            for h in &t.hot_pcs {
+                a.item().obj(|o| {
+                    o.key("pc").u64(h.pc);
+                    o.key("samples").u64(h.samples);
+                    o.key("icache_misses").u64(h.misses.icache);
+                    o.key("dcache_misses").u64(h.misses.dcache);
+                    o.key("itlb_misses").u64(h.misses.itlb);
+                    o.key("dtlb_misses").u64(h.misses.dtlb);
+                });
+            }
+        });
+        o.key("windows").arr(|a| {
+            for win in &t.windows {
+                let s = &win.stats;
+                let c = &win.occupancy;
+                a.item().obj(|o| {
+                    o.key("start").u64(win.start);
+                    o.key("end").u64(win.end);
+                    o.key("cycles").u64(s.cycles);
+                    o.key("instructions").u64(s.instructions);
+                    o.key("icache_accesses").u64(s.icache_accesses);
+                    o.key("icache_misses").u64(s.icache_misses);
+                    o.key("dcache_accesses").u64(s.dcache_accesses);
+                    o.key("dcache_misses").u64(s.dcache_misses);
+                    o.key("itlb_misses").u64(s.itlb_misses);
+                    o.key("dtlb_misses").u64(s.dtlb_misses);
+                    o.key("branches").u64(s.branches);
+                    o.key("mispredicts").u64(s.mispredicts);
+                    o.key("icache_lines").u64(c.icache_lines);
+                    o.key("dcache_lines").u64(c.dcache_lines);
+                    o.key("itlb_entries").u64(c.itlb_entries);
+                    o.key("dtlb_entries").u64(c.dtlb_entries);
+                    o.key("trt_rules").u64(c.trt_rules);
+                    o.key("blocks").u64(c.blocks);
+                    o.key("compiled").u64(c.compiled);
+                });
+            }
+        });
+    });
 }
 
-/// Decodes [`trace_to_json`] output.
+/// Decodes [`write_trace`] output.
 fn trace_from_json(v: &Json) -> Result<TraceSummary, String> {
     let hot_pcs = v
         .get("hot_pcs")
@@ -330,11 +320,15 @@ mod tests {
         }
     }
 
+    fn text(r: &CellResult) -> String {
+        JsonWriter::print(|w| r.write_json(w, true))
+    }
+
     #[test]
     fn json_roundtrip_preserves_everything() {
         for seed in 0..4 {
             let r = sample(seed);
-            let text = r.to_json().to_pretty_string();
+            let text = text(&r);
             let back = CellResult::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, r);
         }
@@ -342,8 +336,8 @@ mod tests {
 
     #[test]
     fn missing_field_is_an_error_not_a_default() {
-        let r = sample(0);
-        let mut json = r.to_json();
+        let text = text(&sample(0));
+        let mut json = Json::parse(&text).unwrap();
         if let Json::Obj(fields) = &mut json {
             if let Json::Obj(counters) = &mut fields[0].1 {
                 counters.retain(|(k, _)| k != "cycles");
