@@ -83,7 +83,8 @@
 //!   --from-json PATH        render figures from a BENCH_*.json artifact
 //!                           instead of simulating
 //!   --compare PATH          (bench) diff host throughput against a
-//!                           baseline artifact, per cell and aggregate
+//!                           baseline artifact, per cell and aggregate;
+//!                           the baseline is read before anything runs
 //!   --min-ratio R           (bench, with --compare; pgo) exit nonzero
 //!                           when aggregate MIPS < R x the baseline's
 //!   --verbose | -v          progress + run statistics on stderr
@@ -493,6 +494,12 @@ fn bench(opts: &Opts) -> Result<(), String> {
     if opts.profile_pairs {
         return profile_pairs(opts, &ws);
     }
+    // Read the baseline first: a missing or malformed one fails before
+    // anything is simulated or written.
+    let baseline = match &opts.compare {
+        Some(path) => Some((path, BenchArtifact::read(path)?)),
+        None => None,
+    };
     let pgo_set = match &opts.pgo_dir {
         Some(dir) => {
             let set = tarch_runner::PgoSet::load(dir)?;
@@ -538,8 +545,8 @@ fn bench(opts: &Opts) -> Result<(), String> {
         run.stats.summary(),
     );
     emit(opts, "bench", Some(&artifact))?;
-    match &opts.compare {
-        Some(path) => compare_against(path, &artifact, opts.min_ratio),
+    match &baseline {
+        Some((path, baseline)) => compare_against(path, baseline, &artifact, opts.min_ratio),
         None => Ok(()),
     }
 }
@@ -1101,15 +1108,15 @@ fn run_ab_side(
 }
 
 /// Renders the per-cell and aggregate host-throughput diff of `current`
-/// against the baseline artifact at `path`, and applies the `--min-ratio`
+/// against `baseline`, read from `path`, and applies the `--min-ratio`
 /// regression gate when one was requested.
 fn compare_against(
     path: &Path,
+    baseline: &BenchArtifact,
     current: &BenchArtifact,
     min_ratio: Option<f64>,
 ) -> Result<(), String> {
-    let baseline = BenchArtifact::read(path)?;
-    let cmp = tarch_runner::compare(&baseline, current);
+    let cmp = tarch_runner::compare(baseline, current);
     println!("\ncomparison against {}:", path.display());
     println!(
         "{:<16} {:<6} {:<13} {:>8} {:>11} {:>10} {:>10} {:>7}",
@@ -1189,8 +1196,9 @@ fn selftest(opts: &Opts) -> Result<(), String> {
         pgo: None,
     };
     let run = Matrix::run_with(&ws, Scale::Test, &mopts)?;
-    // engines × levels simulated cells per workload, plus one profiled
-    // Typed-level cell per workload × engine.
+    // engines × levels cells per workload, plus one profiled Typed-level
+    // cell per workload × engine (whose run also stands for the plain
+    // Typed cell).
     let n_engines = EngineKind::ALL.len();
     let expected = ws.len() * n_engines * 3 + ws.len() * n_engines;
     if run.outcomes.len() != expected {
@@ -1206,8 +1214,9 @@ fn selftest(opts: &Opts) -> Result<(), String> {
     }
     eprintln!("{}", run.stats.summary());
     println!(
-        "selftest ok: {} jobs on {} workers, figures render",
+        "selftest ok: {} cells from {} jobs on {} workers, figures render",
         run.outcomes.len(),
+        run.stats.jobs,
         workers
     );
     Ok(())

@@ -10,12 +10,12 @@
 
 use crate::workloads::{Scale, Workload};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use tarch_core::{CoreConfig, IsaLevel};
 use tarch_fleet::build_guest;
 use tarch_runner::{
-    run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RenderedConfig, RunConfig,
-    RunStats,
+    run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RenderedConfig, ResultCache,
+    RunConfig, RunStats,
 };
 
 pub use tarch_runner::{CellResult, EngineKind};
@@ -205,30 +205,44 @@ impl Matrix {
         // Every cell shares the options' config except a PGO-guided one,
         // so that rendering is the only one most lists need.
         let core = RenderedConfig::new(&opts.core);
+        // A plain Typed cell whose spec differs from its profiled twin's
+        // only in `profiled` is not simulated: attribution changes no
+        // simulated result, so the twin's run stands for it. A PGO
+        // profile changes the cell's config, and a tracer samples at
+        // block entries, which attribution moves, so those cells run.
+        let derive = opts.profiled && opts.core.trace.is_none();
         let mut jobs = Vec::new();
-        for w in workloads {
-            for engine in EngineKind::ALL {
-                for level in IsaLevel::ALL {
-                    // Thread the cell's PGO profile (if one was loaded)
-                    // into the core config; the profile participates in
-                    // the job key, so guided and unguided runs never
-                    // collide in the cache.
-                    jobs.push(match opts.pgo.as_ref().and_then(|s| s.profile(w.name, engine, level)) {
-                        Some(p) => {
-                            let guided = CoreConfig {
-                                pgo: Some(std::sync::Arc::new(p)),
-                                ..opts.core.clone()
-                            };
-                            let guided = RenderedConfig::new(&guided);
-                            job_spec_with(w, engine, level, scale, false, &guided)
-                        }
-                        None => job_spec_with(w, engine, level, scale, false, &core),
-                    });
+        // Plain Typed cells left to their profiled twins: (position among
+        // the outcomes, spec, index of the (workload, engine) pair).
+        let mut twins = Vec::new();
+        let cells = workloads.iter().flat_map(|w| {
+            EngineKind::ALL.into_iter().flat_map(move |e| IsaLevel::ALL.map(move |l| (w, e, l)))
+        });
+        for (position, (w, engine, level)) in cells.enumerate() {
+            // Thread the cell's PGO profile (if one was loaded) into the
+            // core config; the profile participates in the job key, so
+            // guided and unguided runs never collide in the cache.
+            match opts.pgo.as_ref().and_then(|s| s.profile(w.name, engine, level)) {
+                Some(p) => {
+                    let guided =
+                        CoreConfig { pgo: Some(std::sync::Arc::new(p)), ..opts.core.clone() };
+                    let guided = RenderedConfig::new(&guided);
+                    jobs.push(job_spec_with(w, engine, level, scale, false, &guided));
+                }
+                None => {
+                    let spec = job_spec_with(w, engine, level, scale, false, &core);
+                    if derive && level == IsaLevel::Typed {
+                        twins.push((position, spec, position / IsaLevel::ALL.len()));
+                    } else {
+                        jobs.push(spec);
+                    }
                 }
             }
         }
+        // Figure 9's profiled runs: Typed level only, every engine, in
+        // the plain cells' (workload, engine) order.
+        let first_profiled = jobs.len();
         if opts.profiled {
-            // Figure 9's profiled runs: Typed level only, every engine.
             for w in workloads {
                 for engine in EngineKind::ALL {
                     jobs.push(job_spec_with(w, engine, IsaLevel::Typed, scale, true, &core));
@@ -242,10 +256,12 @@ impl Matrix {
             progress: opts.progress,
         };
         let report = run_jobs(jobs, &cfg, exec_job).map_err(|e| e.to_string())?;
-        let matrix = Matrix::from_outcomes(&report.outcomes)?;
+        let outcomes =
+            derive_twins(report.outcomes, twins, first_profiled, opts.cache_dir.as_deref());
+        let matrix = Matrix::from_outcomes(&outcomes)?;
         Ok(MatrixRun {
             matrix,
-            outcomes: report.outcomes,
+            outcomes,
             stats: report.stats,
             scale,
             step_budget: opts.step_budget,
@@ -378,6 +394,40 @@ impl Matrix {
         let this = self.try_cell(workload, engine, level)?.counters.instructions;
         Some(1.0 - this as f64 / base as f64)
     }
+}
+
+/// Puts each plain Typed cell left to its profiled twin into the outcome
+/// list at its position, as the twin's result without the bytecode
+/// count. A derived outcome carries the twin's `cached` flag and no wall
+/// time of its own (the pool did no work for it), and when the twin was
+/// simulated its result is stored under the plain cell's key, so a later
+/// plain run hits it. `twins` holds `(position, plain spec, pair)` in
+/// increasing position order; the twin of pair `k` is outcome
+/// `first_profiled + k`.
+fn derive_twins(
+    mut outcomes: Vec<JobOutcome>,
+    twins: Vec<(usize, JobSpec, usize)>,
+    first_profiled: usize,
+    cache_dir: Option<&Path>,
+) -> Vec<JobOutcome> {
+    let cache = cache_dir.and_then(|dir| ResultCache::open(dir).ok());
+    let derived: Vec<(usize, JobOutcome)> = twins
+        .into_iter()
+        .map(|(position, spec, pair)| {
+            let twin = &outcomes[first_profiled + pair];
+            let result = CellResult { bytecodes: None, ..twin.result.clone() };
+            if let (Some(cache), false) = (&cache, twin.cached) {
+                // Best-effort, like the pool's own stores.
+                let _ = cache.store(&spec.key, &result);
+            }
+            (position, JobOutcome { spec, result, cached: twin.cached, wall_nanos: 0 })
+        })
+        .collect();
+    outcomes.reserve(derived.len());
+    for (position, outcome) in derived {
+        outcomes.insert(position, outcome);
+    }
+    outcomes
 }
 
 /// Geometric mean of an iterator of positive values.

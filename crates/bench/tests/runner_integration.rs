@@ -1,10 +1,13 @@
 //! End-to-end tests of the parallel runner wired to the real engines:
-//! determinism across worker counts, cache round-trips, and artifact
-//! reload fidelity.
+//! determinism across worker counts, cache round-trips, artifact reload
+//! fidelity, and plain Typed cells derived from their profiled twins.
 
-use tarch_bench::harness::{Matrix, MatrixOptions};
+use std::path::Path;
+use std::sync::Arc;
+use tarch_bench::harness::{Matrix, MatrixOptions, MAX_STEPS};
 use tarch_bench::workloads::{self, Scale};
-use tarch_runner::BenchArtifact;
+use tarch_core::{CoreConfig, IsaLevel, TraceConfig};
+use tarch_runner::{BenchArtifact, JobOutcome, PgoSet};
 
 fn mini_workloads() -> Vec<workloads::Workload> {
     ["fibo", "n-sieve"]
@@ -143,4 +146,126 @@ fn artifact_reload_reproduces_figures() {
     }
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// The result identity of one outcome: its spec and simulated cell,
+/// without timing.
+fn fingerprint(o: &JobOutcome) -> String {
+    BenchArtifact::new(Scale::Test, MAX_STEPS, vec![o.clone()]).fingerprint()
+}
+
+fn is_plain_typed(o: &JobOutcome) -> bool {
+    !o.spec.profiled && o.spec.level == IsaLevel::Typed
+}
+
+/// With profiling on, each plain Typed cell is its profiled twin's run
+/// without the bytecode count: the pool runs 18 jobs for 24 outcomes,
+/// and the derived cells are the ones a run without profiling simulates.
+/// The derived results go into the cache under the plain keys.
+#[test]
+fn plain_typed_cells_are_derived_from_their_profiled_twins() {
+    let ws = mini_workloads();
+    let dir = temp_cache("twins");
+    let profiled = MatrixOptions {
+        workers: 2,
+        cache_dir: Some(dir.clone()),
+        profiled: true,
+        ..MatrixOptions::default()
+    };
+    let cold = Matrix::run_with(&ws, Scale::Test, &profiled).unwrap();
+    assert_eq!(cold.outcomes.len(), 24);
+    assert_eq!(cold.stats.jobs, 18, "the 6 plain Typed cells are not simulated");
+    assert_eq!(cold.stats.cache_misses, 18);
+    for o in cold.outcomes.iter().filter(|o| is_plain_typed(o)) {
+        assert!(!o.cached, "{}: carries its twin's cache flag", o.spec.label());
+        assert_eq!(o.wall_nanos, 0, "{}: the pool did no work for it", o.spec.label());
+        assert_eq!(o.result.bytecodes, None, "{}", o.spec.label());
+    }
+
+    let plain = Matrix::run_with(
+        &ws,
+        Scale::Test,
+        &MatrixOptions { workers: 2, ..MatrixOptions::default() },
+    )
+    .unwrap();
+    assert_eq!(plain.outcomes.len(), 18);
+    for (derived, simulated) in cold.outcomes.iter().zip(&plain.outcomes) {
+        assert_eq!(derived.spec.key, simulated.spec.key);
+        assert_eq!(
+            fingerprint(derived),
+            fingerprint(simulated),
+            "{}: derived cell differs from the simulated one",
+            derived.spec.label()
+        );
+    }
+
+    let warm = Matrix::run_with(&ws, Scale::Test, &profiled).unwrap();
+    assert_eq!(warm.stats.cache_hits, 18, "second run must be 100% hits");
+    assert!(warm.outcomes.iter().all(|o| o.cached), "every outcome reports cached");
+    assert_eq!(cold.artifact().fingerprint(), warm.artifact().fingerprint());
+
+    let plain_warm = Matrix::run_with(
+        &ws,
+        Scale::Test,
+        &MatrixOptions { workers: 2, cache_dir: Some(dir.clone()), ..MatrixOptions::default() },
+    )
+    .unwrap();
+    assert_eq!(plain_warm.stats.jobs, 18);
+    assert_eq!(plain_warm.stats.cache_hits, 18, "every plain cell, derived ones too, hits");
+    assert_eq!(plain.artifact().fingerprint(), plain_warm.artifact().fingerprint());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A PGO profile changes a Typed cell's config, so the cell is simulated
+/// under its own key; a cell without one is still derived.
+#[test]
+fn a_typed_cell_with_a_pgo_profile_is_simulated_not_derived() {
+    let dir = temp_cache("pgo-set");
+    std::fs::create_dir_all(&dir).unwrap();
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../pgo-artifacts/PGO_fibo.json");
+    std::fs::copy(committed, dir.join("PGO_fibo.json")).unwrap();
+    let pgo = PgoSet::load(&dir).unwrap();
+    let run = Matrix::run_with(
+        &mini_workloads(),
+        Scale::Test,
+        &MatrixOptions {
+            workers: 2,
+            profiled: true,
+            pgo: Some(Arc::new(pgo)),
+            ..MatrixOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(run.outcomes.len(), 24);
+    assert_eq!(run.stats.jobs, 21, "only n-sieve's unguided Typed cells are derived");
+    for o in run.outcomes.iter().filter(|o| is_plain_typed(o)) {
+        let guided = o.spec.core.pgo.is_some();
+        assert_eq!(guided, o.spec.workload == "fibo", "{}", o.spec.label());
+        assert_eq!(o.wall_nanos > 0, guided, "{}: simulated exactly when guided", o.spec.label());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tracer samples at block entries, and attribution moves block
+/// boundaries, so under tracing every plain Typed cell is simulated.
+#[test]
+fn traced_plain_typed_cells_are_simulated_not_derived() {
+    let run = Matrix::run_with(
+        &[workloads::by_name("fibo").unwrap()],
+        Scale::Test,
+        &MatrixOptions {
+            workers: 2,
+            profiled: true,
+            core: CoreConfig { trace: Some(TraceConfig::new()), ..CoreConfig::paper() },
+            ..MatrixOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(run.outcomes.len(), 12);
+    assert_eq!(run.stats.jobs, 12);
+    for o in run.outcomes.iter().filter(|o| is_plain_typed(o)) {
+        assert!(o.wall_nanos > 0, "{}: simulated", o.spec.label());
+        assert!(o.result.trace.is_some(), "{}: traced", o.spec.label());
+    }
 }

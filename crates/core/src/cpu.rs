@@ -23,6 +23,7 @@ use crate::bpred::BranchPredictor;
 use crate::codegen::{self, BlockExit, ExecCtx, SpanBatch};
 use crate::config::CoreConfig;
 use crate::counters::PerfCounters;
+use crate::observe::{Attribution, HandlerProfile, Observers};
 use crate::pairprof::PairProfile;
 use crate::pgo::EdgeProfile;
 use crate::predecode::{PredecodeStats, PredecodeTable};
@@ -164,10 +165,11 @@ pub struct Cpu {
     predecode: PredecodeTable,
     pub(crate) blocks: BlockTable,
     pub(crate) pair_profile: Option<Box<PairProfile>>,
-    /// Raw block-to-block edge recorder for PGO profile runs
-    /// ([`Cpu::enable_edge_profile`]); `None` costs one predictable
-    /// branch per block entry and changes nothing architectural.
-    edge_profile: Option<Box<EdgeProfile>>,
+    /// Block-entry recorders: the PGO edge recorder
+    /// ([`Cpu::enable_edge_profile`]) and per-handler attribution
+    /// ([`Cpu::enable_handler_profile`]). `None` costs one predictable
+    /// branch per block entry; neither changes anything architectural.
+    observers: Option<Box<Observers>>,
     /// Attached observer when `CoreConfig::trace` is set; `None` costs
     /// one predictable branch per hook site and changes nothing
     /// architectural (pinned by `tests/predecode_equiv.rs`).
@@ -202,7 +204,7 @@ impl Cpu {
             predecode: PredecodeTable::new(),
             blocks,
             pair_profile: None,
-            edge_profile: None,
+            observers: None,
             tracer,
             config,
         }
@@ -231,12 +233,64 @@ impl Cpu {
     /// observe anything). Host-side only: recording changes no
     /// simulated counter.
     pub fn enable_edge_profile(&mut self) {
-        self.edge_profile = Some(Box::default());
+        self.observers.get_or_insert_with(Box::default).edges = Some(EdgeProfile::new());
     }
 
     /// The recorded edge profile, when edge profiling is enabled.
     pub fn edge_profile(&self) -> Option<&EdgeProfile> {
-        self.edge_profile.as_deref()
+        self.observers.as_deref()?.edges.as_ref()
+    }
+
+    /// Starts per-handler attribution over the handler entry pcs
+    /// `entries` (the *split set*; handler `i` enters at `entries[i]`).
+    /// From now on [`Cpu::run`] counts each arrival at an entry and
+    /// credits the guest instructions retired from one arrival to the
+    /// next to the handler arrived at; see [`HandlerProfile`]. The block
+    /// builder ends every block before a split pc, so blocks built
+    /// without the split set are flushed. Restarts the counts when
+    /// called again. Host-side only: attribution changes no simulated
+    /// counter.
+    ///
+    /// # Panics
+    ///
+    /// If `entries` holds `u16::MAX` pcs or more.
+    pub fn enable_handler_profile(&mut self, entries: &[u64]) {
+        self.observers.get_or_insert_with(Box::default).handlers = Some(Attribution::new(entries));
+        self.blocks.flush();
+    }
+
+    /// The per-handler counts so far, when attribution is enabled, with
+    /// the instructions since the last arrival credited to the handler
+    /// arrived at.
+    pub fn handler_profile(&self) -> Option<HandlerProfile> {
+        let handlers = self.observers.as_deref()?.handlers.as_ref()?;
+        Some(handlers.settled(self.guest_retired()))
+    }
+
+    /// Guest instructions retired so far: every retired instruction
+    /// except those charged by native helpers.
+    #[inline]
+    fn guest_retired(&self) -> u64 {
+        self.counters.instructions - self.counters.helper_instructions
+    }
+
+    /// Notes the start of a block, or of a stepwise instruction, at `pc`
+    /// to the attached recorders. Inlined: a profiled run gets here once
+    /// per block, and a call there costs it 3–5% of its speed.
+    #[inline]
+    fn observe_entry(&mut self, pc: u64, from: Option<u64>) {
+        let retired = self.guest_retired();
+        if let Some(observers) = self.observers.as_deref_mut() {
+            observers.enter(pc, from, retired);
+        }
+    }
+
+    /// Whether the split set holds `pc` (see
+    /// [`Cpu::enable_handler_profile`]).
+    #[inline]
+    fn splits_at(&self, pc: u64) -> bool {
+        let handlers = self.observers.as_deref().and_then(|o| o.handlers.as_ref());
+        handlers.is_some_and(|h| h.splits_at(pc))
     }
 
     /// The attached tracer, when [`CoreConfig::trace`](crate::CoreConfig)
@@ -587,6 +641,11 @@ impl Cpu {
             return self.run_blocks(max_steps);
         }
         for _ in 0..max_steps {
+            // Every stepwise instruction starts a "block" of one for the
+            // recorders.
+            if self.observers.is_some() && !self.halted {
+                self.observe_entry(self.pc, None);
+            }
             match self.step()? {
                 StepEvent::Retired => {}
                 other => return Ok(other),
@@ -625,6 +684,10 @@ impl Cpu {
     ///   exit from the instruction loop.
     /// * A redirect (taken branch, jump, type/`chklb` miss) is detected as
     ///   `pc != fall-through` after execute and ends the block.
+    /// * **Per-handler attribution** ([`Cpu::enable_handler_profile`]):
+    ///   blocks end before split pcs and the recorder sees every block
+    ///   start, so a profiled run retires the same instructions, at most
+    ///   through shorter blocks (DESIGN.md invariant 10).
     /// * A guest store into the text range bumps the block generation;
     ///   the loop re-checks it after every instruction, so a block that
     ///   invalidates *itself* stops using its cached run at the store.
@@ -693,12 +756,12 @@ impl Cpu {
             // cycles land on the block about to run (closest attribution
             // available without per-instruction cost).
             self.trace_tick(pc);
-            // Phase-1 PGO edge recording: one note per chainable block
-            // exit, keyed by the blocks' entry pcs (host-side only).
-            if let (Some(profile), Some((_, from_pc))) =
-                (self.edge_profile.as_deref_mut(), chain_from)
-            {
-                profile.note(from_pc, pc);
+            // The recorders, behind one test: phase-1 PGO edge
+            // recording (one note per chainable block exit, keyed by the
+            // blocks' entry pcs) and per-handler attribution (every
+            // arrival at a split pc starts a block). Host-side only.
+            if self.observers.is_some() {
+                self.observe_entry(pc, chain_from.map(|(_, from_pc)| from_pc));
             }
             // Chained transfer: when the previous block exited through
             // its final direct branch/jump, its link for this pc (if
@@ -913,13 +976,17 @@ impl Cpu {
 
     /// Decodes one straight-line run starting at `pc`: up to `max`
     /// instructions, ending early at a block-ending instruction, the
-    /// text-range edge, or an undecodable word. Decoding goes through
-    /// the predecode table when that is enabled.
+    /// text-range edge, an undecodable word, or before a split pc
+    /// ([`Cpu::enable_handler_profile`]). Decoding goes through the
+    /// predecode table when that is enabled.
     fn decode_run(&mut self, pc: u64, max: usize) -> (Vec<u32>, Vec<Instruction>) {
         let mut words = Vec::new();
         let mut instrs = Vec::new();
         let mut p = pc;
         while self.blocks.covers(p) && instrs.len() < max {
+            if p != pc && self.splits_at(p) {
+                break;
+            }
             let word = self.mem.read_u32(p);
             let instr = match self.predecode_fetch(p) {
                 Some(instr) => instr,
@@ -951,8 +1018,9 @@ impl Cpu {
     /// and side-exits on disagreement, so a stale profile costs host
     /// speed but can never change architectural behaviour. Stops at the
     /// segment cap, the block-length cap, any revisited segment base
-    /// (loop prevention), or the first edge the profile has no verdict
-    /// on.
+    /// (loop prevention), a split pc (attribution needs every arrival
+    /// there to start a block), or the first edge the profile has no
+    /// verdict on.
     fn extend_superblock(
         &mut self,
         segs: &mut Vec<(u64, Vec<u32>, Vec<Instruction>)>,
@@ -989,6 +1057,7 @@ impl Cpu {
             if !guardable
                 || !succ.is_multiple_of(4)
                 || !self.blocks.covers(succ)
+                || self.splits_at(succ)
                 || segs.iter().any(|&(base, _, _)| base == succ)
             {
                 return;

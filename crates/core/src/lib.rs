@@ -72,6 +72,7 @@ mod config;
 mod counters;
 mod cpu;
 mod ctxsw;
+mod observe;
 mod pairprof;
 mod pgo;
 mod predecode;
@@ -86,6 +87,7 @@ pub use config::{BranchConfig, CoreConfig, IsaLevel, LatencyConfig};
 pub use counters::PerfCounters;
 pub use cpu::{canonical_f64_bits, Cpu, StepEvent, Trap};
 pub use ctxsw::TypedState;
+pub use observe::HandlerProfile;
 pub use pairprof::PairProfile;
 pub use pgo::{EdgeProfile, PgoProfile, LINK_HINT_SLOTS};
 pub use predecode::{PredecodeStats, PredecodeTable};

@@ -318,55 +318,28 @@ impl<E: Engine> GuestVm<E> {
     }
 
     /// Runs with per-opcode attribution: dynamic bytecode counts and native
-    /// instructions per handler (regenerates Figures 2(a) and 2(b)).
+    /// instructions per handler (regenerates Figures 2(b) and 9). The run
+    /// is an ordinary block-engine run with the core's per-handler
+    /// recorder attached to the image's handler entries (see
+    /// [`Cpu::enable_handler_profile`]).
     ///
     /// # Errors
     ///
     /// Same as [`GuestVm::run`].
     pub fn run_profiled(&mut self, max_steps: u64) -> Result<RunReport<E::Op>, EngineError<E>> {
-        // Every retired pc is looked up, so the lookup is a dense table
-        // from text word index to the handler's opcode ordinal (its index
-        // in `Opcode::ALL`), and the counts are arrays by ordinal.
-        const NOT_A_HANDLER: u16 = u16::MAX;
-        let ops = E::Op::ALL;
-        let base = self.image.program.text_base;
-        let word = |pc: u64| (pc - base) as usize / 4;
-        let entries = &self.image.handler_entries;
-        let mut handler = vec![NOT_A_HANDLER; entries.last().map_or(0, |&(_, pc)| word(pc) + 1)];
-        assert!(ops.len() < usize::from(NOT_A_HANDLER), "every ordinal fits below the sentinel");
-        for &(op, pc) in entries {
-            handler[word(pc)] =
-                ops.iter().position(|&o| o == op).expect("op in Opcode::ALL") as u16;
-        }
-        let entered = |pc: u64| {
-            let offset = pc.wrapping_sub(base);
-            let &ordinal = handler.get((offset / 4) as usize)?;
-            (offset.is_multiple_of(4) && ordinal != NOT_A_HANDLER).then_some(ordinal as usize)
-        };
-        let mut dynamic = vec![0u64; ops.len()];
-        let mut instructions = vec![0u64; ops.len()];
-        let mut current: Option<usize> = None;
-        let mut since_entry = 0u64;
-        let outcome = self.machine.run_observed(max_steps, |pc| {
-            if let Some(ordinal) = entered(pc) {
-                if let Some(prev) = current {
-                    instructions[prev] += since_entry;
-                }
-                dynamic[ordinal] += 1;
-                current = Some(ordinal);
-                since_entry = 0;
-            }
-            since_entry += 1;
-        })?;
-        if let Some(prev) = current {
-            instructions[prev] += since_entry;
-        }
+        let entries: Vec<u64> = self.image.handler_entries.iter().map(|&(_, pc)| pc).collect();
+        self.machine.cpu_mut().enable_handler_profile(&entries);
+        let outcome = self.machine.run(max_steps)?;
+        let counts = self.machine.cpu().handler_profile().expect("attribution enabled above");
         // The profile holds only the ops that ran.
         let nonzero = |counts: &[u64]| -> HashMap<E::Op, u64> {
-            ops.iter().zip(counts).filter(|&(_, &n)| n > 0).map(|(&op, &n)| (op, n)).collect()
+            let ops = self.image.handler_entries.iter().map(|&(op, _)| op);
+            ops.zip(counts).filter(|&(_, &n)| n > 0).map(|(op, &n)| (op, n)).collect()
         };
-        let profile =
-            OpProfile { dynamic: nonzero(&dynamic), instructions: nonzero(&instructions) };
+        let profile = OpProfile {
+            dynamic: nonzero(&counts.dispatches),
+            instructions: nonzero(&counts.instructions),
+        };
         self.finish(outcome, max_steps, Some(profile))
     }
 

@@ -103,19 +103,6 @@ impl<H: NativeHost> Machine<H> {
         &self.host
     }
 
-    /// Executes one instruction, servicing `ecall`s through the host.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on traps and host failures.
-    pub fn step(&mut self) -> Result<StepEvent, SimError> {
-        let event = self.cpu.step()?;
-        if event == StepEvent::Ecall {
-            self.host.ecall(&mut self.cpu)?;
-        }
-        Ok(event)
-    }
-
     /// Runs up to `max_steps` instructions.
     ///
     /// Delegates the hot loop to [`Cpu::run`] in bulk (which dispatches to
@@ -123,8 +110,7 @@ impl<H: NativeHost> Machine<H> {
     /// the host. Guest instructions consumed per bulk call are measured
     /// from the retired-instruction counter — nothing else advances it
     /// inside `Cpu::run`; helper charges happen here, during `ecall`
-    /// service, and do not count against the step budget (exactly as in
-    /// the stepwise loop).
+    /// service, and do not count against the step budget.
     ///
     /// # Errors
     ///
@@ -146,27 +132,6 @@ impl<H: NativeHost> Machine<H> {
         } else {
             Ok(RunOutcome::StepLimit)
         }
-    }
-
-    /// Runs like [`Machine::run`], invoking `observe` with the pc about to
-    /// execute before every step. Used for per-handler instruction
-    /// attribution (Figure 2(b)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on traps and host failures.
-    pub fn run_observed(
-        &mut self,
-        max_steps: u64,
-        mut observe: impl FnMut(u64),
-    ) -> Result<RunOutcome, SimError> {
-        for _ in 0..max_steps {
-            observe(self.cpu.pc());
-            if self.step()? == StepEvent::Halted {
-                return Ok(RunOutcome::Halted);
-            }
-        }
-        Ok(RunOutcome::StepLimit)
     }
 
     /// Snapshot of the performance counters.
@@ -231,16 +196,6 @@ mod tests {
         let mut m = Machine::new(CoreConfig::paper(), NoHost);
         m.load(&program);
         assert_eq!(m.run(100).unwrap(), RunOutcome::StepLimit);
-    }
-
-    #[test]
-    fn observed_run_sees_every_pc() {
-        let program = assemble("nop\nnop\nhalt\n", 0x1000, 0x20000).unwrap();
-        let mut m = Machine::new(CoreConfig::paper(), NoHost);
-        m.load(&program);
-        let mut pcs = Vec::new();
-        m.run_observed(100, |pc| pcs.push(pc)).unwrap();
-        assert_eq!(pcs, vec![0x1000, 0x1004, 0x1008]);
     }
 
     #[test]
