@@ -24,11 +24,20 @@
 //!                    workload: a profile run records hot PCs, control
 //!                    edges and opcode pairs into a PGO_<workload>.json
 //!                    artifact (default dir pgo-artifacts/), then every
-//!                    cell is re-run A/B — unguided vs profile-guided —
-//!                    interleaved, verifying simulated counters stay
-//!                    bit-identical and reporting the host-MIPS ratio;
-//!                    --min-ratio gates the aggregate and fails when the
-//!                    profile made no decisions (stale/empty profile)
+//!                    cell is re-run unguided vs profile-guided on the
+//!                    pair engine of `ab`, verifying simulated counters
+//!                    stay bit-identical and reporting per-cell and
+//!                    pooled median pair ratios; --min-ratio gates the
+//!                    pooled median and fails when the profile made no
+//!                    decisions (stale/empty profile)
+//!   ab [CELL]        each host-side layer's speed gain in one serial
+//!                    pass: the execution ladder (naive -> +predecode ->
+//!                    +MRU -> +blocks -> +chain -> +fuse -> +tier -> +pgo)
+//!                    and the shipping config less one layer, interleaved
+//!                    ABBA, counters asserted equal; each step a median
+//!                    pair ratio with a 95% interval. Any part of CELL may
+//!                    be `*` (default */*/*); +pgo needs a --pgo-dir
+//!                    profile recorded at the run's scale
 //!
 //! options:
 //!   --full | --test-scale   input scale (default: the paper's scale)
@@ -48,16 +57,17 @@
 //!
 //!   The core toggles (--no-fuse, --no-chain, --no-tier,
 //!   --tier-threshold) apply to every simulating subcommand — bench,
-//!   trace, fleet, the figure matrix — so e.g. `repro trace` can
+//!   trace, fleet, pgo, the figure matrix — so e.g. `repro trace` can
 //!   attribute a cell's profile with any fast path disabled.
 //!
 //!   --sample-period N       (trace, pgo) sampling-profiler period in
 //!                           simulated cycles (default 10000)
 //!   --profile PATH          (pgo) reuse an existing profile artifact
 //!                           instead of running phase 1
-//!   --pgo-dir DIR           (bench) load per-workload PGO_*.json
+//!   --pgo-dir DIR           (bench, ab) load per-workload PGO_*.json
 //!                           profiles and run every matching cell
-//!                           profile-guided
+//!                           profile-guided (`ab`: as the +pgo rung;
+//!                           default pgo-artifacts/)
 //!   --tenants N             (fleet) cloned guests to launch (default 1000)
 //!   --shards N              (fleet) simulated cores to deal them across
 //!                           (default 8)
@@ -85,8 +95,9 @@
 //!   --compare PATH          (bench) diff host throughput against a
 //!                           baseline artifact, per cell and aggregate;
 //!                           the baseline is read before anything runs
-//!   --min-ratio R           (bench, with --compare; pgo) exit nonzero
-//!                           when aggregate MIPS < R x the baseline's
+//!   --min-ratio R           (bench, with --compare) exit nonzero when
+//!                           aggregate MIPS < R x the baseline's; (pgo)
+//!                           when the pooled median pair ratio < R
 //!   --verbose | -v          progress + run statistics on stderr
 //! ```
 //!
@@ -100,13 +111,15 @@
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
+use tarch_bench::ab::{self, Cell, CellRun, Config, Step, Summary};
 use tarch_bench::figures;
 use tarch_bench::harness::{default_cache_dir, Matrix, MatrixOptions, MAX_STEPS};
 use tarch_bench::paper_tables as tables;
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{CoreConfig, IsaLevel, PairProfile, TraceConfig};
 use tarch_fleet::build_guest;
-use tarch_runner::{BenchArtifact, EngineKind};
+use tarch_runner::{BenchArtifact, EngineKind, PgoSet};
 
 struct Opts {
     scale: Scale,
@@ -155,7 +168,7 @@ impl Opts {
 }
 
 const USAGE: &str = "usage: repro <table1..table8|fig1|fig2a|fig2b|fig5..fig9|all|selftest|bench\
-                     |trace CELL|fleet [CELL]|pgo WORKLOAD> \
+                     |trace CELL|fleet [CELL]|pgo WORKLOAD|ab [CELL]> \
                      [--full|--test-scale] [-j N] [--no-cache] [--steps N] [--workload NAME] \
                      [--profile-pairs] [--no-fuse] [--no-chain] [--no-tier] [--tier-threshold N] \
                      [--sample-period N] [--trace-out PATH] [--profile PATH] [--pgo-dir DIR] \
@@ -247,9 +260,11 @@ fn main() -> ExitCode {
                     let n: u64 =
                         value(a)?.parse().map_err(|_| format!("{a} needs a number"))?;
                     opts.fleet_opts_seen = true;
+                    let count =
+                        || u32::try_from(n).map_err(|_| format!("{a} is {n}, above the u32 range"));
                     match a {
-                        "--tenants" => opts.tenants = n as u32,
-                        "--shards" => opts.shards = n as u32,
+                        "--tenants" => opts.tenants = count()?,
+                        "--shards" => opts.shards = count()?,
                         "--budget" => opts.budget = n,
                         "--slice" => opts.slice = n,
                         "--ctxsw" => opts.ctxsw = n,
@@ -266,7 +281,7 @@ fn main() -> ExitCode {
                     );
                 }
                 c if command.is_none() && !c.starts_with('-') => command = Some(c.to_string()),
-                c if matches!(command.as_deref(), Some("trace" | "fleet" | "pgo"))
+                c if matches!(command.as_deref(), Some("trace" | "fleet" | "pgo" | "ab"))
                     && cell.is_none()
                     && !c.starts_with('-') =>
                 {
@@ -302,8 +317,22 @@ fn main() -> ExitCode {
         eprintln!("error: --profile-pairs only applies to `bench`\n{USAGE}");
         return ExitCode::FAILURE;
     }
-    if opts.pgo_dir.is_some() && command != "bench" {
-        eprintln!("error: --pgo-dir only applies to `bench`\n{USAGE}");
+    if opts.pgo_dir.is_some() && command != "bench" && command != "ab" {
+        eprintln!("error: --pgo-dir only applies to `bench` and `ab`\n{USAGE}");
+        return ExitCode::FAILURE;
+    }
+    // `ab` runs serially, so both sides of a pair see the same host; it
+    // always simulates; its two sets are its configs.
+    let ab_rejects = [
+        (opts.jobs != 0, "-j"),
+        (opts.no_cache, "--no-cache"),
+        (opts.no_fuse, "--no-fuse"),
+        (opts.no_chain, "--no-chain"),
+        (opts.no_tier, "--no-tier"),
+        (opts.tier_threshold.is_some(), "--tier-threshold"),
+    ];
+    if let Some((_, flag)) = ab_rejects.iter().find(|(given, _)| *given && command == "ab") {
+        eprintln!("error: {flag} does not apply to `ab`\n{USAGE}");
         return ExitCode::FAILURE;
     }
     if opts.profile.is_some() && command != "pgo" {
@@ -475,6 +504,7 @@ fn run(command: &str, opts: &Opts, cell: Option<&str>) -> Result<(), String> {
         "trace" => return trace_cell(opts, cell.expect("checked in main")),
         "fleet" => return fleet(opts, cell.unwrap_or("fibo/lua/typed")),
         "pgo" => return pgo(opts, cell.expect("checked in main")),
+        "ab" => return ab_ladder(opts, cell.unwrap_or("*/*/*")),
         other => return Err(format!("unknown subcommand `{other}`")),
     }
     Ok(())
@@ -502,7 +532,7 @@ fn bench(opts: &Opts) -> Result<(), String> {
     };
     let pgo_set = match &opts.pgo_dir {
         Some(dir) => {
-            let set = tarch_runner::PgoSet::load(dir)?;
+            let set = PgoSet::load(dir)?;
             if set.is_empty() {
                 eprintln!("warning: no PGO_*.json profiles in {}", dir.display());
             } else if opts.verbose {
@@ -630,35 +660,62 @@ fn profile_pairs(opts: &Opts, ws: &[workloads::Workload]) -> Result<(), String> 
     Ok(())
 }
 
+/// The cells a `workload/engine/level` spelling names, in matrix order;
+/// any part may be `*`. `command` and `example` word the error for a
+/// spelling without three parts.
+fn parse_cells(spec: &str, command: &str, example: &str) -> Result<Vec<Cell>, String> {
+    let parts: Vec<&str> = spec.split('/').collect();
+    let [w, e, l] = parts[..] else {
+        return Err(format!(
+            "{command} needs workload/engine/level, e.g. {example} (got `{spec}`)"
+        ));
+    };
+    if w != "*" && workloads::by_name(w).is_none() {
+        return Err(format!("unknown workload `{w}`"));
+    }
+    if e != "*" && EngineKind::parse(e).is_none() {
+        return Err(format!("unknown engine `{e}` (lua|js|wasm)"));
+    }
+    if l != "*" && IsaLevel::parse(l).is_none() {
+        return Err(format!("unknown ISA level `{l}` (baseline|checked-load|typed)"));
+    }
+    let mut cells = Vec::new();
+    for workload in workloads::all().into_iter().filter(|x| w == "*" || x.name == w) {
+        for engine in EngineKind::ALL.into_iter().filter(|x| e == "*" || x.id() == e) {
+            let levels = IsaLevel::ALL.into_iter().filter(|x| l == "*" || x.name() == l);
+            cells.extend(levels.map(|level| Cell { workload, engine, level, profile: None }));
+        }
+    }
+    Ok(cells)
+}
+
+/// The one cell `spec` names, for subcommands that run a single cell.
+fn one_cell(spec: &str, command: &str, example: &str) -> Result<Cell, String> {
+    match &parse_cells(spec, command, example)?[..] {
+        [cell] => Ok(cell.clone()),
+        cells => Err(format!("{command} needs one cell, and `{spec}` names {}", cells.len())),
+    }
+}
+
 /// `repro trace CELL`: runs one cell *serially, in process* with the
 /// tarch-trace observability layer enabled and renders the result — the
 /// hot-PC attribution table on stdout, and (with `--trace-out`) a Chrome
 /// trace_event JSON plus flamegraph-folded stacks on disk. Serial for the
 /// same reason as [`profile_pairs`]: the tracer lives inside the `Cpu`.
-fn trace_cell(opts: &Opts, cell: &str) -> Result<(), String> {
-    let parts: Vec<&str> = cell.split('/').collect();
-    let [wname, engine, level] = parts[..] else {
-        return Err(format!(
-            "trace needs workload/engine/level, e.g. k-nucleotide/lua/typed (got `{cell}`)"
-        ));
-    };
-    let w = workloads::by_name(wname).ok_or_else(|| format!("unknown workload `{wname}`"))?;
-    let engine =
-        EngineKind::parse(engine).ok_or_else(|| format!("unknown engine `{engine}` (lua|js|wasm)"))?;
-    let level = IsaLevel::parse(level).ok_or_else(|| {
-        format!("unknown ISA level `{level}` (baseline|checked-load|typed)")
-    })?;
+fn trace_cell(opts: &Opts, spec: &str) -> Result<(), String> {
+    let cell = one_cell(spec, "trace", "k-nucleotide/lua/typed")?;
     let mut tc = TraceConfig::new();
     if let Some(p) = opts.sample_period {
         tc.sample_period = p.max(1);
     }
     let core = CoreConfig { trace: Some(tc), ..opts.core() };
-    let src = w.source(opts.scale);
-    let label = format!("{}/{}/{}", w.name, engine.id(), level.name());
+    let src = cell.workload.source(opts.scale);
+    let label = cell.label();
     if opts.verbose {
         eprintln!("tracing {label} (sample period {} cycles)...", tc.sample_period);
     }
-    let mut guest = build_guest(engine, &src, level, core).map_err(|e| format!("{label}: {e}"))?;
+    let mut guest =
+        build_guest(cell.engine, &src, cell.level, core).map_err(|e| format!("{label}: {e}"))?;
     guest.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
     let symbols = guest.symbols().clone();
     render_trace(
@@ -742,22 +799,12 @@ fn render_trace(
 /// shared hardware" deployment shape. Also measures how much cheaper a
 /// clone is than full construction (the point of snapshotting) and
 /// writes a `BENCH_fleet_*.json` artifact.
-fn fleet(opts: &Opts, cell: &str) -> Result<(), String> {
-    let parts: Vec<&str> = cell.split('/').collect();
-    let [wname, engine, level] = parts[..] else {
-        return Err(format!(
-            "fleet needs workload/engine/level, e.g. fibo/lua/typed (got `{cell}`)"
-        ));
-    };
-    let w = workloads::by_name(wname).ok_or_else(|| format!("unknown workload `{wname}`"))?;
-    let engine =
-        EngineKind::parse(engine).ok_or_else(|| format!("unknown engine `{engine}` (lua|js|wasm)"))?;
-    let level = IsaLevel::parse(level).ok_or_else(|| {
-        format!("unknown ISA level `{level}` (baseline|checked-load|typed)")
-    })?;
+fn fleet(opts: &Opts, spec: &str) -> Result<(), String> {
+    let cell = one_cell(spec, "fleet", "fibo/lua/typed")?;
+    let (w, engine, level) = (cell.workload, cell.engine, cell.level);
     let src = w.source(opts.scale);
     let core = opts.core();
-    let label = format!("{}/{}/{}", w.name, engine.id(), level.name());
+    let label = cell.label();
 
     if opts.verbose {
         eprintln!("measuring construction vs clone cost for {label}...");
@@ -870,14 +917,13 @@ fn fleet(opts: &Opts, cell: &str) -> Result<(), String> {
 /// control-edge recorder enabled, and distills the observations into a
 /// `PGO_<workload>.json` artifact (see `tarch_runner::pgo`).
 ///
-/// **Phase 2 (A/B)** re-runs every cell interleaved — one unguided run,
-/// one profile-guided run, several rounds — verifying after each round
-/// that the two sides' simulated counters and program output are
-/// bit-identical (the engine invariant: PGO may only change host speed),
-/// and reporting best-of-round host MIPS per side. `--min-ratio R` turns
-/// the aggregate into a regression gate that also fails when the profile
-/// produced no superblocks at all: a stale or empty profile should be
-/// reported, not silently tolerated.
+/// **Phase 2 (A/B)** measures every cell unguided against profile-guided
+/// on the pair engine ([`ab::measure`]), which fails if the sides'
+/// simulated counters, branch statistics or output differ (PGO may only
+/// change host speed), and reports each cell's median pair ratio and the
+/// pooled median with its 95% interval. `--min-ratio R` gates the pooled
+/// median, and also fails when the profile produced no superblocks at
+/// all: a stale or empty profile should be reported, not tolerated.
 fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
     let w = workloads::by_name(wname).ok_or_else(|| format!("unknown workload `{wname}`"))?;
     let src = w.source(opts.scale);
@@ -983,128 +1029,140 @@ fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
         }
     };
 
-    // Phase 2: interleaved A/B over every cell.
-    const ROUNDS: u32 = 3;
+    // Phase 2: unguided against profile-guided on the pair engine.
+    let cells: Vec<Cell> = parse_cells(&format!("{}/*/*", w.name), "pgo", "fibo")?
+        .into_iter()
+        .map(|c| Cell { profile: artifact.profile(c.engine, c.level).map(Arc::new), ..c })
+        .collect();
+    let configs = [
+        Config { name: "unguided".into(), core: opts.core(), guided: false },
+        Config { name: "guided".into(), core: opts.core(), guided: true },
+    ];
+    let step = Step { label: "unguided -> guided".into(), base: 0, other: 1 };
+    let runs = ab::measure(&cells, opts.scale, &configs, PAIRS, opts.step_budget, opts.verbose)?;
     println!(
-        "{:<16} {:<6} {:<13} {:>14} {:>7} {:>7} {:>10} {:>10} {:>7}",
+        "{:<16} {:<6} {:<13} {:>14} {:>7} {:>7} {:>10} {:>10} {:>8}",
         "workload", "engine", "level", "instructions", "sblocks", "deopts", "base MIPS",
-        "pgo MIPS", "ratio"
+        "pgo MIPS", "median"
     );
-    let mut base_nanos_total = 0u64;
-    let mut pgo_nanos_total = 0u64;
-    let mut superblocks_total = 0u64;
-    for engine in EngineKind::ALL {
-        for level in IsaLevel::ALL {
-            let label = format!("{}/{}/{}", w.name, engine.id(), level.name());
-            let base_core = opts.core();
-            let pgo_core = match artifact.profile(engine, level) {
-                Some(p) => CoreConfig { pgo: Some(std::sync::Arc::new(p)), ..opts.core() },
-                None => opts.core(),
-            };
-            let mut base_best = u64::MAX;
-            let mut pgo_best = u64::MAX;
-            let mut instructions = 0u64;
-            let mut superblocks = 0u64;
-            let mut deopts = 0u64;
-            for round in 0..ROUNDS {
-                let (bc, bn, bstats, bout) =
-                    run_ab_side(engine, &src, level, base_core.clone(), opts.step_budget)
-                        .map_err(|e| format!("{label} (unguided): {e}"))?;
-                let (pc, pn, pstats, pout) =
-                    run_ab_side(engine, &src, level, pgo_core.clone(), opts.step_budget)
-                        .map_err(|e| format!("{label} (profile-guided): {e}"))?;
-                if bc != pc || bout != pout {
-                    return Err(format!(
-                        "{label}: profile-guided run diverged from the unguided engine \
-                         (simulated counters or program output differ) — PGO must be \
-                         host-side only"
-                    ));
-                }
-                base_best = base_best.min(bn);
-                pgo_best = pgo_best.min(pn);
-                instructions = bc.instructions;
-                superblocks = pstats.superblocks;
-                deopts = pstats.tier_deopts;
-                // Host-side dispatch statistics for both sides: where
-                // the profile actually moved block transfers (probes vs
-                // chained, compiles, rebuilds), for tuning sessions.
-                if opts.verbose && round == 0 {
-                    eprintln!("{label}: base {bstats:?}");
-                    eprintln!("{label}: pgo  {pstats:?}");
-                }
+    let mut superblocks = 0u64;
+    for run in &runs {
+        let (sblocks, deopts, median) = match run.blocks[1].zip(Summary::of(run.ratios(&step))) {
+            Some((b, s)) => {
+                superblocks += b.superblocks;
+                (b.superblocks.to_string(), b.tier_deopts.to_string(), format!("{:.3}x", s.median))
             }
-            base_nanos_total += base_best;
-            pgo_nanos_total += pgo_best;
-            superblocks_total += superblocks;
-            let mips = |nanos: u64| {
-                if nanos == 0 { 0.0 } else { instructions as f64 * 1e3 / nanos as f64 }
-            };
-            let ratio =
-                if pgo_best == 0 { f64::INFINITY } else { base_best as f64 / pgo_best as f64 };
-            println!(
-                "{:<16} {:<6} {:<13} {:>14} {:>7} {:>7} {:>10.1} {:>10.1} {:>6.2}x",
-                w.name,
-                engine.id(),
-                level.name(),
-                instructions,
-                superblocks,
-                deopts,
-                mips(base_best),
-                mips(pgo_best),
-                ratio,
-            );
+            None => ("-".into(), "-".into(), "-".into()),
+        };
+        let mips = |i| run.mips(i).map_or_else(|| "-".into(), |m| format!("{m:.1}"));
+        println!(
+            "{:<16} {:<6} {:<13} {:>14} {sblocks:>7} {deopts:>7} {:>10} {:>10} {median:>8}",
+            w.name,
+            run.cell.engine.id(),
+            run.cell.level.name(),
+            run.instructions,
+            mips(0),
+            mips(1),
+        );
+        if opts.verbose {
+            print_block_stats(run, &configs);
         }
     }
-    let aggregate = if pgo_nanos_total == 0 {
-        f64::INFINITY
-    } else {
-        base_nanos_total as f64 / pgo_nanos_total as f64
-    };
+    let pooled = Summary::pooled(&runs, &step);
+    if let Some(p) = &pooled {
+        let (n, median) = (p.pairs, p.median);
+        println!("pooled over {n} pairs: median {median:.3}x, 95% interval {}", interval(p));
+    }
     println!(
-        "aggregate: {:.2}x (best of {ROUNDS} interleaved rounds per side), \
-         {superblocks_total} superblock(s) formed; counters bit-identical across all cells",
-        aggregate
+        "{superblocks} superblock(s) formed; counters, branch statistics and output equal \
+         across all cells"
     );
-    if let Some(min) = opts.min_ratio {
-        if superblocks_total == 0 {
-            return Err(format!(
-                "PGO gate: the profile produced no superblocks — stale or empty profile \
-                 for `{}` at scale {}",
-                w.name,
-                opts.scale.id()
-            ));
-        }
-        if aggregate < min {
-            return Err(format!(
-                "PGO gate: aggregate ratio {aggregate:.2} is below {min} — the profile \
-                 stopped paying for `{}`",
-                w.name
-            ));
-        }
-        println!("PGO gate: ratio {aggregate:.2} >= {min} (ok)");
+    let Some(min) = opts.min_ratio else { return Ok(()) };
+    let Some(pooled) = pooled.filter(|_| superblocks > 0) else {
+        return Err(format!(
+            "PGO gate: the profile produced no superblocks — stale or empty profile \
+             for `{}` at scale {}",
+            w.name,
+            opts.scale.id()
+        ));
+    };
+    if pooled.median < min {
+        return Err(format!(
+            "PGO gate: pooled median ratio {:.3} is below {min} — the profile stopped \
+             paying for `{}`",
+            pooled.median, w.name
+        ));
+    }
+    println!("PGO gate: pooled median {:.3} >= {min} (ok)", pooled.median);
+    Ok(())
+}
+
+/// Measurement rounds under `ab` and `pgo`: each gives every cell one
+/// pair ratio per step, and six is the fewest with a 95% interval.
+const PAIRS: usize = 6;
+
+/// A summary's 95% interval, or `n/a` under six pairs.
+fn interval(s: &Summary) -> String {
+    s.interval.map_or_else(|| "n/a".into(), |(lo, hi)| format!("[{lo:.3}x, {hi:.3}x]"))
+}
+
+/// `repro ab [CELL]`: the execution ladder and the leave-one-out set
+/// ([`ab::ladder`]) over the named cells, in one serial pass.
+fn ab_ladder(opts: &Opts, spec: &str) -> Result<(), String> {
+    let dir = opts.pgo_dir.clone().unwrap_or_else(|| PathBuf::from("pgo-artifacts"));
+    // Without profiles in the default directory +pgo is skipped; a named
+    // directory must load.
+    let load = opts.pgo_dir.is_some() || dir.is_dir();
+    let profiles = if load { PgoSet::load(&dir)? } else { PgoSet::default() };
+    // +pgo runs only where the profile describes a run at this scale.
+    let cells: Vec<Cell> = parse_cells(spec, "ab", "'*/*/typed'")?
+        .into_iter()
+        .map(|c| {
+            let artifact = profiles.artifact(c.workload.name).filter(|a| a.scale == opts.scale);
+            let profile = artifact.and_then(|a| a.profile(c.engine, c.level)).map(Arc::new);
+            Cell { profile, ..c }
+        })
+        .collect();
+    let (configs, steps) = ab::ladder();
+    let runs = ab::measure(&cells, opts.scale, &configs, PAIRS, opts.step_budget, opts.verbose)?;
+    let (scale, dir) = (opts.scale.id(), dir.display());
+    println!(
+        "{} cell(s) at scale {scale}, {PAIRS} rounds, each over every cell; every config of a \
+         cell retired the same counters, branch statistics and output",
+        cells.len()
+    );
+    println!("pair ratio: run time of the first config / run time of the second (above 1: faster)");
+    println!("{:<28} {:>6} {:>8}  95% interval", "step", "pairs", "median");
+    for step in &steps {
+        let row = match Summary::pooled(&runs, step) {
+            Some(s) => format!("{:>6} {:>7.3}x  {}", s.pairs, s.median, interval(&s)),
+            None => format!("skipped: no cell has a profile recorded at scale {scale} in {dir}"),
+        };
+        println!("{:<28} {row}", step.label);
+    }
+    if !opts.verbose {
+        return Ok(());
+    }
+    // Per cell, each step's median, named by the step's second config.
+    let names: String = steps.iter().map(|s| format!(" {:>13}", configs[s.other].name)).collect();
+    for run in &runs {
+        let medians = steps.iter().map(|step| match Summary::of(run.ratios(step)) {
+            Some(s) => format!(" {:>12.3}x", s.median),
+            None => format!(" {:>13}", "-"),
+        });
+        eprintln!("{:<30}{names}\n{:<30}{}", "cell", run.cell.label(), medians.collect::<String>());
+        print_block_stats(run, &configs);
     }
     Ok(())
 }
 
-/// Runs one side of a PGO A/B cell: builds the guest fresh (so tier-up
-/// and block state start cold), runs it to completion, and returns the
-/// simulated counters, host nanoseconds of the run, final block-engine
-/// statistics, and program output.
-fn run_ab_side(
-    engine: EngineKind,
-    src: &str,
-    level: IsaLevel,
-    core: CoreConfig,
-    budget: u64,
-) -> Result<(tarch_core::PerfCounters, u64, tarch_core::BlockStats, String), String> {
-    let mut guest = build_guest(engine, src, level, core)?;
-    let t0 = std::time::Instant::now();
-    guest.run_slice(budget)?;
-    let nanos = t0.elapsed().as_nanos() as u64;
-    if !guest.is_halted() {
-        return Err("step budget exhausted".to_string());
+/// Each config's block statistics after its last run on the cell (`-v`).
+fn print_block_stats(run: &CellRun, configs: &[Config]) {
+    for (config, stats) in configs.iter().zip(&run.blocks) {
+        if let Some(stats) = stats {
+            eprintln!("{} ({}): {stats:?}", run.cell.label(), config.name);
+        }
     }
-    Ok((*guest.cpu().counters(), nanos, guest.cpu().block_stats(), guest.output()))
 }
 
 /// Renders the per-cell and aggregate host-throughput diff of `current`

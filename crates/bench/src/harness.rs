@@ -79,29 +79,6 @@ pub fn exec_job(spec: &JobSpec, step_budget: u64) -> Result<CellResult, ExecErro
     })
 }
 
-/// Runs one workload on one engine at one ISA level (no pool, no cache;
-/// kept for targeted tests and micro-measurements).
-///
-/// # Errors
-///
-/// Returns a descriptive string on any engine failure.
-pub fn run_cell(
-    w: &Workload,
-    engine: EngineKind,
-    level: IsaLevel,
-    scale: Scale,
-    profiled: bool,
-) -> Result<CellResult, String> {
-    let spec = job_spec(w, engine, level, scale, profiled);
-    exec_job(&spec, MAX_STEPS).map_err(|e| match e {
-        ExecError::StepBudget { steps } => format!(
-            "{}: step budget exhausted after {steps} simulated instructions",
-            spec.label()
-        ),
-        ExecError::Failed(msg) => format!("{}: {msg}", spec.label()),
-    })
-}
-
 /// How [`Matrix::run_with`] executes the matrix.
 #[derive(Debug, Clone)]
 pub struct MatrixOptions {
@@ -459,12 +436,15 @@ mod tests {
     #[test]
     fn single_cell_runs_and_counts() {
         let w = workloads::by_name("fibo").unwrap();
+        let run_cell = |engine, profiled| {
+            exec_job(&job_spec(&w, engine, IsaLevel::Typed, Scale::Test, profiled), MAX_STEPS)
+        };
         for engine in EngineKind::ALL {
-            let cell = run_cell(&w, engine, IsaLevel::Typed, Scale::Test, false).unwrap();
+            let cell = run_cell(engine, false).unwrap();
             assert_eq!(cell.output, "144\n", "{engine:?}");
             // The static engine leaves the typed hardware idle.
             assert_eq!(cell.counters.type_hits > 0, engine != EngineKind::Wasm, "{engine:?}");
-            let profiled = run_cell(&w, engine, IsaLevel::Typed, Scale::Test, true).unwrap();
+            let profiled = run_cell(engine, true).unwrap();
             assert!(profiled.bytecodes.unwrap() > 100, "{engine:?}");
             // Attribution observes the run; it must not change it.
             assert_eq!(profiled.counters, cell.counters, "{engine:?}");

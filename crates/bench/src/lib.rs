@@ -10,7 +10,9 @@
 //! * [`figures`] — one renderer per evaluation figure (2a, 2b, 5–9) and
 //!   Table 8;
 //! * [`paper_tables`] — printable versions of configuration Tables 1–7,
-//!   generated from the actual code.
+//!   generated from the actual code;
+//! * [`ab`] — paired measurement of host speed across core
+//!   configurations, behind `repro ab` and `repro pgo`.
 //!
 //! Matrix execution runs on the [`tarch_runner`] worker pool: cells run
 //! in parallel (`repro -j N`), results are cached under
@@ -26,12 +28,11 @@
 //! cargo run -p tarch-bench --release --bin repro -- all --from-json BENCH_1700000000.json
 //! ```
 
+pub mod ab;
 pub mod figures;
 pub mod harness;
 pub mod paper_tables;
 pub mod workloads;
 
-pub use harness::{
-    geomean, run_cell, CellResult, EngineKind, Matrix, MatrixOptions, MatrixRun,
-};
+pub use harness::{geomean, CellResult, EngineKind, Matrix, MatrixOptions, MatrixRun};
 pub use workloads::{Scale, Workload};

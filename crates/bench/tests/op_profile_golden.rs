@@ -5,12 +5,13 @@
 //! that `GuestVm::run_profiled` used before attribution moved onto the
 //! block engine; they cover all 33 Typed test-scale cells.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use tarch_bench::harness::MAX_STEPS;
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{CoreConfig, IsaLevel};
 use tarch_fleet::build_guest;
 use tarch_runner::EngineKind;
+use tarch_sim::OpProfile;
 
 /// The recorded digest of every Typed test-scale cell.
 const GOLDEN: [(&str, EngineKind, u64); 33] = [
@@ -60,10 +61,14 @@ fn digest(triples: &BTreeMap<&str, (u64, u64)>) -> u64 {
     h
 }
 
-fn profile_digest(workload: &str, engine: EngineKind, core: CoreConfig) -> u64 {
+fn profile(workload: &str, engine: EngineKind, core: CoreConfig) -> OpProfile<&'static str> {
     let w = workloads::by_name(workload).unwrap();
     let mut guest = build_guest(engine, &w.source(Scale::Test), IsaLevel::Typed, core).unwrap();
-    let profile = guest.run_profiled(MAX_STEPS).unwrap().profile.expect("profiled run");
+    guest.run_profiled(MAX_STEPS).unwrap().profile.expect("profiled run")
+}
+
+fn profile_digest(workload: &str, engine: EngineKind, core: CoreConfig) -> u64 {
+    let profile = profile(workload, engine, core);
     let label = format!("{workload}/{}", engine.id());
     assert!(
         profile.dynamic.values().chain(profile.instructions.values()).all(|&n| n > 0),
@@ -105,5 +110,22 @@ fn stepwise_profiles_are_unchanged() {
             "{w}/{}: stepwise profile moved",
             e.id()
         );
+    }
+}
+
+/// Figure 2(a) counts bytecodes on `luart`'s host interpreter. Its counts
+/// must equal the simulated interpreter's dispatches on the 11 Lua cells
+/// above, less the one `HALT` the simulated image dispatches to stop.
+#[test]
+fn host_bytecode_counts_equal_the_simulated_dispatches() {
+    for (w, _, _) in GOLDEN.into_iter().filter(|(_, e, _)| *e == EngineKind::Lua) {
+        let mut simulated = profile(w, EngineKind::Lua, CoreConfig::paper()).dynamic;
+        *simulated.get_mut("HALT").expect("the run ends in HALT") -= 1;
+        simulated.retain(|_, n| *n > 0);
+        let chunk = miniscript::parse(&workloads::by_name(w).unwrap().source(Scale::Test)).unwrap();
+        let module = luart::compile(&chunk).unwrap();
+        let (_, host) = luart::host_run_counted(&module, MAX_STEPS).unwrap();
+        let host: HashMap<&str, u64> = host.into_iter().map(|(op, n)| (op.name(), n)).collect();
+        assert_eq!(host, simulated, "{w}: host and simulated bytecode counts differ");
     }
 }

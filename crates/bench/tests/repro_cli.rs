@@ -10,17 +10,15 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `repro bench --compare baseline` on one workload and returns its
-/// exit status and stderr.
-fn bench_against(dir: &Path, baseline: &Path) -> (bool, String) {
+/// Runs `repro` in `dir` and returns its exit status, stdout and stderr.
+fn repro(dir: &Path, args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .current_dir(dir)
-        .args(["bench", "--test-scale", "--workload", "fibo", "-j", "1", "-v", "--out", "out"])
-        .arg("--compare")
-        .arg(baseline)
+        .args(args)
         .output()
         .expect("repro runs");
-    (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+    let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    (out.status.success(), text(&out.stdout), text(&out.stderr))
 }
 
 /// A missing or malformed `--compare` baseline fails before any job runs:
@@ -30,8 +28,10 @@ fn bench_compare_checks_its_baseline_before_simulating() {
     let dir = fresh_dir("compare");
     let malformed = dir.join("malformed.json");
     std::fs::write(&malformed, "not json").unwrap();
+    let bench = ["bench", "--test-scale", "--workload", "fibo", "-j", "1", "-v", "--out", "out"];
     for baseline in [dir.join("missing.json"), malformed] {
-        let (ok, stderr) = bench_against(&dir, &baseline);
+        let path = baseline.to_str().expect("a UTF-8 temp path");
+        let (ok, _, stderr) = repro(&dir, &[&bench[..], &["--compare", path]].concat());
         let label = baseline.display();
         assert!(!ok, "{label}: bench must fail");
         assert!(
@@ -41,5 +41,58 @@ fn bench_compare_checks_its_baseline_before_simulating() {
         assert!(!stderr.contains("simulated"), "{label}: no job may run: {stderr}");
         assert!(!dir.join("out").exists(), "{label}: no artifact may be written");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One cell through `repro ab`: a row of six pairs, a median and a 95%
+/// interval around it per ladder rung and per leave-one-out config. The
+/// working directory holds no profiles, so the +pgo row says it was
+/// skipped.
+#[test]
+fn ab_prints_every_ladder_and_leave_one_out_row() {
+    let dir = fresh_dir("ab");
+    let (ok, stdout, stderr) = repro(&dir, &["ab", "fibo/lua/typed", "--test-scale"]);
+    assert!(ok, "repro ab failed: {stderr}");
+    let measured = ["naive -> +predecode", "+predecode -> +MRU", "+MRU -> +blocks"]
+        .into_iter()
+        .chain(["+blocks -> +chain", "+chain -> +fuse", "+fuse -> +tier"])
+        .chain(["shipping, predecode off", "shipping, MRU off", "shipping, chain off"])
+        .chain(["shipping, fuse off", "shipping, tier off"]);
+    let row = |label: &str| {
+        let rest = stdout.lines().find_map(|l| l.strip_prefix(label)).unwrap_or_default();
+        rest.split_whitespace().collect::<Vec<_>>()
+    };
+    for label in measured {
+        let cols = row(label);
+        let interval = cols.len() == 4 && cols[2].starts_with('[') && cols[3].ends_with("x]");
+        assert!(interval && cols[0] == "6", "`{label}`: {stdout}");
+    }
+    assert_eq!(row("+tier -> +pgo").first(), Some(&"skipped:"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Options a subcommand cannot honour, malformed cells and fleet counts
+/// above `u32` fail before anything runs. A cell spelling is parsed once
+/// for `trace`, `fleet` and `ab`, and keeps each subcommand's message;
+/// a fleet count used to be truncated (4294967297 tenants ran one).
+#[test]
+fn bad_options_fail_before_anything_runs() {
+    let dir = fresh_dir("bad-options");
+    let fleet = |flag| ["fleet", "fibo/lua/typed", flag, "4294967297", "--out", "out"];
+    for (args, message) in [
+        (&["ab", "-j", "2"][..], "-j does not apply to `ab`"),
+        (&["ab", "--no-cache"], "--no-cache does not apply to `ab`"),
+        (&["ab", "--tier-threshold", "4"], "--tier-threshold does not apply to `ab`"),
+        (&["trace", "fibo/lua"], "e.g. k-nucleotide/lua/typed (got `fibo/lua`)"),
+        (&["fleet", "fibo"], "fleet needs workload/engine/level, e.g. fibo/lua/typed (got `fibo`)"),
+        (&["trace", "*/lua/typed"], "trace needs one cell, and `*/lua/typed` names 11"),
+        (&["ab", "fibo/lisp/*"], "unknown engine `lisp` (lua|js|wasm)"),
+        (&fleet("--tenants"), "--tenants is 4294967297, above the u32 range"),
+        (&fleet("--shards"), "--shards is 4294967297, above the u32 range"),
+    ] {
+        let (ok, stdout, stderr) = repro(&dir, args);
+        assert!(!ok && stdout.is_empty() && stderr.contains(message), "{args:?}: {stderr}");
+    }
+    assert!(!dir.join("out").exists(), "no artifact may be written");
     let _ = std::fs::remove_dir_all(&dir);
 }
