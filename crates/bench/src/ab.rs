@@ -67,19 +67,16 @@ pub struct Step {
 /// the leave-one-out set, which share the shipping config.
 ///
 /// The ladder starts from the naive core, every host-side layer off (the
-/// stepwise reference), and adds predecode, the MRU memos
-/// (`mem_fast_paths`), blocks, chaining, fusion, tier-3 compilation,
-/// which gives the shipping config `CoreConfig::paper()`, and PGO. Each
-/// ladder step compares a rung with the one below it. The leave-one-out
-/// steps compare the shipping config with itself less predecode, MRU,
-/// chaining, fusion or tiering.
+/// stepwise reference), and adds the MRU memos (`mem_fast_paths`),
+/// blocks, fusion, tier-3 compilation, which gives the shipping config
+/// `CoreConfig::paper()`, and PGO. Each ladder step compares a rung with
+/// the one below it. The leave-one-out steps compare the shipping config
+/// with itself less MRU, fusion or tiering.
 pub fn ladder() -> (Vec<Config>, Vec<Step>) {
     type Toggle = fn(&mut CoreConfig, bool);
-    let layers: [(&str, Toggle); 6] = [
-        ("predecode", |c, on| c.predecode = on),
+    let layers: [(&str, Toggle); 4] = [
         ("MRU", |c, on| c.mem_fast_paths = on),
         ("blocks", |c, on| c.blocks = on),
-        ("chain", |c, on| c.chain_blocks = on),
         ("fuse", |c, on| c.fuse = on),
         ("tier", |c, on| c.tier = on),
     ];

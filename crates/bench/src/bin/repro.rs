@@ -31,8 +31,8 @@
 //!                    pooled median and fails when the profile made no
 //!                    decisions (stale/empty profile)
 //!   ab [CELL]        each host-side layer's speed gain in one serial
-//!                    pass: the execution ladder (naive -> +predecode ->
-//!                    +MRU -> +blocks -> +chain -> +fuse -> +tier -> +pgo)
+//!                    pass: the execution ladder (naive -> +MRU ->
+//!                    +blocks -> +fuse -> +tier -> +pgo)
 //!                    and the shipping config less one layer, interleaved
 //!                    ABBA, counters asserted equal; each step a median
 //!                    pair ratio with a 95% interval. Any part of CELL may
@@ -49,16 +49,15 @@
 //!                           opcode pairs (the macro-op fusion evidence)
 //!                           instead of throughput measurement
 //!   --no-fuse               disable macro-op fusion in the simulated core
-//!   --no-chain              disable basic-block chaining in the core
 //!   --no-tier               disable tier-3 template compilation of hot
 //!                           blocks in the core
 //!   --tier-threshold N      block entries before a hot block is
 //!                           template-compiled (default 16)
 //!
-//!   The core toggles (--no-fuse, --no-chain, --no-tier,
-//!   --tier-threshold) apply to every simulating subcommand — bench,
-//!   trace, fleet, pgo, the figure matrix — so e.g. `repro trace` can
-//!   attribute a cell's profile with any fast path disabled.
+//!   The core toggles (--no-fuse, --no-tier, --tier-threshold) apply
+//!   to every simulating subcommand — bench, trace, fleet, pgo, the
+//!   figure matrix — so e.g. `repro trace` can attribute a cell's
+//!   profile with any fast path disabled.
 //!
 //!   --sample-period N       (trace, pgo) sampling-profiler period in
 //!                           simulated cycles (default 10000)
@@ -67,7 +66,9 @@
 //!   --pgo-dir DIR           (bench, ab) load per-workload PGO_*.json
 //!                           profiles and run every matching cell
 //!                           profile-guided (`ab`: as the +pgo rung;
-//!                           default pgo-artifacts/)
+//!                           default pgo-artifacts/); a profile recorded
+//!                           at another scale is skipped, and the count
+//!                           of skipped profiles is printed
 //!   --tenants N             (fleet) cloned guests to launch (default 1000)
 //!   --shards N              (fleet) simulated cores to deal them across
 //!                           (default 8)
@@ -130,7 +131,6 @@ struct Opts {
     workload: Option<String>,
     profile_pairs: bool,
     no_fuse: bool,
-    no_chain: bool,
     no_tier: bool,
     tier_threshold: Option<u32>,
     sample_period: Option<u64>,
@@ -159,7 +159,6 @@ impl Opts {
         let paper = CoreConfig::paper();
         CoreConfig {
             fuse: !self.no_fuse,
-            chain_blocks: !self.no_chain,
             tier: !self.no_tier,
             tier_threshold: self.tier_threshold.unwrap_or(paper.tier_threshold),
             ..paper
@@ -170,7 +169,7 @@ impl Opts {
 const USAGE: &str = "usage: repro <table1..table8|fig1|fig2a|fig2b|fig5..fig9|all|selftest|bench\
                      |trace CELL|fleet [CELL]|pgo WORKLOAD|ab [CELL]> \
                      [--full|--test-scale] [-j N] [--no-cache] [--steps N] [--workload NAME] \
-                     [--profile-pairs] [--no-fuse] [--no-chain] [--no-tier] [--tier-threshold N] \
+                     [--profile-pairs] [--no-fuse] [--no-tier] [--tier-threshold N] \
                      [--sample-period N] [--trace-out PATH] [--profile PATH] [--pgo-dir DIR] \
                      [--tenants N] [--shards N] [--budget N] [--slice N] [--ctxsw N] [--seed N] \
                      [--emit-json PATH] [--out DIR] [--from-json PATH] [--compare PATH] \
@@ -187,7 +186,6 @@ fn main() -> ExitCode {
         workload: None,
         profile_pairs: false,
         no_fuse: false,
-        no_chain: false,
         no_tier: false,
         tier_threshold: None,
         sample_period: None,
@@ -235,7 +233,6 @@ fn main() -> ExitCode {
                 "--workload" => opts.workload = Some(value(a)?),
                 "--profile-pairs" => opts.profile_pairs = true,
                 "--no-fuse" => opts.no_fuse = true,
-                "--no-chain" => opts.no_chain = true,
                 "--no-tier" => opts.no_tier = true,
                 "--tier-threshold" => {
                     let n: u32 = value(a)?
@@ -327,7 +324,6 @@ fn main() -> ExitCode {
         (opts.jobs != 0, "-j"),
         (opts.no_cache, "--no-cache"),
         (opts.no_fuse, "--no-fuse"),
-        (opts.no_chain, "--no-chain"),
         (opts.no_tier, "--no-tier"),
         (opts.tier_threshold.is_some(), "--tier-threshold"),
     ];
@@ -531,15 +527,7 @@ fn bench(opts: &Opts) -> Result<(), String> {
         None => None,
     };
     let pgo_set = match &opts.pgo_dir {
-        Some(dir) => {
-            let set = PgoSet::load(dir)?;
-            if set.is_empty() {
-                eprintln!("warning: no PGO_*.json profiles in {}", dir.display());
-            } else if opts.verbose {
-                eprintln!("loaded {} PGO profile(s) from {}", set.len(), dir.display());
-            }
-            Some(std::sync::Arc::new(set))
-        }
+        Some(dir) => Some(Arc::new(load_profiles(opts, dir)?)),
         None => None,
     };
     let mopts = MatrixOptions {
@@ -1097,6 +1085,28 @@ fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads the profiles in `dir` for a run at `opts.scale`, and says on
+/// stderr how many of them that scale skips ([`PgoSet::profile`]).
+fn load_profiles(opts: &Opts, dir: &Path) -> Result<PgoSet, String> {
+    let set = PgoSet::load(dir)?;
+    if set.is_empty() {
+        eprintln!("warning: no PGO_*.json profiles in {}", dir.display());
+    } else if opts.verbose {
+        eprintln!("loaded {} PGO profile(s) from {}", set.len(), dir.display());
+    }
+    let skipped = set.skipped(opts.scale);
+    if skipped > 0 {
+        eprintln!(
+            "warning: skipped {skipped} of {} PGO profile(s) in {}: recorded at a scale other \
+             than {}",
+            set.len(),
+            dir.display(),
+            opts.scale.id()
+        );
+    }
+    Ok(set)
+}
+
 /// Measurement rounds under `ab` and `pgo`: each gives every cell one
 /// pair ratio per step, and six is the fewest with a 95% interval.
 const PAIRS: usize = 6;
@@ -1113,14 +1123,12 @@ fn ab_ladder(opts: &Opts, spec: &str) -> Result<(), String> {
     // Without profiles in the default directory +pgo is skipped; a named
     // directory must load.
     let load = opts.pgo_dir.is_some() || dir.is_dir();
-    let profiles = if load { PgoSet::load(&dir)? } else { PgoSet::default() };
-    // +pgo runs only where the profile describes a run at this scale.
+    let profiles = if load { load_profiles(opts, &dir)? } else { PgoSet::default() };
     let cells: Vec<Cell> = parse_cells(spec, "ab", "'*/*/typed'")?
         .into_iter()
         .map(|c| {
-            let artifact = profiles.artifact(c.workload.name).filter(|a| a.scale == opts.scale);
-            let profile = artifact.and_then(|a| a.profile(c.engine, c.level)).map(Arc::new);
-            Cell { profile, ..c }
+            let profile = profiles.profile(c.workload.name, opts.scale, c.engine, c.level);
+            Cell { profile: profile.map(Arc::new), ..c }
         })
         .collect();
     let (configs, steps) = ab::ladder();

@@ -95,9 +95,10 @@ pub struct MatrixOptions {
     /// Simulated core configuration for every cell.
     pub core: CoreConfig,
     /// Per-workload PGO profiles (`repro bench --pgo-dir`). Each
-    /// non-profiled cell whose (workload, engine, level) was profiled
-    /// gets the distilled profile threaded into its core config; cells
-    /// without a profile run unguided. `None` disables PGO entirely.
+    /// non-profiled cell whose (workload, engine, level) was profiled at
+    /// the run's scale gets the distilled profile threaded into its core
+    /// config; cells without one run unguided (see [`PgoSet::profile`]).
+    /// `None` disables PGO entirely.
     pub pgo: Option<std::sync::Arc<PgoSet>>,
 }
 
@@ -199,7 +200,7 @@ impl Matrix {
             // Thread the cell's PGO profile (if one was loaded) into the
             // core config; the profile participates in the job key, so
             // guided and unguided runs never collide in the cache.
-            match opts.pgo.as_ref().and_then(|s| s.profile(w.name, engine, level)) {
+            match opts.pgo.as_ref().and_then(|s| s.profile(w.name, scale, engine, level)) {
                 Some(p) => {
                     let guided =
                         CoreConfig { pgo: Some(std::sync::Arc::new(p)), ..opts.core.clone() };

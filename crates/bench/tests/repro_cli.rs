@@ -2,6 +2,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use tarch_runner::BenchArtifact;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tarch-repro-cli-{}-{tag}", std::process::id()));
@@ -53,11 +54,9 @@ fn ab_prints_every_ladder_and_leave_one_out_row() {
     let dir = fresh_dir("ab");
     let (ok, stdout, stderr) = repro(&dir, &["ab", "fibo/lua/typed", "--test-scale"]);
     assert!(ok, "repro ab failed: {stderr}");
-    let measured = ["naive -> +predecode", "+predecode -> +MRU", "+MRU -> +blocks"]
+    let measured = ["naive -> +MRU", "+MRU -> +blocks", "+blocks -> +fuse", "+fuse -> +tier"]
         .into_iter()
-        .chain(["+blocks -> +chain", "+chain -> +fuse", "+fuse -> +tier"])
-        .chain(["shipping, predecode off", "shipping, MRU off", "shipping, chain off"])
-        .chain(["shipping, fuse off", "shipping, tier off"]);
+        .chain(["shipping, MRU off", "shipping, fuse off", "shipping, tier off"]);
     let row = |label: &str| {
         let rest = stdout.lines().find_map(|l| l.strip_prefix(label)).unwrap_or_default();
         rest.split_whitespace().collect::<Vec<_>>()
@@ -68,6 +67,35 @@ fn ab_prints_every_ladder_and_leave_one_out_row() {
         assert!(interval && cols[0] == "6", "`{label}`: {stdout}");
     }
     assert_eq!(row("+tier -> +pgo").first(), Some(&"skipped:"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `bench --pgo-dir` applies a profile only at the scale it was recorded
+/// at. The committed profiles are default-scale, so a test-scale run
+/// skips all of them, says so, and simulates exactly the unguided run's
+/// jobs.
+#[test]
+fn bench_skips_pgo_profiles_recorded_at_another_scale() {
+    let dir = fresh_dir("pgo-scale");
+    let profiles = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../pgo-artifacts");
+    let profiles = profiles.to_str().expect("a UTF-8 repository path");
+    let bench = ["bench", "--workload", "fibo", "--test-scale", "-j", "1", "--emit-json"];
+    let (ok, _, stderr) = repro(&dir, &[&bench[..], &["plain.json"]].concat());
+    assert!(ok, "unguided bench failed: {stderr}");
+    let (ok, _, stderr) =
+        repro(&dir, &[&bench[..], &["guided.json", "--pgo-dir", profiles]].concat());
+    assert!(ok, "bench --pgo-dir failed: {stderr}");
+    assert!(
+        stderr.contains("skipped 11 of 11 PGO profile(s)") && stderr.contains("than test"),
+        "the skipped profiles must be counted: {stderr}"
+    );
+    let keys = |name: &str| {
+        let artifact = BenchArtifact::read(&dir.join(name)).expect("bench wrote its artifact");
+        artifact.outcomes.iter().map(|o| o.spec.key).collect::<Vec<_>>()
+    };
+    let plain = keys("plain.json");
+    assert_eq!(plain.len(), 9, "fibo's nine cells");
+    assert_eq!(keys("guided.json"), plain, "no cell may run guided by a default-scale profile");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -218,13 +218,18 @@ fn plain_typed_cells_are_derived_from_their_profiled_twins() {
 }
 
 /// A PGO profile changes a Typed cell's config, so the cell is simulated
-/// under its own key; a cell without one is still derived.
+/// under its own key; a cell without one is still derived. A profile
+/// applies only at the scale it was recorded at, so the committed
+/// default-scale profile is relabelled as a test-scale one here.
 #[test]
 fn a_typed_cell_with_a_pgo_profile_is_simulated_not_derived() {
     let dir = temp_cache("pgo-set");
     std::fs::create_dir_all(&dir).unwrap();
     let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../pgo-artifacts/PGO_fibo.json");
-    std::fs::copy(committed, dir.join("PGO_fibo.json")).unwrap();
+    let text = std::fs::read_to_string(committed).unwrap();
+    let relabelled = text.replacen(r#""scale": "default""#, r#""scale": "test""#, 1);
+    assert_ne!(relabelled, text, "the committed profile is default-scale");
+    std::fs::write(dir.join("PGO_fibo.json"), relabelled).unwrap();
     let pgo = PgoSet::load(&dir).unwrap();
     let run = Matrix::run_with(
         &mini_workloads(),

@@ -1,40 +1,33 @@
 //! Basic-block side table: the simulator's dispatch fast path.
 //!
-//! The predecode table (PR 2) removed per-step re-decode, but every
-//! retired instruction still paid the full [`Cpu::step`](crate::Cpu::step)
-//! preamble: the `halted` check, the pc-alignment check, the predecode
-//! probe, and the `counters.cycles` sync. Following Titzer's observation
-//! that the next factor lives in amortizing dispatch over straight-line
-//! runs, this module groups decoded text words into **basic blocks** —
-//! maximal straight-line instruction runs ended by a branch, jump, or
-//! system operation — so `Cpu::run_blocks` performs that preamble once
-//! per *block* instead of once per *instruction*, and charges
-//! straight-line fetch runs through batched cache/TLB hit updates. The
-//! architectural charges (I-cache, I-TLB, DRAM, branch predictor, every
-//! counter) are still applied per instruction, bit-identically to the
-//! stepwise path.
+//! Every retired instruction on the stepwise path pays the full
+//! [`Cpu::step`](crate::Cpu::step) preamble: the `halted` check, the
+//! pc-alignment check, the fetch and decode of the text word, and the
+//! `counters.cycles` sync. Following Titzer's observation that the next
+//! factor lives in amortizing dispatch over straight-line runs, this
+//! module groups decoded text words into **basic blocks** — maximal
+//! straight-line instruction runs ended by a branch, jump, or system
+//! operation — so `Cpu::run_blocks` performs that preamble once per
+//! *block* instead of once per *instruction*, and charges straight-line
+//! fetch runs through batched cache/TLB hit updates. A word is decoded
+//! once, when its block is built. The architectural charges (I-cache,
+//! I-TLB, DRAM, branch predictor, every counter) are still applied per
+//! instruction, bit-identically to the stepwise path.
 //!
-//! On top of the PR 3 engine this module adds two further host-side fast
-//! paths (PR 4), both architecturally invisible:
+//! **Macro-op fusion** ([`fuse_ops_with`]) is a further host-side fast
+//! path, architecturally invisible: at block-build time, common adjacent
+//! instruction pairs — ALU/ALU address formation, ALU+load, load+ALU,
+//! compare-and-branch, load+indirect-jump dispatch, `tld`+`tchk`,
+//! `tget`+branch — are rewritten into fused [`BlockOp`] variants whose
+//! handlers in `Cpu::run_blocks` apply both components'
+//! fetch/cache/TLB/counter charges exactly, while skipping the
+//! inter-instruction bookkeeping the pair provably cannot need (see the
+//! legality rules on [`fuse_pair`]). The fusion set is chosen from
+//! `repro bench --profile-pairs` data; see DESIGN.md.
 //!
-//! * **Macro-op fusion** ([`fuse_ops_with`]): at block-build time, common
-//!   adjacent instruction pairs — ALU/ALU address formation, ALU+load,
-//!   load+ALU, compare-and-branch, load+indirect-jump dispatch,
-//!   `tld`+`tchk`, `tget`+branch — are rewritten into fused [`BlockOp`]
-//!   variants whose handlers in `Cpu::run_blocks` apply both components'
-//!   fetch/cache/TLB/counter charges exactly, while skipping the
-//!   inter-instruction bookkeeping the pair provably cannot need (see the
-//!   legality rules on [`fuse_pair`]). The fusion set is chosen from
-//!   `repro bench --profile-pairs` data; see DESIGN.md.
-//! * **Block chaining**: a block that exits through its final *direct*
-//!   branch or jump records a link from the observed successor pc to the
-//!   successor's block id ([`BlockTable::link`]), and later transfers
-//!   follow the link ([`BlockTable::follow`]) without re-probing the
-//!   entry table. A link is followable only while the target block's
-//!   generation matches the table's — any invalidation signal severs
-//!   every link at once, and links die with either endpoint (the source
-//!   block's link slots are dropped when it is rebuilt; the target is
-//!   revalidated by generation and entry pc on every follow).
+//! A block is entered only through [`BlockTable::lookup`] or a fresh
+//! build: every entry probes the direct-indexed entry table, and the
+//! table's generation is the one invalidation contract.
 //!
 //! A block's decoded run is handed out as an `Arc<[BlockOp]>`: the
 //! executor iterates a plain slice with no table borrow held, so
@@ -44,25 +37,21 @@
 //! stops using the (still-alive, now-detached) run at the next
 //! instruction boundary.
 //!
-//! Correctness under mutation composes with the predecode contract:
+//! Correctness under mutation:
 //!
 //! * **Guest stores** into the text range bump the table's generation
 //!   ([`BlockTable::note_store`]). The executing block loop re-checks the
 //!   generation after every instruction that can store, so a store into
 //!   the *current* block stops block execution at the store; every block
 //!   lazily revalidates its cached raw words against memory on next entry
-//!   and is rebuilt if they changed. The same bump makes every chain link
-//!   unfollowable until its target revalidates.
+//!   and is rebuilt if they changed.
 //! * **Host writes** through `Cpu::mem_mut` bump the same generation
-//!   ([`BlockTable::mark_stale`]), mirroring the predecode epoch: blocks
-//!   whose words are untouched revalidate in place (one `u32` compare
-//!   per word); changed blocks are rebuilt, re-decoding through the
-//!   predecode table so its per-slot invalidation stats stay live.
+//!   ([`BlockTable::mark_stale`]): blocks whose words are untouched
+//!   revalidate in place (one `u32` compare per word); changed blocks are
+//!   rebuilt from current memory.
 //! * [`BlockTable::flush`] drops every block outright (and bumps the
 //!   generation, so an in-flight block execution detaches from the
-//!   flushed state at the next instruction boundary). Links die with the
-//!   blocks that held them. `Cpu` flushes blocks and predecode slots
-//!   together.
+//!   flushed state at the next instruction boundary).
 //!
 //! **Tier-3 compilation state** (PR 8) also lives here: each block keeps
 //! an entry-count heat counter and, once hot, an `Arc<CompiledBlock>`
@@ -101,23 +90,6 @@ pub const MAX_BLOCK_LEN: usize = 64;
 
 /// Sentinel in the entry map for "no block starts at this word".
 const NO_BLOCK: u32 = u32::MAX;
-
-/// Chain-link slots per block: a block ending in a conditional branch has
-/// exactly two dynamic successors (taken target and fall-through), a
-/// direct jump has one, and an indirect jump (`jalr` — interpreter
-/// dispatch, calls through function values, returns) has arbitrarily
-/// many; four slots cover the branch cases exactly and give polymorphic
-/// dispatch sites a small inline cache. A PGO *superblock* widens the
-/// branch case — each guard adds one chain-eligible side-exit target on
-/// top of the final branch's two successors — but its guards side-exit
-/// at most ~1% of the time (the edge-dominance bar), so the two hot
-/// final-branch links stay pinned in their slots and the rare guard
-/// exits share the tail slots; widening the array to cover all five
-/// measurably costs more in per-block cache footprint than the rare
-/// side-exit re-links cost. Every link is validated against its
-/// target's entry pc and generation before use, so a stale or
-/// mispredicted slot can only miss, never misdirect.
-const CHAIN_LINKS: usize = 4;
 
 /// One executable unit of a cached block: a single instruction, or a
 /// fused adjacent pair rewritten by `fuse_ops_with`. Fused variants name
@@ -395,10 +367,10 @@ fn classify_one(instr: Instruction) -> BlockOp {
 }
 
 /// A handed-out block run: the detached ops plus the per-block facts the
-/// execution loop needs without re-touching the table — the block id
-/// (chain-link endpoint), the total instruction width, and whether the
-/// final op is a *direct* branch/jump (computed once at install time, so
-/// the hot loop never re-inspects instructions for chain eligibility).
+/// execution loop needs without re-touching the table — the block id,
+/// the total instruction width, and whether the final op is a branch or
+/// jump (computed once at install time, so the hot loop never
+/// re-inspects instructions to classify an exit).
 #[derive(Debug, Clone)]
 pub struct BlockRun {
     /// The decoded (possibly fused) run — `None` when the run carries
@@ -408,59 +380,37 @@ pub struct BlockRun {
     /// a budget-clipped tail — refetches them with
     /// [`BlockTable::ops_of`].
     pub ops: Option<Arc<[BlockOp]>>,
-    /// Block id, used as a chain-link endpoint.
+    /// Block id: the table slot that holds the block's heat, compiled
+    /// code and ops.
     pub bid: u32,
     /// Total instructions the run retires when executed in full.
     pub width: u32,
-    /// Whether the final op is a direct branch or `jal`: executing the
-    /// whole run means the block exited through it, the only exit kind
-    /// eligible for chain links.
-    pub chainable: bool,
+    /// Whether the final op is a branch or jump (`jal`, `jalr`):
+    /// executing the whole run means the block exited through it, an
+    /// exit the PGO edge recorder notes.
+    pub jump_exit: bool,
     /// The tier-3 compiled form, once the block has run hot. Detached
     /// like `ops`: table mutation after hand-out cannot invalidate the
     /// closure mid-block (the generation checks inside it do that).
     pub compiled: Option<Arc<CompiledBlock>>,
 }
 
-/// A chain link: "control observed to land at `pc`; the block there is
-/// `bid`". Followable only while the target block is current (generation
-/// and entry-pc checked at follow time).
-#[derive(Debug, Clone, Copy)]
-struct ChainLink {
-    pc: u64,
-    bid: u32,
-}
-
-impl Default for ChainLink {
-    fn default() -> ChainLink {
-        ChainLink { pc: 0, bid: NO_BLOCK }
-    }
-}
-
 /// One cached basic block: the raw words it was decoded from (for
-/// revalidation), the (possibly fused) run, its entry pc, and its chain
-/// links.
+/// revalidation) and the (possibly fused) run.
 #[derive(Debug, Clone)]
 struct Block {
     gen: u64,
-    pc: u64,
     words: Vec<u32>,
     /// Text segments this block's `words` were decoded from, as
     /// `(base, word_count)` in `words` order. Empty for the common
-    /// contiguous block (one segment starting at `pc`); a PGO
+    /// contiguous block (one segment from the entry pc on); a PGO
     /// superblock straightened across taken branches records one entry
     /// per straightened segment so revalidation compares every cached
     /// word against the address it actually came from.
     segs: Vec<(u64, u32)>,
     ops: Arc<[BlockOp]>,
     width: u32,
-    chainable: bool,
-    links: [ChainLink; CHAIN_LINKS],
-    /// Profile-pinned successor PCs (zero-padded): the measured hottest
-    /// targets out of this block, which [`BlockTable::link`] never
-    /// evicts for an unprofiled edge. All zeros without a profile — the
-    /// plain first-fit policy.
-    hot_links: [u64; CHAIN_LINKS],
+    jump_exit: bool,
     /// Entries since install; drives tier-up against
     /// `CoreConfig::tier_threshold`. Reset (with `compiled`) on rebuild.
     heat: u32,
@@ -479,7 +429,7 @@ impl Block {
             },
             bid,
             width: self.width,
-            chainable: self.chainable,
+            jump_exit: self.jump_exit,
             compiled: self.compiled.clone(),
         }
     }
@@ -489,14 +439,11 @@ impl Default for Block {
     fn default() -> Block {
         Block {
             gen: 0,
-            pc: 0,
             words: Vec::new(),
             segs: Vec::new(),
             ops: Arc::from(Vec::new()),
             width: 0,
-            chainable: false,
-            links: [ChainLink::default(); CHAIN_LINKS],
-            hot_links: [0; CHAIN_LINKS],
+            jump_exit: false,
             heat: 0,
             compiled: None,
         }
@@ -517,10 +464,11 @@ pub struct BlockStats {
     pub rebuilds: u64,
     /// Generation bumps from guest stores into the text range.
     pub store_invalidations: u64,
-    /// Chain links recorded after direct-branch/jump exits.
+    /// Always 0: the table forms no links between blocks. Kept because
+    /// the benchmark's work counters sum it.
     pub links_formed: u64,
-    /// Block transfers served through a chain link (no entry-table
-    /// probe).
+    /// Always 0: every block entry is a [`BlockTable::lookup`] hit or a
+    /// build. Kept because the benchmark's work counters report it.
     pub chained_transfers: u64,
     /// Blocks tier-compiled into host closures.
     pub compiles: u64,
@@ -573,10 +521,8 @@ impl BlockTable {
 
     /// Attaches a PGO profile. Install consults it for the per-workload
     /// fusion-pair table (when it carries one — [`PgoProfile::allows_pair`]
-    /// permits everything otherwise) and for the link hints that pin
-    /// each block's measured top successors into its chain-link slots.
-    /// Survives [`BlockTable::reset`] — the profile describes the
-    /// workload, not one loaded image.
+    /// permits everything otherwise). Survives [`BlockTable::reset`] —
+    /// the profile describes the workload, not one loaded image.
     ///
     /// [`PgoProfile::allows_pair`]: crate::pgo::PgoProfile::allows_pair
     pub fn set_pgo(&mut self, profile: Arc<crate::pgo::PgoProfile>) {
@@ -586,19 +532,6 @@ impl BlockTable {
     /// Effectiveness statistics.
     pub fn stats(&self) -> BlockStats {
         self.stats
-    }
-
-    /// The profile's pinned-successor array for a block installed at
-    /// `pc`: its measured top targets, zero-padded. All zeros without a
-    /// profile (nothing pins; plain first-fit link replacement).
-    fn link_hints_for(&self, pc: u64) -> [u64; CHAIN_LINKS] {
-        let mut pinned = [0u64; CHAIN_LINKS];
-        if let Some(p) = self.pgo.as_deref() {
-            for (slot, &succ) in pinned.iter_mut().zip(p.link_hints(pc)) {
-                *slot = succ;
-            }
-        }
-        pinned
     }
 
     /// Number of blocks currently installed (structure occupancy;
@@ -627,8 +560,8 @@ impl BlockTable {
     /// The current invalidation generation. The block execution loop
     /// snapshots this at block entry and re-checks it after every
     /// instruction that can store; any mutation signal (guest store into
-    /// text, host write, flush) changes it — and makes every chain link
-    /// unfollowable until its target block revalidates.
+    /// text, host write, flush) changes it, and every block revalidates
+    /// at its next [`BlockTable::lookup`].
     #[inline]
     pub fn generation(&self) -> u64 {
         self.gen
@@ -677,10 +610,9 @@ impl BlockTable {
             };
             if stale {
                 // The text under this block changed: drop the cached
-                // run — and with it this block's outgoing links,
-                // heat, and compiled code — (the entry keeps its
-                // block id for reuse) and make the caller rebuild
-                // from current memory. Dropping compiled code is a
+                // run — and with it this block's heat and compiled
+                // code — (the entry keeps its block id for reuse) and
+                // make the caller rebuild from current memory. Dropping compiled code is a
                 // tier deopt: the rebuilt block restarts cold on the
                 // interpreter backend.
                 if block.compiled.is_some() {
@@ -695,59 +627,6 @@ impl BlockTable {
         }
         self.stats.hits += 1;
         Some(block.run(bid))
-    }
-
-    /// Follows block `from`'s chain link for successor pc `pc`, if one
-    /// exists and its target is current: the target block must be live,
-    /// start exactly at `pc`, and carry the table's generation (a block
-    /// awaiting revalidation is reached through [`BlockTable::lookup`]
-    /// instead, which re-checks its words). A successful follow returns
-    /// exactly what `lookup` would — minus the entry-table probe — so it
-    /// is architecturally invisible.
-    #[inline]
-    pub fn follow(&mut self, from: u32, pc: u64) -> Option<BlockRun> {
-        let links = self.blocks.get(from as usize)?.links;
-        let bid = links.iter().find(|l| l.bid != NO_BLOCK && l.pc == pc)?.bid;
-        let target = self.blocks.get(bid as usize)?;
-        if target.gen != self.gen || target.pc != pc || target.ops.is_empty() {
-            return None;
-        }
-        self.stats.chained_transfers += 1;
-        Some(target.run(bid))
-    }
-
-    /// Records a chain link: block `from` exited through its final
-    /// branch/jump and control landed at `pc`, where block `to` lives.
-    /// Overwrites the slot already holding `pc` if any, else an empty
-    /// slot. When every slot is taken the victim is the last slot not
-    /// holding a profile-pinned target (`Block::hot_links`) — at a
-    /// polymorphic dispatch site this keeps the measured-hottest
-    /// targets resident while the long tail of cold handlers churns
-    /// through the remaining slots, instead of the first four targets
-    /// ever seen squatting the cache while *every* later one hammers
-    /// the last slot. (Without a profile nothing is pinned and the
-    /// victim is simply the last slot, as before.) If all slots hold pinned targets, an unprofiled
-    /// edge is not recorded at all: losing one cold-edge follow is
-    /// cheaper than evicting a measured-hot link for it.
-    #[inline]
-    pub fn link(&mut self, from: u32, pc: u64, to: u32) {
-        let Some(block) = self.blocks.get_mut(from as usize) else { return };
-        let slot = match block.links.iter().position(|l| l.bid == NO_BLOCK || l.pc == pc) {
-            Some(s) => s,
-            None => {
-                let pinned = &block.hot_links;
-                match block.links.iter().rposition(|l| !pinned.contains(&l.pc)) {
-                    Some(s) => s,
-                    // Unreachable with distinct slot pcs (at most
-                    // CHAIN_LINKS pcs are pinned), but a hint table
-                    // with duplicates must still terminate somewhere.
-                    None if pinned.contains(&pc) => CHAIN_LINKS - 1,
-                    None => return,
-                }
-            }
-        };
-        block.links[slot] = ChainLink { pc, bid: to };
-        self.stats.links_formed += 1;
     }
 
     /// Installs a freshly decoded block starting at `pc`, reusing the
@@ -775,7 +654,7 @@ impl BlockTable {
         } else {
             self.entry[idx]
         };
-        let chainable = matches!(
+        let jump_exit = matches!(
             instrs.last(),
             Some(Instruction::Branch { .. })
                 | Some(Instruction::Jal { .. })
@@ -785,14 +664,11 @@ impl BlockTable {
         let ops: Arc<[BlockOp]> = Arc::from(fuse_ops_with(&instrs, fuse, self.pgo.as_deref()));
         let block = Block {
             gen: self.gen,
-            pc,
             words,
             segs: Vec::new(),
             ops,
             width,
-            chainable,
-            links: [ChainLink::default(); CHAIN_LINKS],
-            hot_links: self.link_hints_for(pc),
+            jump_exit,
             heat: 0,
             compiled: None,
         };
@@ -867,7 +743,7 @@ impl BlockTable {
                 ops.extend(fuse_ops_with(instrs, fuse, allow.as_deref()));
             }
         }
-        let chainable = matches!(
+        let jump_exit = matches!(
             segs.last().expect("non-empty").2.last(),
             Some(Instruction::Branch { .. })
                 | Some(Instruction::Jal { .. })
@@ -875,14 +751,11 @@ impl BlockTable {
         );
         let block = Block {
             gen: self.gen,
-            pc,
             words,
             segs: seg_meta,
             ops: Arc::from(ops),
             width,
-            chainable,
-            links: [ChainLink::default(); CHAIN_LINKS],
-            hot_links: self.link_hints_for(pc),
+            jump_exit,
             heat: 0,
             compiled: None,
         };
@@ -929,10 +802,9 @@ impl BlockTable {
 
     /// Records a guest store of `len` bytes at `addr`: if it overlaps
     /// the text range, every block must re-check its words before its
-    /// next execution, the currently executing block (if any) must stop
-    /// using its cached run, and every chain link goes dark until its
-    /// target revalidates. One compare in the common case of a data
-    /// store. Returns whether the store hit text (i.e. whether blocks
+    /// next execution, and the currently executing block (if any) must
+    /// stop using its cached run. One compare in the common case of a
+    /// data store. Returns whether the store hit text (i.e. whether blocks
     /// were invalidated) so the trace layer can record the event.
     #[inline]
     pub fn note_store(&mut self, addr: u64, len: u64) -> bool {
@@ -946,9 +818,7 @@ impl BlockTable {
     }
 
     /// Marks every block as needing revalidation (a host may have
-    /// written arbitrary memory through `Cpu::mem_mut`). Mirrors the
-    /// predecode epoch bump; chain links are unfollowable until their
-    /// targets revalidate.
+    /// written arbitrary memory through `Cpu::mem_mut`).
     #[inline]
     pub fn mark_stale(&mut self) {
         self.gen += 1;
@@ -957,8 +827,7 @@ impl BlockTable {
     /// Drops every cached block (keeps the covered range and the
     /// statistics). Bumps the generation so an in-flight block execution
     /// stops consulting its (detached, still-alive) run at the next
-    /// instruction boundary. Chain links die with the blocks that hold
-    /// them.
+    /// instruction boundary.
     pub fn flush(&mut self) {
         for e in &mut self.entry {
             *e = NO_BLOCK;
@@ -1005,7 +874,7 @@ mod tests {
         let run = t.install(0x1000, vec![w1, w2], vec![i1, i2], false);
         assert_eq!(run.ops.as_ref().expect("uncompiled run carries ops").len(), 2);
         assert_eq!(run.width, 2);
-        assert!(!run.chainable, "no final direct branch");
+        assert!(!run.jump_exit, "no final branch or jump");
         (t, mem)
     }
 
@@ -1151,142 +1020,6 @@ mod tests {
         assert_eq!(fuse_pair(bne(), a), None);
     }
 
-    // --- chaining ---
-
-    fn two_block_table() -> (BlockTable, MainMemory, u32, u32) {
-        let mut t = BlockTable::new();
-        t.reset(0x1000, 8);
-        let mut mem = MainMemory::new();
-        let (w1, i1) = addi(1);
-        mem.write_u32(0x1000, w1);
-        mem.write_u32(0x1008, w1);
-        let b0 = t.install(0x1000, vec![w1], vec![i1], false).bid;
-        let b1 = t.install(0x1008, vec![w1], vec![i1], false).bid;
-        (t, mem, b0, b1)
-    }
-
-    #[test]
-    fn link_then_follow_transfers_without_probe() {
-        let (mut t, _, b0, b1) = two_block_table();
-        assert!(t.follow(b0, 0x1008).is_none(), "no link yet");
-        t.link(b0, 0x1008, b1);
-        assert_eq!(t.stats().links_formed, 1);
-        let run = t.follow(b0, 0x1008).expect("linked");
-        assert_eq!(run.bid, b1);
-        assert_eq!(run.ops.as_ref().unwrap().len(), 1);
-        assert_eq!(t.stats().chained_transfers, 1);
-        assert!(t.follow(b0, 0x1004).is_none(), "pc must match the link");
-    }
-
-    #[test]
-    fn generation_bump_severs_links_until_revalidation() {
-        let (mut t, mem, b0, b1) = two_block_table();
-        t.link(b0, 0x1008, b1);
-        t.note_store(0x1004, 4); // text store elsewhere: gen bump
-        assert!(t.follow(b0, 0x1008).is_none(), "stale target must not chain");
-        // A normal lookup revalidates the target; the link works again
-        // without being re-formed.
-        assert!(t.lookup(0x1008, &mem).is_some());
-        assert!(t.follow(b0, 0x1008).is_some());
-    }
-
-    #[test]
-    fn links_die_with_either_endpoint() {
-        let (mut t, mut mem, b0, b1) = two_block_table();
-        t.link(b0, 0x1008, b1);
-        // Target endpoint dies: its word changes, lookup drops it.
-        mem.write_u32(0x1008, addi(9).0);
-        t.note_store(0x1008, 4);
-        assert!(t.lookup(0x1008, &mem).is_none());
-        assert!(t.follow(b0, 0x1008).is_none(), "dropped target must not chain");
-        // Source endpoint dies: rebuilding it clears its link slots.
-        let (w9, i9) = addi(9);
-        let nb1 = t.install(0x1008, vec![w9], vec![i9], false).bid;
-        assert_eq!(nb1, b1, "entry keeps its block id");
-        t.link(b0, 0x1008, nb1);
-        assert!(t.follow(b0, 0x1008).is_some());
-        let (w1, i1) = addi(1);
-        t.install(0x1000, vec![w1], vec![i1], false); // rebuild source
-        assert!(t.follow(b0, 0x1008).is_none(), "rebuilt source holds no links");
-    }
-
-    #[test]
-    fn flush_kills_all_links() {
-        let (mut t, _, b0, b1) = two_block_table();
-        t.link(b0, 0x1008, b1);
-        t.flush();
-        assert!(t.follow(b0, 0x1008).is_none());
-    }
-
-    #[test]
-    fn link_slots_update_in_place_and_replace_deterministically() {
-        let mut t = BlockTable::new();
-        t.reset(0x1000, 16);
-        let mut mem = MainMemory::new();
-        let (w1, i1) = addi(1);
-        for pc in [0x1000u64, 0x1008, 0x1010, 0x1018, 0x1020, 0x1028] {
-            mem.write_u32(pc, w1);
-            t.install(pc, vec![w1], vec![i1], false);
-        }
-        assert!(t.lookup(0x1000, &mem).is_some());
-        // Successive successors fill the four slots in order.
-        t.link(0, 0x1008, 1);
-        t.link(0, 0x1010, 2);
-        t.link(0, 0x1018, 3);
-        t.link(0, 0x1020, 4);
-        assert!(t.follow(0, 0x1008).is_some());
-        assert!(t.follow(0, 0x1010).is_some());
-        assert!(t.follow(0, 0x1018).is_some());
-        assert!(t.follow(0, 0x1020).is_some());
-        // Re-linking an existing pc updates in place, no slot churn.
-        t.link(0, 0x1008, 1);
-        assert!(t.follow(0, 0x1010).is_some());
-        // Once every slot is taken, a new successor replaces the last
-        // slot only; earlier slots survive.
-        t.link(0, 0x1028, 5);
-        assert!(t.follow(0, 0x1008).is_some(), "first slot survives");
-        assert!(t.follow(0, 0x1010).is_some(), "second slot survives");
-        assert!(t.follow(0, 0x1018).is_some(), "third slot survives");
-        assert!(t.follow(0, 0x1020).is_none(), "last slot was replaced");
-        assert!(t.follow(0, 0x1028).is_some());
-    }
-
-    #[test]
-    fn profile_pinned_links_survive_polymorphic_churn() {
-        let mut t = BlockTable::new();
-        t.reset(0x1000, 16);
-        let mut mem = MainMemory::new();
-        let (w1, i1) = addi(1);
-        for pc in [0x1000u64, 0x1008, 0x1010, 0x1018, 0x1020, 0x1028] {
-            mem.write_u32(pc, w1);
-        }
-        // The profile pins 0x1008 and 0x1010 as the measured-hottest
-        // successors of the dispatch block at 0x1000.
-        t.set_pgo(Arc::new(crate::pgo::PgoProfile::new(
-            Vec::new(),
-            std::collections::BTreeMap::new(),
-            std::collections::BTreeMap::from([(0x1000u64, vec![0x1008u64, 0x1010])]),
-            None,
-        )));
-        for pc in [0x1000u64, 0x1008, 0x1010, 0x1018, 0x1020, 0x1028] {
-            t.install(pc, vec![w1], vec![i1], false);
-        }
-        t.link(0, 0x1008, 1); // pinned
-        t.link(0, 0x1010, 2); // pinned
-        t.link(0, 0x1018, 3);
-        t.link(0, 0x1020, 4);
-        // A long tail of cold targets churns through the table: the
-        // pinned links stay followable, the unpinned tail slot cycles.
-        t.link(0, 0x1028, 5);
-        assert!(t.follow(0, 0x1008).is_some(), "pinned slot survives churn");
-        assert!(t.follow(0, 0x1010).is_some(), "pinned slot survives churn");
-        assert!(t.follow(0, 0x1028).is_some(), "newest cold target resident");
-        assert!(t.follow(0, 0x1020).is_none(), "cold victim was the unpinned slot");
-        // Re-linking a pinned pc still updates in place.
-        t.link(0, 0x1008, 1);
-        assert!(t.follow(0, 0x1008).is_some());
-    }
-
     // --- PGO: fusion-pair tables and superblocks ---
 
     #[test]
@@ -1305,7 +1038,6 @@ mod tests {
         // unfused even though it is statically legal.
         let profile = crate::pgo::PgoProfile::new(
             Vec::new(),
-            std::collections::BTreeMap::new(),
             std::collections::BTreeMap::new(),
             Some(vec![(a.mnemonic().to_string(), ld().mnemonic().to_string())]),
         );
@@ -1349,7 +1081,7 @@ mod tests {
             true,
         );
         assert_eq!(run.width, 3);
-        assert!(!run.chainable, "final segment ends in a plain alu");
+        assert!(!run.jump_exit, "final segment ends in a plain alu");
         assert_eq!(
             &run.ops.as_ref().unwrap()[..],
             &[

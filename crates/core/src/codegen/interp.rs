@@ -63,7 +63,7 @@ pub(crate) fn walk(
     let mut stop = None;
     // Set when a superblock guard leaves the straightened path: the
     // exit is a direct, statically-targeted transfer, reported as
-    // `BlockExit::SideExit` so the run loop keeps it chain-eligible.
+    // `BlockExit::SideExit` so the run loop's edge recorder notes it.
     let mut guard_exit = false;
     let mut prev_mnemonic: Option<&'static str> = None;
     // Trap exit: the faulting instruction's own (possibly deferred)

@@ -1,7 +1,7 @@
 //! Block-execution backends behind the [`CodeGenerator`] emitter trait.
 //!
-//! PR 3–5 made block dispatch cheap (predecode → basic blocks → chaining
-//! and fusion), but every block entry still walked its `[BlockOp]` run
+//! PR 3–5 made block dispatch cheap (basic blocks and fusion), but
+//! every block entry still walked its `[BlockOp]` run
 //! through a `match` per op, re-destructuring each instruction's fields
 //! on every execution. This module factors the execution of one block
 //! behind an emitter trait with two backends:
@@ -23,8 +23,8 @@
 //! Both backends run over the same [`ExecCtx`] — the core plus the
 //! deferred fetch-hit batch ([`SpanBatch`]) that persists across block
 //! boundaries — and report the same [`BlockExit`] protocol, so the
-//! surrounding loop (chaining, budget accounting, invalidation watching)
-//! is backend-agnostic.
+//! surrounding loop (budget accounting, edge recording, invalidation
+//! watching) is backend-agnostic.
 //!
 //! **Compiled code never outruns invalidation.** A compiled closure is
 //! reached only through a `BlockRun` handed out by the block table, which
@@ -172,7 +172,7 @@ impl fmt::Debug for ExecCtx<'_> {
 /// How one block execution ended, in the protocol `Cpu::run_blocks`
 /// consumes. Architectural state (counters, cycles-on-trap rewind,
 /// pending fetch batch) is already settled by the backend; the caller
-/// only does budget accounting, chain bookkeeping, and deopt detection.
+/// only does budget accounting, edge recording, and deopt detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockExit {
     /// The block exited normally (full run, mid-block redirect, or
@@ -185,10 +185,9 @@ pub enum BlockExit {
     /// retiring `executed` instructions. Identical to [`Done`] for
     /// budget accounting, but the exit is a *direct, statically-
     /// targeted* control transfer (the guard's off-trace continuation),
-    /// so the run loop treats it as chain-eligible even though the run
-    /// ended short of the block's full width — otherwise every
-    /// side-exit would pay the entry-table probe a plain block's
-    /// equally-direct final branch avoids through its links.
+    /// so the run loop's PGO edge recorder notes it like a block-final
+    /// branch even though the run ended short of the block's full
+    /// width.
     ///
     /// [`Done`]: BlockExit::Done
     SideExit {

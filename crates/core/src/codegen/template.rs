@@ -58,7 +58,7 @@
 //!
 //! At every observation point the counter and pending values equal the
 //! walker's — `tests/predecode_equiv.rs` pins bit-identical counters
-//! across the tier×chain×fuse matrix.
+//! across the tier×fuse matrix.
 //!
 //! Each op template is otherwise a line-for-line specialization of the
 //! corresponding [`super::interp::walk`] arm — same charge order, same
@@ -466,9 +466,9 @@ fn compile_op(f: Fold, next: Chain) -> Chain {
                     // Side-exit: the branch left the straightened path —
                     // materialize what the block batched so far and hand
                     // the next pc back, exactly like a block-ending
-                    // branch (and, like one, chain-eligible: the exit
-                    // target is the branch's static off-trace
-                    // continuation). Never traps; never stores, so no
+                    // branch (and, like one, noted by the edge
+                    // recorder: the exit target is the branch's static
+                    // off-trace continuation). Never traps; never stores, so no
                     // generation check before continuing.
                     settle(ctx, ia, hx);
                     return BlockExit::SideExit { executed: k };

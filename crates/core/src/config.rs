@@ -140,16 +140,18 @@ pub struct CoreConfig {
     pub latency: LatencyConfig,
     /// Type Rule Table capacity (the paper synthesises 8 entries).
     pub trt_entries: usize,
-    /// Serve fetches from the predecoded-instruction side table
-    /// (host-side fast path; simulated counters are identical either way).
+    /// Has no effect: the core keeps no predecoded copy of the text, and
+    /// a word is decoded where it is fetched (once per block build, or
+    /// per step on the stepwise path). Kept, `true` in
+    /// [`CoreConfig::paper`], because the runner's job key hashes this
+    /// struct's `Debug` text and cached results must keep their keys.
     pub predecode: bool,
     /// Execute straight-line runs through the basic-block engine
     /// (host-side fast path; simulated counters are identical either way).
     pub blocks: bool,
-    /// Chain directly between basic blocks: when a block exits to a pc
-    /// whose block is already built and valid, transfer control without
-    /// re-probing the block table (host-side fast path; simulated
-    /// counters are identical either way). Only meaningful with `blocks`.
+    /// Has no effect: every block entry probes the block table. Kept,
+    /// `true` in [`CoreConfig::paper`], for the same job-key reason as
+    /// [`CoreConfig::predecode`].
     pub chain_blocks: bool,
     /// Fuse common adjacent instruction pairs into superinstructions at
     /// block-build time (host-side fast path; the fused handlers apply

@@ -26,7 +26,6 @@ use crate::counters::PerfCounters;
 use crate::observe::{Attribution, HandlerProfile, Observers};
 use crate::pairprof::PairProfile;
 use crate::pgo::EdgeProfile;
-use crate::predecode::{PredecodeStats, PredecodeTable};
 use crate::regfile::{RegFile, TaggedValue};
 use crate::tagio::{Inserted, SprState};
 use crate::trt::TypeRuleTable;
@@ -126,6 +125,21 @@ impl Trap {
 
 impl Error for Trap {}
 
+/// The statistics [`Cpu::predecode_stats`] returns: every field is
+/// always 0, since the core keeps no predecoded copy of the text. Kept
+/// because the benchmark's work counters read it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PredecodeStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub fills: u64,
+    /// Always 0.
+    pub invalidations: u64,
+    /// Always 0.
+    pub revalidations: u64,
+}
+
 /// The simulated core plus its memory system.
 ///
 /// # Examples
@@ -162,7 +176,6 @@ pub struct Cpu {
     ready: [u64; 32],
     ready_f: [u64; 32],
     halted: bool,
-    predecode: PredecodeTable,
     pub(crate) blocks: BlockTable,
     pub(crate) pair_profile: Option<Box<PairProfile>>,
     /// Block-entry recorders: the PGO edge recorder
@@ -201,7 +214,6 @@ impl Cpu {
             ready: [0; 32],
             ready_f: [0; 32],
             halted: false,
-            predecode: PredecodeTable::new(),
             blocks,
             pair_profile: None,
             observers: None,
@@ -226,12 +238,11 @@ impl Cpu {
     }
 
     /// Starts recording observed block-to-block control edges — the raw
-    /// material for [`crate::PgoProfile`] superblock formation. An edge
-    /// is noted on every chainable full-width block exit (the same
-    /// bookkeeping that feeds chain-link formation, so
-    /// [`CoreConfig::chain_blocks`](crate::CoreConfig) must be on to
-    /// observe anything). Host-side only: recording changes no
-    /// simulated counter.
+    /// material for [`crate::PgoProfile`] superblock formation. The block
+    /// engine notes one edge per block exit through the block's final
+    /// branch or jump (the whole block executed) and per superblock
+    /// guard side-exit; the stepwise core notes none. Host-side only:
+    /// recording changes no simulated counter.
     pub fn enable_edge_profile(&mut self) {
         self.observers.get_or_insert_with(Box::default).edges = Some(EdgeProfile::new());
     }
@@ -399,7 +410,6 @@ impl Cpu {
             self.mem.write_u32(program.text_base + 4 * i as u64, *word);
         }
         self.mem.write_bytes(program.data_base, &program.data);
-        self.predecode.reset(program.text_base, program.text.len());
         self.blocks.reset(program.text_base, program.text.len());
         self.pc = program.entry;
         self.halted = false;
@@ -439,12 +449,10 @@ impl Cpu {
     /// Simulated memory, mutably (loaders and native helpers).
     ///
     /// Handing out raw mutable memory means the caller may write anywhere
-    /// — including the text segment — so the predecode table is marked
-    /// stale (every cached slot revalidates its raw word on next use) and
-    /// the basic-block table's generation is bumped (every block
-    /// re-compares its words against memory on next entry).
+    /// — including the text segment — so the basic-block table's
+    /// generation is bumped: every block re-compares its words against
+    /// memory at its next lookup.
     pub fn mem_mut(&mut self) -> &mut MainMemory {
-        self.predecode.mark_stale();
         self.blocks.mark_stale();
         &mut self.mem
     }
@@ -457,8 +465,8 @@ impl Cpu {
     /// guest, call `freeze_memory`, then stamp out clones — each clone is
     /// an independent core whose first write to any shared page copies
     /// just that page. Freezing changes no byte of simulated memory, so
-    /// — unlike [`Cpu::mem_mut`] — it does *not* stale-mark the
-    /// predecode or block tables: every cached decode stays valid.
+    /// — unlike [`Cpu::mem_mut`] — it does *not* stale-mark the block
+    /// table: every cached block stays valid.
     pub fn freeze_memory(&mut self) {
         self.mem.freeze();
     }
@@ -467,21 +475,22 @@ impl Cpu {
     /// updating guest heap state between simulated instructions).
     ///
     /// Unlike [`Cpu::mem_mut`] — which hands out raw memory and must
-    /// therefore assume the caller wrote *anywhere*, stale-marking every
-    /// decode cache — this records the store precisely: the predecode
-    /// and block caches invalidate only when `addr..addr+8` overlaps the
-    /// text range, exactly as a guest `sd` to the same address would.
-    /// Keeps chain links and cached block generations intact across the
-    /// heap writes the VM runtimes issue on nearly every native call.
+    /// therefore assume the caller wrote *anywhere*, stale-marking the
+    /// block table — this records the store precisely: the block table
+    /// is invalidated only when `addr..addr+8` overlaps the text range,
+    /// exactly as a guest `sd` to the same address would. Keeps the
+    /// block generation intact across the heap writes the VM runtimes
+    /// issue on nearly every native call, so no block revalidates for
+    /// them.
     pub fn host_store_u64(&mut self, addr: u64, v: u64) {
         self.mem.write_u64(addr, v);
         self.note_code_store(addr, 8);
     }
 
-    /// Predecode-table effectiveness statistics (host-side metric; not an
-    /// architectural counter).
+    /// Always all zero: the core keeps no predecoded copy of the text.
+    /// Kept because the benchmark's work counters read it.
     pub fn predecode_stats(&self) -> PredecodeStats {
-        self.predecode.stats()
+        PredecodeStats::default()
     }
 
     /// Basic-block-engine effectiveness statistics (host-side metric; not
@@ -603,18 +612,9 @@ impl Cpu {
         }
 
         self.charge_fetch(pc);
-        let instr = match self.predecode_fetch(pc) {
-            Some(instr) => instr,
-            None => {
-                let word = self.mem.read_u32(pc);
-                let instr = Instruction::decode(word)
-                    .map_err(|_| Trap::InvalidInstruction { pc, word })?;
-                if self.config.predecode {
-                    self.predecode.fill(pc, word, instr);
-                }
-                instr
-            }
-        };
+        let word = self.mem.read_u32(pc);
+        let instr =
+            Instruction::decode(word).map_err(|_| Trap::InvalidInstruction { pc, word })?;
 
         self.counters.instructions += 1;
         let event = self.execute(pc, instr)?;
@@ -655,7 +655,7 @@ impl Cpu {
     }
 
     /// [`Cpu::run`] through the basic-block engine: straight-line runs of
-    /// predecoded instructions execute in one host-loop iteration, with
+    /// decoded instructions execute in one host-loop iteration, with
     /// the `halted` check, pc-alignment check, block lookup, and
     /// `counters.cycles` sync hoisted to block boundaries. Per-instruction
     /// *architectural* work — fetch charges, branch prediction, counters —
@@ -703,14 +703,10 @@ impl Cpu {
     ///   cannot cover both components, the first executes alone through
     ///   the generic path and the block resumes stepwise-style at the
     ///   second's pc.
-    /// * **Block chaining** (`CoreConfig::chain_blocks`): a block exiting
-    ///   through its final *direct* branch/`jal` records a link to the
-    ///   successor block, and later transfers follow it without
-    ///   re-probing the entry table. A follow succeeds only when the
-    ///   target block carries the current generation and starts at the
-    ///   observed pc — exactly the blocks a normal lookup would hand back
-    ///   without touching memory — so chained transfers are
-    ///   architecturally invisible and any invalidation severs them.
+    /// * A block runs only after [`BlockTable::lookup`] or a fresh build
+    ///   proved it current (DESIGN.md invariant 6): every entry probes
+    ///   the entry table, and a block whose generation is stale
+    ///   re-compares its words against memory first.
     /// * **Tier-3 compilation** (`CoreConfig::tier`): a block whose entry
     ///   count crosses `CoreConfig::tier_threshold` is template-compiled
     ///   once into a host closure (`codegen::Template`) that replays the
@@ -718,8 +714,8 @@ impl Cpu {
     ///   folded; every block below the threshold — and every
     ///   budget-clipped tail — runs on the interpreter backend
     ///   (`codegen::interp::walk`, the pre-tier walker verbatim). A
-    ///   compiled block is entered only through a table lookup/follow
-    ///   that proved its generation current, re-checks the generation
+    ///   compiled block is entered only through a table lookup that
+    ///   proved its generation current, re-checks the generation
     ///   after every storing op exactly like the walker, and deopts to
     ///   the interpreter at an instruction boundary when it moves
     ///   (DESIGN.md invariant 8) — so tier-on/off counters are
@@ -730,15 +726,13 @@ impl Cpu {
     /// Propagates traps from [`Cpu::step`].
     pub fn run_blocks(&mut self, max_steps: u64) -> Result<StepEvent, Trap> {
         let line_shift = self.config.icache.line_bytes.trailing_zeros();
-        let chain = self.config.chain_blocks;
         let tier = self.config.tier;
         let emitter = codegen::generator(tier);
         let mut remaining = max_steps;
-        // Chain source: the block we just exited through its final direct
-        // branch/jump — eligible to follow (or form) a link to the block
-        // at the current pc. Carries the exited block's entry pc so a
-        // phase-1 PGO run can note the (from, to) edge.
-        let mut chain_from: Option<(u32, u64)> = None;
+        // Entry pc of the block just exited through its final branch or
+        // jump, or through a guard side-exit: a phase-1 PGO run notes the
+        // (from, to) edge at the next entry.
+        let mut exited_from: Option<u64> = None;
         // Deferred same-line fetch-hit batch; persists across block
         // boundaries — only fetch charges touch the I-cache/I-TLB inside
         // this loop, so a line stays resident until the next real charge
@@ -757,72 +751,51 @@ impl Cpu {
             // available without per-instruction cost).
             self.trace_tick(pc);
             // The recorders, behind one test: phase-1 PGO edge
-            // recording (one note per chainable block exit, keyed by the
-            // blocks' entry pcs) and per-handler attribution (every
-            // arrival at a split pc starts a block). Host-side only.
+            // recording (one note per branch, jump or side exit, keyed
+            // by the blocks' entry pcs) and per-handler attribution
+            // (every arrival at a split pc starts a block). Host-side
+            // only.
+            let from = exited_from.take();
             if self.observers.is_some() {
-                self.observe_entry(pc, chain_from.map(|(_, from_pc)| from_pc));
+                self.observe_entry(pc, from);
             }
-            // Chained transfer: when the previous block exited through
-            // its final direct branch/jump, its link for this pc (if
-            // current) hands back the successor run without the entry
-            // probe. A followed target's pc equals a previously installed
-            // block's entry pc, so the alignment check is subsumed.
-            let followed = match chain_from {
-                Some((from, _)) => self.blocks.follow(from, pc),
-                None => None,
-            };
-            let mut run = match followed {
+            if !pc.is_multiple_of(4) {
+                span.flush(self);
+                let trap = Trap::MisalignedPc { pc };
+                self.trace_trap(&trap);
+                return Err(trap);
+            }
+            if !self.blocks.covers(pc) {
+                // Outside the loaded text image (dynamically placed
+                // code): stepwise fallback.
+                span.flush(self);
+                span.reset();
+                match self.step()? {
+                    StepEvent::Retired => {
+                        remaining -= 1;
+                        continue;
+                    }
+                    other => return Ok(other),
+                }
+            }
+            let mut run = match self.blocks.lookup(pc, &self.mem) {
                 Some(found) => found,
-                None => {
-                    if !pc.is_multiple_of(4) {
+                None => match self.build_block(pc) {
+                    Some(built) => built,
+                    None => {
+                        // The entry word is undecodable: replicate the
+                        // stepwise trap — fetch charges applied,
+                        // `instructions` not incremented, cycles left at
+                        // the previous sync.
                         span.flush(self);
-                        let trap = Trap::MisalignedPc { pc };
+                        self.charge_fetch(pc);
+                        let word = self.mem.read_u32(pc);
+                        let trap = Trap::InvalidInstruction { pc, word };
                         self.trace_trap(&trap);
                         return Err(trap);
                     }
-                    if !self.blocks.covers(pc) {
-                        // Outside the loaded text image (dynamically
-                        // placed code): stepwise fallback.
-                        chain_from = None;
-                        span.flush(self);
-                        span.reset();
-                        match self.step()? {
-                            StepEvent::Retired => {
-                                remaining -= 1;
-                                continue;
-                            }
-                            other => return Ok(other),
-                        }
-                    }
-                    let found = match self.blocks.lookup(pc, &self.mem) {
-                        Some(found) => found,
-                        None => match self.build_block(pc) {
-                            Some(built) => built,
-                            None => {
-                                // The entry word is undecodable: replicate
-                                // the stepwise trap — fetch charges
-                                // applied, `instructions` not incremented,
-                                // cycles left at the previous sync.
-                                span.flush(self);
-                                self.charge_fetch(pc);
-                                let word = self.mem.read_u32(pc);
-                                let trap = Trap::InvalidInstruction { pc, word };
-                                self.trace_trap(&trap);
-                                return Err(trap);
-                            }
-                        },
-                    };
-                    // Resolved the slow way after a direct exit: record
-                    // the link so the next transfer along this edge
-                    // follows it.
-                    if let Some((from, _)) = chain_from {
-                        self.blocks.link(from, pc, found.bid);
-                    }
-                    found
-                }
+                },
             };
-            chain_from = None;
             let budget = remaining;
             let entry_gen = self.blocks.generation();
             // Tier selection: a compiled block executes only with an
@@ -913,23 +886,19 @@ impl Cpu {
                         self.blocks.note_deopt();
                         self.trace_event(TraceEventKind::BlockDeopt { pc });
                     }
-                    // The block is chain-eligible exactly when its final
-                    // op is a branch or jump (known at build time) and
-                    // the whole run executed — early exits (mid-block
+                    // The edge recorder notes an exit through the block's
+                    // final branch or jump (known at build time) when the
+                    // whole run executed — early exits (mid-block
                     // redirect, self-invalidating store, budget clip,
                     // trap) leave `executed` short of the width, and a
-                    // final `ecall`/`halt` makes the block unchainable to
-                    // begin with. Indirect jumps (`jalr`) chain too:
-                    // links are keyed by successor pc and validated
-                    // against the target block's entry, so a dispatch
-                    // site's link slots act as a small, always-safe
-                    // inline cache. A superblock guard's side-exit
-                    // (`SideExit`) chains despite running short: the exit
-                    // is the guard branch's static off-trace target,
-                    // exactly as direct as a block-final branch.
+                    // final `ecall`/`halt` is no such exit. Indirect
+                    // jumps (`jalr`) count too. A superblock guard's
+                    // side-exit (`SideExit`) counts despite running
+                    // short: the exit is the guard branch's static
+                    // off-trace target.
                     let side_exit = matches!(exit, BlockExit::SideExit { .. });
-                    if chain && (side_exit || (run.chainable && executed == run.width as u64)) {
-                        chain_from = Some((run.bid, pc));
+                    if side_exit || (run.jump_exit && executed == run.width as u64) {
+                        exited_from = Some(pc);
                     }
                 }
             }
@@ -939,11 +908,9 @@ impl Cpu {
     }
 
     /// Decodes the basic block starting at `pc` and installs it in the
-    /// block table. Decoding goes through the predecode table when that
-    /// is enabled, so predecode slots (and their invalidation stats) stay
-    /// live under the block engine. Adjacent pairs are fused at install
-    /// time when the config asks for it — except under pair profiling,
-    /// whose histogram must describe the unfused stream. Returns `None`
+    /// block table. Adjacent pairs are fused at install time when the
+    /// config asks for it — except under pair profiling, whose histogram
+    /// must describe the unfused stream. Returns `None`
     /// when the entry word itself does not decode (the caller raises the
     /// stepwise trap); an undecodable word *after* a decodable run simply
     /// ends the block before it.
@@ -977,9 +944,9 @@ impl Cpu {
     /// Decodes one straight-line run starting at `pc`: up to `max`
     /// instructions, ending early at a block-ending instruction, the
     /// text-range edge, an undecodable word, or before a split pc
-    /// ([`Cpu::enable_handler_profile`]). Decoding goes through the
-    /// predecode table when that is enabled.
-    fn decode_run(&mut self, pc: u64, max: usize) -> (Vec<u32>, Vec<Instruction>) {
+    /// ([`Cpu::enable_handler_profile`]). This is the one place the block
+    /// engine decodes a text word.
+    fn decode_run(&self, pc: u64, max: usize) -> (Vec<u32>, Vec<Instruction>) {
         let mut words = Vec::new();
         let mut instrs = Vec::new();
         let mut p = pc;
@@ -988,18 +955,7 @@ impl Cpu {
                 break;
             }
             let word = self.mem.read_u32(p);
-            let instr = match self.predecode_fetch(p) {
-                Some(instr) => instr,
-                None => match Instruction::decode(word) {
-                    Ok(instr) => {
-                        if self.config.predecode {
-                            self.predecode.fill(p, word, instr);
-                        }
-                        instr
-                    }
-                    Err(_) => break,
-                },
-            };
+            let Ok(instr) = Instruction::decode(word) else { break };
             words.push(word);
             instrs.push(instr);
             if ends_block(instr) {
@@ -1073,9 +1029,9 @@ impl Cpu {
     /// Charges one instruction fetch at `pc`: I-cache access always;
     /// I-TLB miss adds the page-walk latency and the miss counter;
     /// I-cache miss adds the DRAM latency and the miss counter. The
-    /// charges are identical whether the instruction is then decoded
-    /// fresh, served from the predecode table, or executed from a basic
-    /// block — only host-side decode work differs between those paths.
+    /// charges are identical whether the instruction is then stepped or
+    /// executed from a basic block — only host-side decode work differs
+    /// between those paths.
     #[inline]
     pub(crate) fn charge_fetch(&mut self, pc: u64) {
         self.counters.icache_accesses += 1;
@@ -1107,23 +1063,11 @@ impl Cpu {
         self.icache.repeat_hits(addr, count);
     }
 
-    /// Records a guest store so both decoded-code caches (predecode slots
-    /// and basic blocks) observe it.
+    /// Records a guest store so the block table observes it.
     #[inline]
     fn note_code_store(&mut self, addr: u64, len: u64) {
-        let predecode_hit = self.predecode.note_store(addr, len);
-        let blocks_hit = self.blocks.note_store(addr, len);
-        if predecode_hit || blocks_hit {
+        if self.blocks.note_store(addr, len) {
             self.trace_event(TraceEventKind::CodeInvalidate { addr });
-        }
-    }
-
-    #[inline]
-    fn predecode_fetch(&mut self, pc: u64) -> Option<Instruction> {
-        if self.config.predecode {
-            self.predecode.fetch(pc, &self.mem)
-        } else {
-            None
         }
     }
 

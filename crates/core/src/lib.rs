@@ -75,7 +75,6 @@ mod ctxsw;
 mod observe;
 mod pairprof;
 mod pgo;
-mod predecode;
 mod regfile;
 mod tagio;
 mod trt;
@@ -85,12 +84,11 @@ pub use bpred::{BranchPredictor, BranchStats};
 pub use codegen::{BlockExit, CodeGenerator, CompiledBlock, Interp, Template};
 pub use config::{BranchConfig, CoreConfig, IsaLevel, LatencyConfig};
 pub use counters::PerfCounters;
-pub use cpu::{canonical_f64_bits, Cpu, StepEvent, Trap};
+pub use cpu::{canonical_f64_bits, Cpu, PredecodeStats, StepEvent, Trap};
 pub use ctxsw::TypedState;
 pub use observe::HandlerProfile;
 pub use pairprof::PairProfile;
-pub use pgo::{EdgeProfile, PgoProfile, LINK_HINT_SLOTS};
-pub use predecode::{PredecodeStats, PredecodeTable};
+pub use pgo::{EdgeProfile, PgoProfile};
 pub use regfile::{RegFile, TaggedValue, UNTYPED_TAG};
 pub use tagio::{is_nan_boxed, Inserted, SprState, TagDword, NANBOX_FP_TAG};
 pub use trt::TypeRuleTable;

@@ -147,7 +147,8 @@ pub(crate) struct Observers {
 impl Observers {
     /// Notes the start of a block (or of a stepwise instruction) at
     /// `pc`. `from` is the entry pc of the block that exited into it
-    /// through a chainable exit; `retired` counts guest instructions.
+    /// through its final branch or jump or a guard side-exit; `retired`
+    /// counts guest instructions.
     #[inline]
     pub(crate) fn enter(&mut self, pc: u64, from: Option<u64>, retired: u64) {
         if let (Some(edges), Some(from)) = (self.edges.as_mut(), from) {

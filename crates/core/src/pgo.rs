@@ -3,12 +3,12 @@
 //!
 //! PGO is a two-phase loop. A **profile run** records what actually
 //! executed: the tracer's hot-PC histogram (`tarch-trace`), the
-//! block-to-block control edges observed at chainable exits
-//! ([`EdgeProfile`], recorded by `Cpu::run_blocks`), and the adjacent
-//! opcode-pair histogram (`PairProfile`). The runner distills those into
-//! a [`PgoProfile`] and threads it back in through
-//! `CoreConfig::pgo` for the **optimized run**, where it drives four
-//! decisions:
+//! block-to-block control edges observed at block exits through a final
+//! branch or jump or a guard side-exit ([`EdgeProfile`], recorded by
+//! `Cpu::run_blocks`), and the adjacent opcode-pair histogram
+//! (`PairProfile`). The runner distills those into a [`PgoProfile`] and
+//! threads it back in through `CoreConfig::pgo` for the **optimized
+//! run**, where it drives three decisions:
 //!
 //! * **superblock formation** — block building follows the measured
 //!   dominant successor across taken branches, straightening the hot
@@ -17,11 +17,7 @@
 //!   filtered down to the pairs this workload actually executes;
 //! * **sample-triggered tier-up** — blocks whose entry PC the profiler
 //!   sampled hot are template-compiled on first execution instead of
-//!   waiting out the heat threshold;
-//! * **profile-pinned chain links** — each block's measured top
-//!   successors are pinned into its chain-link slots, so a polymorphic
-//!   dispatch site's inline cache holds its *hottest* targets instead
-//!   of the first four it happened to meet.
+//!   waiting out the heat threshold.
 //!
 //! Every decision is host-side only: a stale or empty profile can cost
 //! host speed but can never change a simulated counter. The profile
@@ -30,11 +26,6 @@
 //! differently-profiled runs never collide.
 
 use std::collections::BTreeMap;
-
-/// Link-hint successors kept per source PC, mirroring the block table's
-/// chain-link slot count: hints beyond the slots a block can pin are
-/// useless, and fewer would leave pinnable slots cold.
-pub const LINK_HINT_SLOTS: usize = 4;
 
 /// A distilled, per-workload optimization profile (phase-2 input).
 ///
@@ -46,12 +37,9 @@ pub struct PgoProfile {
     /// Block-entry PCs the sampling profiler found hot (sorted).
     hot_pcs: Vec<u64>,
     /// Dominant control edge per block-entry PC: where execution went
-    /// from this block's chainable exit, when one successor dominated.
+    /// from this block's final branch or jump, when one successor
+    /// dominated.
     edges: BTreeMap<u64, u64>,
-    /// Measured top successors per block-entry PC (hottest first, at
-    /// most [`LINK_HINT_SLOTS`]): every warm outgoing edge, dominance
-    /// not required. The block table pins these into chain-link slots.
-    links: BTreeMap<u64, Vec<u64>>,
     /// Fusion-pair allow list as `(prev, cur)` mnemonics; `None` keeps
     /// the built-in global pair set (the stale/empty-profile fallback).
     pairs: Option<Vec<(String, String)>>,
@@ -62,24 +50,16 @@ impl PgoProfile {
     pub fn new(
         mut hot_pcs: Vec<u64>,
         edges: BTreeMap<u64, u64>,
-        links: BTreeMap<u64, Vec<u64>>,
         pairs: Option<Vec<(String, String)>>,
     ) -> PgoProfile {
         hot_pcs.sort_unstable();
         hot_pcs.dedup();
-        let links = links
-            .into_iter()
-            .map(|(pc, mut succs)| {
-                succs.truncate(LINK_HINT_SLOTS);
-                (pc, succs)
-            })
-            .collect();
         let pairs = pairs.map(|mut p| {
             p.sort();
             p.dedup();
             p
         });
-        PgoProfile { hot_pcs, edges, links, pairs }
+        PgoProfile { hot_pcs, edges, pairs }
     }
 
     /// Whether the profiler sampled this block-entry PC hot.
@@ -90,13 +70,6 @@ impl PgoProfile {
     /// The measured dominant successor of the block entered at `pc`.
     pub fn successor(&self, pc: u64) -> Option<u64> {
         self.edges.get(&pc).copied()
-    }
-
-    /// The measured top successors of the block entered at `pc`,
-    /// hottest first. Empty when the profile saw no warm edge out of
-    /// `pc`.
-    pub fn link_hints(&self, pc: u64) -> &[u64] {
-        self.links.get(&pc).map_or(&[], Vec::as_slice)
     }
 
     /// Whether the profile permits fusing the `(prev, cur)` mnemonic
@@ -116,10 +89,7 @@ impl PgoProfile {
     /// Whether the profile contains no decisions at all (the
     /// deliberately-empty regression fixture looks like this).
     pub fn is_empty(&self) -> bool {
-        self.hot_pcs.is_empty()
-            && self.edges.is_empty()
-            && self.links.is_empty()
-            && self.pairs.is_none()
+        self.hot_pcs.is_empty() && self.edges.is_empty() && self.pairs.is_none()
     }
 
     /// The hot-PC list (sorted).
@@ -135,9 +105,9 @@ impl PgoProfile {
 
 /// Raw block-to-block edge counts from a profile run.
 ///
-/// `Cpu::run_blocks` notes one edge per chainable block exit — the same
-/// bookkeeping that feeds chain-link formation — keyed by (source block
-/// entry PC, successor PC). A `BTreeMap` keeps iteration (and therefore
+/// `Cpu::run_blocks` notes one edge per block exit through a final
+/// branch or jump, or through a superblock guard's side-exit, keyed by
+/// (source block entry PC, successor PC). A `BTreeMap` keeps iteration (and therefore
 /// artifact serialization) deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeProfile {
@@ -206,30 +176,6 @@ impl EdgeProfile {
             .map(|(from, (to, _))| (from, to))
             .collect()
     }
-
-    /// Distills the top `k` successors per source PC (hottest first,
-    /// ties broken toward the lower PC so equal profiles distill
-    /// identically), keeping only successors observed at least
-    /// `min_count` times. Unlike [`EdgeProfile::dominant`] no dominance
-    /// share is required: a polymorphic dispatch site with ten warm
-    /// targets has no dominant edge, but its top `k` are still the ones
-    /// worth holding in a block's chain-link slots.
-    pub fn top_successors(&self, min_count: u64, k: usize) -> BTreeMap<u64, Vec<u64>> {
-        let mut by_src: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
-        for (&(from, to), &c) in &self.counts {
-            if c >= min_count {
-                by_src.entry(from).or_default().push((c, to));
-            }
-        }
-        by_src
-            .into_iter()
-            .map(|(from, mut succs)| {
-                succs.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                succs.truncate(k);
-                (from, succs.into_iter().map(|(_, to)| to).collect())
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +187,6 @@ mod tests {
         let p = PgoProfile::new(
             vec![0x30, 0x10, 0x30],
             BTreeMap::from([(0x10, 0x40)]),
-            BTreeMap::from([(0x10, vec![0x40, 0x14, 0x80, 0x90, 0xa0])]),
             Some(vec![
                 ("ld".into(), "add".into()),
                 ("add".into(), "beq".into()),
@@ -251,9 +196,6 @@ mod tests {
         assert!(p.is_hot(0x10) && p.is_hot(0x30) && !p.is_hot(0x20));
         assert_eq!(p.successor(0x10), Some(0x40));
         assert_eq!(p.successor(0x40), None);
-        // Hints truncate to the slot count and miss to the empty slice.
-        assert_eq!(p.link_hints(0x10), &[0x40, 0x14, 0x80, 0x90][..]);
-        assert_eq!(p.link_hints(0x40), &[] as &[u64]);
         assert!(p.allows_pair("ld", "add"));
         assert!(!p.allows_pair("add", "ld"));
         assert!(!p.is_empty());
@@ -266,7 +208,6 @@ mod tests {
         assert!(p.is_empty());
         assert!(!p.is_hot(0x10));
         assert_eq!(p.successor(0x10), None);
-        assert_eq!(p.link_hints(0x10), &[] as &[u64]);
         assert!(p.allows_pair("anything", "at-all"));
         assert!(!p.has_pairs());
     }
@@ -275,18 +216,8 @@ mod tests {
     fn debug_rendering_is_deterministic() {
         // The job key hashes the Debug rendering; insertion order must
         // not leak through.
-        let a = PgoProfile::new(
-            vec![3, 1, 2],
-            BTreeMap::from([(2, 9), (1, 8)]),
-            BTreeMap::from([(1, vec![8, 9])]),
-            None,
-        );
-        let b = PgoProfile::new(
-            vec![2, 3, 1],
-            BTreeMap::from([(1, 8), (2, 9)]),
-            BTreeMap::from([(1, vec![8, 9])]),
-            None,
-        );
+        let a = PgoProfile::new(vec![3, 1, 2], BTreeMap::from([(2, 9), (1, 8)]), None);
+        let b = PgoProfile::new(vec![2, 3, 1], BTreeMap::from([(1, 8), (2, 9)]), None);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -326,22 +257,5 @@ mod tests {
         e.note(0x50, 0x60); // dominant but rare
         let d = e.dominant(8, 75);
         assert_eq!(d, BTreeMap::from([(0x10, 0x40)]));
-    }
-
-    #[test]
-    fn top_successors_ranks_by_count_and_respects_k() {
-        let mut e = EdgeProfile::new();
-        // A polymorphic site: five warm targets, no dominant edge.
-        for (to, n) in [(0x40, 50u64), (0x44, 40), (0x48, 30), (0x4c, 20), (0x50, 10)] {
-            e.note_many(0x10, to, n);
-        }
-        e.note_many(0x10, 0x54, 2); // below min_count: dropped
-        e.note_many(0x20, 0x60, 8);
-        e.note_many(0x20, 0x64, 8); // tie: lower pc first
-        let t = e.top_successors(4, 4);
-        assert_eq!(t[&0x10], vec![0x40, 0x44, 0x48, 0x4c]);
-        assert_eq!(t[&0x20], vec![0x60, 0x64]);
-        // The same site has no *dominant* successor at all.
-        assert!(e.dominant(4, 75).is_empty());
     }
 }

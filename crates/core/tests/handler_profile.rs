@@ -202,7 +202,6 @@ fn no_superblock_straightens_into_a_handler_entry() {
     let pgo = PgoProfile::new(
         Vec::new(),
         BTreeMap::from([(back, program.symbol("op_a").unwrap())]),
-        BTreeMap::new(),
         None,
     );
     let guided = CoreConfig { pgo: Some(Arc::new(pgo)), ..CoreConfig::paper() };

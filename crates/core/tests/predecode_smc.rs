@@ -1,14 +1,16 @@
-//! Self-modifying-code correctness for the predecode and block engines.
+//! Self-modifying-code correctness for the block engine.
 //!
-//! The predecoded-instruction table and the basic-block table both cache
-//! decoded text words; these tests prove the two invalidation paths work
-//! end to end for each: guest stores into the text segment (`sw` over an
-//! instruction) and host writes through `Cpu::mem_mut`. In both cases
-//! re-executing the patched address must observe the new instruction, and
-//! the architectural counters must match a run with the engines disabled.
-//! The block-engine tests additionally pin the hardest case: a store that
-//! patches an instruction *later in the currently executing block*, which
-//! must abandon the in-flight block run rather than retire stale decodes.
+//! The basic-block table is the core's one cache of decoded text words
+//! (the stepwise path decodes every fetch). These tests prove its
+//! invalidation paths work end to end: guest stores into the text
+//! segment (`sw` over an instruction), host writes through
+//! `Cpu::mem_mut`, and precise host stores through
+//! `Cpu::host_store_u64`. In every case re-executing the patched address
+//! must observe the new instruction, and the architectural counters must
+//! match a stepwise run. They also pin the hardest case: a store that
+//! patches an instruction *later in the currently executing block*,
+//! which must abandon the in-flight block run (interpreted or compiled)
+//! rather than retire stale decodes.
 
 use tarch_core::{CoreConfig, Cpu, StepEvent};
 use tarch_isa::text::assemble;
@@ -40,11 +42,11 @@ done:
     halt
 ";
 
-fn run_smc(predecode: bool) -> Cpu {
+fn run_smc(blocks: bool) -> Cpu {
     let mut program = assemble(SMC_SRC, TEXT_BASE, DATA_BASE).expect("assembles");
     assert_eq!(program.text[0], addi_a0(1), "patch target must sit at TEXT_BASE");
     program.data = addi_a0(100).to_le_bytes().to_vec();
-    let mut cpu = Cpu::new(CoreConfig { predecode, ..CoreConfig::paper() });
+    let mut cpu = Cpu::new(CoreConfig { blocks, ..CoreConfig::paper() });
     cpu.load_program(&program);
     assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
     cpu
@@ -55,10 +57,9 @@ fn guest_store_into_text_is_observed() {
     let cpu = run_smc(true);
     // 1 from the original instruction, 100 from its replacement.
     assert_eq!(cpu.regs().read(Reg::A0).v, 101);
-    assert!(
-        cpu.predecode_stats().invalidations > 0,
-        "the store over the patch target must invalidate its slot"
-    );
+    let stats = cpu.block_stats();
+    assert!(stats.store_invalidations > 0, "the store must bump the block generation");
+    assert!(stats.rebuilds > 0, "the patched block must be dropped and rebuilt");
 }
 
 #[test]
@@ -68,7 +69,7 @@ fn smc_counters_match_decode_every_step() {
     assert_eq!(off.regs().read(Reg::A0).v, 101, "reference run must also see the patch");
     assert_eq!(on.counters(), off.counters());
     assert_eq!(on.branch_stats(), off.branch_stats());
-    assert_eq!(off.predecode_stats().hits, 0, "predecode off must never serve a fetch");
+    assert_eq!(off.block_stats().builds, 0, "the stepwise run must never build a block");
 }
 
 /// One straight-line block whose store patches an instruction *further
@@ -95,10 +96,10 @@ done:
     halt
 ";
 
-fn run_mid_block(blocks: bool, predecode: bool) -> Cpu {
+fn run_mid_block(blocks: bool) -> Cpu {
     let mut program = assemble(MID_BLOCK_SRC, TEXT_BASE, DATA_BASE).expect("assembles");
     program.data = addi_a0(100).to_le_bytes().to_vec();
-    let mut cpu = Cpu::new(CoreConfig { blocks, predecode, ..CoreConfig::paper() });
+    let mut cpu = Cpu::new(CoreConfig { blocks, ..CoreConfig::paper() });
     cpu.load_program(&program);
     assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
     cpu
@@ -106,7 +107,7 @@ fn run_mid_block(blocks: bool, predecode: bool) -> Cpu {
 
 #[test]
 fn guest_store_mid_block_invalidates_the_running_block() {
-    let cpu = run_mid_block(true, true);
+    let cpu = run_mid_block(true);
     // Two passes of 1 + 100 (replacement) + 1; a stale block run would
     // retire the original addi 7 for 9 per pass.
     assert_eq!(cpu.regs().read(Reg::A0).v, 204);
@@ -118,8 +119,8 @@ fn guest_store_mid_block_invalidates_the_running_block() {
 
 #[test]
 fn mid_block_smc_counters_match_stepwise_decode() {
-    let on = run_mid_block(true, true);
-    let off = run_mid_block(false, false);
+    let on = run_mid_block(true);
+    let off = run_mid_block(false);
     assert_eq!(off.regs().read(Reg::A0).v, 204, "reference run must also see the patch");
     assert_eq!(on.counters(), off.counters());
     assert_eq!(on.branch_stats(), off.branch_stats());
@@ -158,100 +159,6 @@ fn host_write_through_mem_mut_revalidates_blocks() {
     );
 }
 
-/// Two chained blocks in a loop; a guest store then patches the chained-to
-/// block. The chain link into the patched block must stop being followed
-/// (its target's generation goes stale, then the word check drops it), and
-/// execution must observe the replacement instruction — never a stale
-/// decode served through a link.
-const CHAIN_SMC_SRC: &str = "
-top:
-    addi a0, a0, 1      # patch target: rewritten to addi a0, a0, 100
-    j    mid
-mid:
-    addi s1, s1, -1
-    bnez s1, top        # chained edge back into the patch target's block
-    bnez s2, done
-    li   s2, 1
-    li   s1, 4
-    li   s3, 0x20000    # data base: holds the replacement word
-    lw   t0, 0(s3)
-    li   s4, 0x1000     # text base: address of the patch target
-    sw   t0, 0(s4)      # severs every link into the block at `top`
-    bnez s2, top
-done:
-    halt
-";
-
-fn run_chain_smc(blocks: bool) -> Cpu {
-    let mut program = assemble(CHAIN_SMC_SRC, TEXT_BASE, DATA_BASE).expect("assembles");
-    assert_eq!(program.text[0], addi_a0(1), "patch target must sit at TEXT_BASE");
-    program.data = addi_a0(100).to_le_bytes().to_vec();
-    let mut cpu = Cpu::new(CoreConfig { blocks, ..CoreConfig::paper() });
-    cpu.load_program(&program);
-    cpu.regs_mut().write_untyped(Reg::S1, 4);
-    assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
-    cpu
-}
-
-#[test]
-fn guest_store_severs_chain_links_into_the_patched_block() {
-    let cpu = run_chain_smc(true);
-    // Four +1 passes before the patch, four +100 passes after it. A chain
-    // link surviving the store would keep retiring the stale +1.
-    assert_eq!(cpu.regs().read(Reg::A0).v, 404);
-    let stats = cpu.block_stats();
-    assert!(stats.links_formed > 0, "the loop's direct exits must form links");
-    assert!(stats.chained_transfers > 0, "the hot loop must run through links");
-    assert!(stats.store_invalidations > 0, "the text store must bump the generation");
-    assert!(stats.rebuilds > 0, "the patched block must be dropped and rebuilt");
-}
-
-#[test]
-fn chain_smc_counters_match_blocks_off() {
-    let on = run_chain_smc(true);
-    let off = run_chain_smc(false);
-    assert_eq!(off.regs().read(Reg::A0).v, 404, "reference run must also see the patch");
-    assert_eq!(on.counters(), off.counters());
-    assert_eq!(on.branch_stats(), off.branch_stats());
-}
-
-#[test]
-fn host_write_through_mem_mut_revalidates_chained_paths() {
-    // Same two-block loop as above, patched from the host mid-run. The
-    // epoch bump makes every link unfollowable (stale target generation);
-    // once the untouched block revalidates and the patched one rebuilds,
-    // chaining must resume — with the replacement instruction.
-    let src = "
-    top:
-        addi a0, a0, 1      # patched by the host after three iterations
-        j    mid
-    mid:
-        addi s1, s1, -1
-        bnez s1, top
-        halt
-    ";
-    let program = assemble(src, TEXT_BASE, DATA_BASE).expect("assembles");
-    assert_eq!(program.text[0], addi_a0(1));
-    let mut cpu = Cpu::new(CoreConfig::paper());
-    cpu.load_program(&program);
-    cpu.regs_mut().write_untyped(Reg::S1, 6);
-    // Three of six iterations: links formed, transfers chained.
-    assert_eq!(cpu.run(12).expect("no trap"), StepEvent::Retired);
-    assert_eq!(cpu.regs().read(Reg::A0).v, 3);
-    let before = cpu.block_stats();
-    assert!(before.chained_transfers > 0, "the loop must chain before the bump");
-    cpu.mem_mut().write_u32(TEXT_BASE, addi_a0(100));
-    assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
-    assert_eq!(cpu.regs().read(Reg::A0).v, 303);
-    let after = cpu.block_stats();
-    assert!(after.revalidations > before.revalidations, "untouched block revalidates");
-    assert!(after.rebuilds > before.rebuilds, "patched block re-decodes");
-    assert!(
-        after.chained_transfers > before.chained_transfers,
-        "chaining must resume once the blocks are current again"
-    );
-}
-
 #[test]
 fn host_store_u64_invalidates_text_but_not_data() {
     let src = "
@@ -269,8 +176,6 @@ fn host_store_u64_invalidates_text_but_not_data() {
     cpu.load_program(&program);
     cpu.regs_mut().write_untyped(Reg::S1, 6);
     assert_eq!(cpu.run(12).expect("no trap"), StepEvent::Retired);
-    let chained = cpu.block_stats().chained_transfers;
-    assert!(chained > 0, "the loop must chain before the host stores");
 
     // A store to the data segment must NOT disturb the block table: the
     // whole point of `host_store_u64` over `mem_mut` is that runtime heap
@@ -378,35 +283,4 @@ fn host_store_u64_deopts_compiled_text_but_not_data() {
         "dropping the patched block's compiled code must count as a deopt"
     );
     assert!(after_text.rebuilds > after_data.rebuilds, "patched block must rebuild");
-}
-
-#[test]
-fn host_write_through_mem_mut_is_observed() {
-    let src = "
-    top:
-        addi a0, a0, 1      # patched by the host after the first pass
-        addi s1, s1, -1
-        bnez s1, top
-        halt
-    ";
-    let program = assemble(src, TEXT_BASE, DATA_BASE).expect("assembles");
-    assert_eq!(program.text[0], addi_a0(1));
-    let mut cpu = Cpu::new(CoreConfig::paper());
-    cpu.load_program(&program);
-    cpu.regs_mut().write_untyped(Reg::S1, 2);
-    // First pass: three instructions, all of which fill predecode slots.
-    for _ in 0..3 {
-        assert_eq!(cpu.step().expect("no trap"), StepEvent::Retired);
-    }
-    assert_eq!(cpu.regs().read(Reg::A0).v, 1);
-    // A native helper rewrites the patch target behind the table's back.
-    cpu.mem_mut().write_u32(TEXT_BASE, addi_a0(100));
-    assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
-    assert_eq!(cpu.regs().read(Reg::A0).v, 101);
-    let stats = cpu.predecode_stats();
-    assert!(stats.hits > 0, "the unpatched loop body must hit the table");
-    assert!(
-        stats.revalidations > 0,
-        "untouched slots must revalidate (not re-decode) after the host write"
-    );
 }

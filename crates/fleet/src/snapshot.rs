@@ -7,7 +7,7 @@
 //! the simulated memory into a shared copy-on-write base image
 //! (`tarch_core::Cpu::freeze_memory`), and then [`Template::spawn`]s
 //! tenants as plain `clone()`s: every clone shares the frozen pages and
-//! the warm predecode/block state, copying only what it writes.
+//! the warm block cache, copying only what it writes.
 //! [`measure_costs`] quantifies the gap on the live host.
 //!
 //! Tier-3 compiled blocks ride along for free: the block table holds

@@ -19,7 +19,7 @@ use crate::job::{EngineKind, Scale};
 use crate::json::{Json, JsonWriter};
 use std::collections::BTreeMap;
 use std::path::Path;
-use tarch_core::{EdgeProfile, IsaLevel, PgoProfile, LINK_HINT_SLOTS};
+use tarch_core::{EdgeProfile, IsaLevel, PgoProfile};
 
 /// Profile artifact format identifier; bump on breaking schema change.
 pub const PGO_SCHEMA: &str = "tarch-pgo/v1";
@@ -105,29 +105,20 @@ impl PgoCell {
 
     /// Distills the raw observations into the engine-facing profile:
     /// hot pcs pass through (the tracer already keeps only the top of
-    /// the histogram), edges are filtered two ways — dominant
-    /// successors for superblock formation ([`EDGE_MIN_COUNT`],
-    /// [`EDGE_DOMINANCE_PERCENT`]) and per-source top successors for
-    /// chain-link pinning (no dominance bar: a polymorphic dispatch
-    /// site has no dominant edge but very much has hottest targets) —
-    /// and the pair histogram, when one was recorded, becomes the
-    /// fusion allow list.
+    /// the histogram), edges are filtered to the dominant successors
+    /// superblock formation follows ([`EDGE_MIN_COUNT`],
+    /// [`EDGE_DOMINANCE_PERCENT`]), and the pair histogram, when one was
+    /// recorded, becomes the fusion allow list.
     pub fn profile(&self) -> PgoProfile {
         let mut edges = EdgeProfile::new();
         for &(from, to, count) in &self.edges {
             edges.note_many(from, to, count);
         }
         let dominant = edges.dominant(EDGE_MIN_COUNT, EDGE_DOMINANCE_PERCENT);
-        let links = edges.top_successors(EDGE_MIN_COUNT, LINK_HINT_SLOTS);
         let pairs = (!self.pairs.is_empty()).then(|| {
             self.pairs.iter().map(|(a, b, _)| (a.clone(), b.clone())).collect()
         });
-        PgoProfile::new(
-            self.hot_pcs.iter().map(|h| h.pc).collect(),
-            dominant,
-            links,
-            pairs,
-        )
+        PgoProfile::new(self.hot_pcs.iter().map(|h| h.pc).collect(), dominant, pairs)
     }
 
     fn write_json(&self, w: &mut JsonWriter) {
@@ -312,7 +303,14 @@ impl PgoArtifact {
     }
 }
 
-/// A directory of per-workload profiles, loaded for `bench --pgo-dir`.
+/// A directory of per-workload profiles, loaded for `repro bench
+/// --pgo-dir` and `repro ab`.
+///
+/// A profile applies only at the scale it was recorded at: the hot set
+/// and edges of a run at another scale describe other paths. Every
+/// lookup therefore names the run's scale and skips a profile recorded
+/// at another one; [`PgoSet::skipped`] counts them so a caller can say
+/// so.
 #[derive(Debug, Default)]
 pub struct PgoSet {
     by_workload: BTreeMap<String, PgoArtifact>,
@@ -352,19 +350,23 @@ impl PgoSet {
         self.by_workload.is_empty()
     }
 
-    /// The profile artifact for `workload`, if loaded.
-    pub fn artifact(&self, workload: &str) -> Option<&PgoArtifact> {
-        self.by_workload.get(workload)
+    /// How many loaded profiles were recorded at a scale other than
+    /// `scale`: the ones every lookup at `scale` skips.
+    pub fn skipped(&self, scale: Scale) -> usize {
+        self.by_workload.values().filter(|a| a.scale != scale).count()
     }
 
-    /// Distilled engine profile for one cell, if that cell was profiled.
+    /// Distilled engine profile for one cell of a run at `scale`, if
+    /// that cell was profiled at `scale`.
     pub fn profile(
         &self,
         workload: &str,
+        scale: Scale,
         engine: EngineKind,
         level: IsaLevel,
     ) -> Option<PgoProfile> {
-        self.artifact(workload)?.profile(engine, level)
+        let artifact = self.by_workload.get(workload).filter(|a| a.scale == scale)?;
+        artifact.profile(engine, level)
     }
 }
 
@@ -508,8 +510,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(set.len(), 1);
         assert!(!set.is_empty());
-        assert!(set.profile("fibo", EngineKind::Lua, IsaLevel::Typed).is_some());
-        assert!(set.profile("fibo", EngineKind::Lua, IsaLevel::Baseline).is_none());
-        assert!(set.profile("nbody", EngineKind::Lua, IsaLevel::Typed).is_none());
+        let test = Scale::Test;
+        assert!(set.profile("fibo", test, EngineKind::Lua, IsaLevel::Typed).is_some());
+        assert!(set.profile("fibo", test, EngineKind::Lua, IsaLevel::Baseline).is_none());
+        assert!(set.profile("nbody", test, EngineKind::Lua, IsaLevel::Typed).is_none());
+        assert_eq!(set.skipped(test), 0);
+        // A test-scale profile is skipped by a run at any other scale.
+        assert!(set.profile("fibo", Scale::Default, EngineKind::Lua, IsaLevel::Typed).is_none());
+        assert_eq!(set.skipped(Scale::Default), 1);
+        assert_eq!(set.skipped(Scale::Full), 1);
     }
 }

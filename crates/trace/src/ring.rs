@@ -36,9 +36,9 @@ pub enum TraceEventKind {
         /// Guest entry pc of the deopted block.
         pc: u64,
     },
-    /// A guest or host store into text invalidated predecoded state —
-    /// block-table and predecode-slot invalidation, which also severs
-    /// any chain links into the dead blocks.
+    /// A guest store, or a precise host store, overlapped the text range
+    /// and bumped the block table's generation: every cached block
+    /// revalidates its words against memory before it runs again.
     CodeInvalidate {
         /// First guest address of the invalidating store.
         addr: u64,

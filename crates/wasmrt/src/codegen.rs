@@ -17,8 +17,8 @@
 //! hardware win is relative to, reproduced by construction.
 //!
 //! Sharing the frame machinery with `jsrt` lets the host-side
-//! accelerations — predecode, superblock compilation, tiered execution,
-//! PGO — apply to this engine unchanged.
+//! accelerations — basic blocks, superblock compilation, tiered
+//! execution, PGO — apply to this engine unchanged.
 
 use crate::bytecode::{Bc, Const, Module, Op};
 use crate::helpers_mod as helpers;

@@ -26,8 +26,8 @@
 //!
 //! The memory map, table header, function-info and call-info records are
 //! the shared skeleton's ([`luart::image`]), as in `jsrt` — deliberately,
-//! so the host-side accelerations (predecode, superblocks, tiered codegen,
-//! PGO) apply to every engine without change. Table *elements* here are
+//! so the host-side accelerations (basic blocks, superblocks, tiered
+//! codegen, PGO) apply to every engine without change. Table *elements* here are
 //! untagged dwords rather than NaN-boxed values.
 
 /// The `nil` sentinel: `i64::MIN`. Never a valid handle, id, or boolean;

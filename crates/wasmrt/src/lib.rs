@@ -21,7 +21,7 @@
 //!   statically, so the interpreter needs no dynamic checks;
 //! * the generated interpreter is **identical at every ISA level**: with no
 //!   tags to load, check, or predict, there is nothing for `tld`/`tchk`/the
-//!   TRT to do, and the Base/Predecode/Typed images are byte-for-byte the
+//!   TRT to do, and the Baseline/CheckedLoad/Typed images are byte-for-byte the
 //!   same ([`build_image`] asserts this in its tests).
 //!
 //! Consequently `type_checks`, `type_hits`, `tagged_mem` and `typed_alu`

@@ -178,7 +178,7 @@ fn self_modifying_clone_does_not_leak_into_siblings() {
 
             // Overwrite the two instructions at the entry point with
             // `halt; halt` through the precise host-store path: COWs the
-            // text page and invalidates the vandal's predecode/blocks.
+            // text page and invalidates the vandal's blocks.
             let entry = vandal.cpu().pc();
             vandal.cpu_mut().host_store_u64(entry, halt | (halt << 32));
             let vandalized = run_to_halt(&mut vandal, &tag);

@@ -1,13 +1,13 @@
 //! Counter-equivalence golden tests for the host-side fast paths.
 //!
-//! The predecoded-instruction table, the basic-block engine (with its
-//! chaining and macro-op-fusion layers), the MRU cache/TLB memos, and
-//! the tarch-trace observability layer are
-//! pure host-side mechanisms: the architectural model — every `PerfCounters` field, the branch-predictor statistics,
-//! the final register state, program output — must be bit-identical with
-//! any combination of them enabled or disabled. These tests run the
-//! *same* program under each fast-path configuration and diff everything
-//! observable against the fully-naive reference (re-decode every fetch,
+//! The basic-block engine (with its macro-op-fusion and tier-3 layers),
+//! the MRU cache/TLB memos, and the tarch-trace observability layer are
+//! pure host-side mechanisms: the architectural model — every
+//! `PerfCounters` field, the branch-predictor statistics, the final
+//! register state, program output — must be bit-identical with any
+//! combination of them enabled or disabled. These tests run the *same*
+//! program under each fast-path configuration and diff everything
+//! observable against the fully-naive reference (decode every fetch,
 //! step one instruction at a time, scan every cache way and TLB entry):
 //!
 //! * every `tarch_isa::samples::all_forms()` instruction, executed as a
@@ -33,11 +33,8 @@ const VM_STEPS: u64 = 2_000_000_000;
 #[derive(Debug, Clone, Copy)]
 struct Variant {
     name: &'static str,
-    predecode: bool,
     blocks: bool,
     mem_fast_paths: bool,
-    /// Block chaining (only meaningful with `blocks`).
-    chain: bool,
     /// Macro-op fusion at block-build time (only meaningful with `blocks`).
     fuse: bool,
     /// The tarch-trace observability layer (sampler + event ring +
@@ -51,13 +48,11 @@ struct Variant {
 }
 
 impl Variant {
-    const fn bare(name: &'static str, predecode: bool, blocks: bool, mem: bool) -> Variant {
+    const fn bare(name: &'static str, blocks: bool, mem: bool) -> Variant {
         Variant {
             name,
-            predecode,
             blocks,
             mem_fast_paths: mem,
-            chain: false,
             fuse: false,
             trace: false,
             tier: false,
@@ -66,50 +61,26 @@ impl Variant {
 }
 
 /// The fully-naive reference: every host-side fast path off.
-const REFERENCE: Variant = Variant::bare("naive", false, false, false);
+const REFERENCE: Variant = Variant::bare("naive", false, false);
 
-/// Each fast path alone (the block engine both with and without the
-/// predecode table under it — the block builder has a decode path for
-/// each), the chain×fuse×tier combinations of the block engine,
+/// Each fast path alone, the fuse×tier combinations of the block engine,
 /// everything together (the shipping default), and the observability
 /// layer on both the stepwise and the fully-optimised hot loop.
-const VARIANTS: [Variant; 13] = [
-    Variant::bare("predecode", true, false, false),
-    Variant::bare("blocks", false, true, false),
-    Variant::bare("blocks+predecode", true, true, false),
-    Variant::bare("mru", false, false, true),
-    Variant { chain: true, ..Variant::bare("blocks+chain", false, true, false) },
-    Variant { fuse: true, ..Variant::bare("blocks+fuse", false, true, false) },
-    Variant {
-        chain: true,
-        fuse: true,
-        ..Variant::bare("blocks+chain+fuse", false, true, false)
-    },
-    Variant { tier: true, ..Variant::bare("blocks+tier", false, true, false) },
-    Variant { tier: true, fuse: true, ..Variant::bare("blocks+tier+fuse", false, true, false) },
-    Variant {
-        tier: true,
-        chain: true,
-        fuse: true,
-        ..Variant::bare("blocks+tier+chain+fuse", false, true, false)
-    },
-    Variant { chain: true, fuse: true, tier: true, ..Variant::bare("all", true, true, true) },
-    Variant { trace: true, ..Variant::bare("naive+trace", false, false, false) },
-    Variant {
-        chain: true,
-        fuse: true,
-        tier: true,
-        trace: true,
-        ..Variant::bare("all+trace", true, true, true)
-    },
+const VARIANTS: [Variant; 8] = [
+    Variant::bare("blocks", true, false),
+    Variant::bare("mru", false, true),
+    Variant { fuse: true, ..Variant::bare("blocks+fuse", true, false) },
+    Variant { tier: true, ..Variant::bare("blocks+tier", true, false) },
+    Variant { tier: true, fuse: true, ..Variant::bare("blocks+tier+fuse", true, false) },
+    Variant { fuse: true, tier: true, ..Variant::bare("all", true, true) },
+    Variant { trace: true, ..Variant::bare("naive+trace", false, false) },
+    Variant { fuse: true, tier: true, trace: true, ..Variant::bare("all+trace", true, true) },
 ];
 
 fn config(v: Variant) -> CoreConfig {
     CoreConfig {
-        predecode: v.predecode,
         blocks: v.blocks,
         mem_fast_paths: v.mem_fast_paths,
-        chain_blocks: v.chain,
         fuse: v.fuse,
         tier: v.tier,
         // Low enough that test-scale programs cross it and spend most of
@@ -219,43 +190,32 @@ fn lua_js_and_wasm_workload_counters_identical() {
 fn distill_profile(cpu: &Cpu) -> tarch_core::PgoProfile {
     let edges = cpu.edge_profile().expect("edge profiling was enabled");
     let dominant = edges.dominant(8, 60);
-    let links = edges.top_successors(8, tarch_core::LINK_HINT_SLOTS);
     let hot: Vec<u64> = edges.edges().map(|(from, _, _)| from).collect();
     let pairs = cpu.pair_profile().map(|p| {
         p.sorted().into_iter().map(|(a, b, _)| (a.to_string(), b.to_string())).collect()
     });
-    tarch_core::PgoProfile::new(hot, dominant, links, pairs)
+    tarch_core::PgoProfile::new(hot, dominant, pairs)
 }
 
 /// PGO must be host-side only: with a *real* measured profile loaded —
 /// driving superblock formation, per-workload fusion filtering, and
 /// sample-triggered tier-up — every counter, branch statistic and output
-/// byte must match the naive reference, across the chain × fuse × tier
-/// engine matrix, on every engine. A deliberately empty profile (the
+/// byte must match the naive reference, across the fuse × tier engine
+/// matrix, on every engine. A deliberately empty profile (the
 /// stale-profile degenerate case) must behave identically too.
 #[test]
 fn pgo_guided_runs_are_counter_identical() {
-    // Profile-run variant: blocks + chain so the edge recorder observes
-    // chainable exits, fuse so the engine is the shipping shape.
-    const PROFILER: Variant =
-        Variant { chain: true, fuse: true, ..Variant::bare("profiler", true, true, true) };
+    // Profile-run variant: blocks so the edge recorder observes block
+    // exits, fuse so the engine is the shipping shape.
+    const PROFILER: Variant = Variant { fuse: true, ..Variant::bare("profiler", true, true) };
     // Guided variants: every layer the profile can influence, alone and
-    // together (superblocks need chain; the pair table needs fuse; hot
+    // together (superblocks need blocks; the pair table needs fuse; hot
     // tier-up needs tier).
     const GUIDED: [Variant; 4] = [
-        Variant { chain: true, ..Variant::bare("pgo:blocks+chain", false, true, false) },
-        Variant {
-            chain: true,
-            fuse: true,
-            ..Variant::bare("pgo:blocks+chain+fuse", false, true, false)
-        },
-        Variant {
-            chain: true,
-            fuse: true,
-            tier: true,
-            ..Variant::bare("pgo:blocks+tier+chain+fuse", false, true, false)
-        },
-        Variant { chain: true, fuse: true, tier: true, ..Variant::bare("pgo:all", true, true, true) },
+        Variant::bare("pgo:blocks", true, false),
+        Variant { fuse: true, ..Variant::bare("pgo:blocks+fuse", true, false) },
+        Variant { fuse: true, tier: true, ..Variant::bare("pgo:blocks+tier+fuse", true, false) },
+        Variant { fuse: true, tier: true, ..Variant::bare("pgo:all", true, true) },
     ];
 
     let w = workloads::by_name("fibo").expect("known workload");
@@ -297,7 +257,7 @@ fn pgo_guided_runs_are_counter_identical() {
 #[test]
 fn helper_heavy_workload_counters_identical() {
     // string/table helpers go through `ecall`, whose native implementations
-    // write simulated memory via `mem_mut` — the epoch-revalidation path
-    // for both the predecode slots and the block table.
+    // write simulated memory via `mem_mut` — the block table's
+    // revalidation path.
     check_vm_equivalence("k-nucleotide");
 }
