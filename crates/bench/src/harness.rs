@@ -12,7 +12,7 @@ use crate::workloads::{Scale, Workload};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use tarch_core::{CoreConfig, IsaLevel};
-use tarch_fleet::build_guest;
+use tarch_fleet::{build_guest, level_invariant};
 use tarch_runner::{
     run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RenderedConfig, ResultCache,
     RunConfig, RunStats,
@@ -183,15 +183,18 @@ impl Matrix {
         // Every cell shares the options' config except a PGO-guided one,
         // so that rendering is the only one most lists need.
         let core = RenderedConfig::new(&opts.core);
-        // A plain Typed cell whose spec differs from its profiled twin's
-        // only in `profiled` is not simulated: attribution changes no
-        // simulated result, so the twin's run stands for it. A PGO
-        // profile changes the cell's config, and a tracer samples at
-        // block entries, which attribution moves, so those cells run.
+        // A plain cell whose run is provably its profiled twin's is not
+        // simulated, and the twin's run stands for it. That holds for the
+        // Typed cell, whose spec differs from the twin's only in
+        // `profiled` (attribution changes no simulated result), and for
+        // every level of an engine whose image is the same at every level
+        // (`tarch_fleet::level_invariant`). A PGO profile changes the
+        // cell's config, and a tracer samples at block entries, which
+        // attribution moves, so those cells run.
         let derive = opts.profiled && opts.core.trace.is_none();
         let mut jobs = Vec::new();
-        // Plain Typed cells left to their profiled twins: (position among
-        // the outcomes, spec, index of the (workload, engine) pair).
+        // Plain cells left to their profiled twins: (position among the
+        // outcomes, spec, index of the (workload, engine) pair).
         let mut twins = Vec::new();
         let cells = workloads.iter().flat_map(|w| {
             EngineKind::ALL.into_iter().flat_map(move |e| IsaLevel::ALL.map(move |l| (w, e, l)))
@@ -209,7 +212,7 @@ impl Matrix {
                 }
                 None => {
                     let spec = job_spec_with(w, engine, level, scale, false, &core);
-                    if derive && level == IsaLevel::Typed {
+                    if derive && (level == IsaLevel::Typed || level_invariant(engine)) {
                         twins.push((position, spec, position / IsaLevel::ALL.len()));
                     } else {
                         jobs.push(spec);
@@ -257,8 +260,7 @@ impl Matrix {
         let mut m = Matrix::default();
         for o in outcomes {
             if o.spec.profiled {
-                m.profiled
-                    .insert((o.spec.workload.clone(), o.spec.engine), o.result.clone());
+                m.profiled.insert((o.spec.workload.clone(), o.spec.engine), o.result.clone());
             } else {
                 m.results.insert(
                     (o.spec.workload.clone(), o.spec.engine, o.spec.level),
@@ -329,8 +331,7 @@ impl Matrix {
 
     /// Workload names present in the matrix, sorted.
     pub fn workloads(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.results.keys().map(|(w, _, _)| w.clone()).collect();
+        let mut names: Vec<String> = self.results.keys().map(|(w, _, _)| w.clone()).collect();
         names.sort();
         names.dedup();
         names
@@ -343,12 +344,7 @@ impl Matrix {
     }
 
     /// Fallible [`Matrix::speedup`].
-    pub fn try_speedup(
-        &self,
-        workload: &str,
-        engine: EngineKind,
-        level: IsaLevel,
-    ) -> Option<f64> {
+    pub fn try_speedup(&self, workload: &str, engine: EngineKind, level: IsaLevel) -> Option<f64> {
         let base = self.try_cell(workload, engine, IsaLevel::Baseline)?.counters.cycles;
         let this = self.try_cell(workload, engine, level)?.counters.cycles;
         Some(base as f64 / this as f64)
@@ -367,17 +363,16 @@ impl Matrix {
         engine: EngineKind,
         level: IsaLevel,
     ) -> Option<f64> {
-        let base =
-            self.try_cell(workload, engine, IsaLevel::Baseline)?.counters.instructions;
+        let base = self.try_cell(workload, engine, IsaLevel::Baseline)?.counters.instructions;
         let this = self.try_cell(workload, engine, level)?.counters.instructions;
         Some(1.0 - this as f64 / base as f64)
     }
 }
 
-/// Puts each plain Typed cell left to its profiled twin into the outcome
-/// list at its position, as the twin's result without the bytecode
-/// count. A derived outcome carries the twin's `cached` flag and no wall
-/// time of its own (the pool did no work for it), and when the twin was
+/// Puts each plain cell left to its profiled twin into the outcome list
+/// at its position, as the twin's result without the bytecode count. A
+/// derived outcome carries the twin's `cached` flag and no wall time of
+/// its own (the pool did no work for it), and when the twin was
 /// simulated its result is stored under the plain cell's key, so a later
 /// plain run hits it. `twins` holds `(position, plain spec, pair)` in
 /// increasing position order; the twin of pair `k` is outcome
@@ -456,10 +451,8 @@ mod tests {
 
     #[test]
     fn mini_matrix_is_consistent() {
-        let ws: Vec<_> = ["fibo", "n-sieve"]
-            .iter()
-            .map(|n| workloads::by_name(n).unwrap())
-            .collect();
+        let ws: Vec<_> =
+            ["fibo", "n-sieve"].iter().map(|n| workloads::by_name(n).unwrap()).collect();
         let m = Matrix::run(&ws, Scale::Test, false).unwrap();
         assert_eq!(m.workloads().len(), 2);
         for engine in EngineKind::ALL {

@@ -1,24 +1,20 @@
 //! End-to-end tests of the parallel runner wired to the real engines:
 //! determinism across worker counts, cache round-trips, artifact reload
-//! fidelity, and plain Typed cells derived from their profiled twins.
+//! fidelity, and plain cells derived from their profiled twins.
 
 use std::path::Path;
 use std::sync::Arc;
 use tarch_bench::harness::{Matrix, MatrixOptions, MAX_STEPS};
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{CoreConfig, IsaLevel, TraceConfig};
-use tarch_runner::{BenchArtifact, JobOutcome, PgoSet};
+use tarch_runner::{BenchArtifact, EngineKind, JobOutcome, PgoSet};
 
 fn mini_workloads() -> Vec<workloads::Workload> {
-    ["fibo", "n-sieve"]
-        .iter()
-        .map(|n| workloads::by_name(n).unwrap())
-        .collect()
+    ["fibo", "n-sieve"].iter().map(|n| workloads::by_name(n).unwrap()).collect()
 }
 
 fn temp_cache(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("tarch-bench-it-{}-{tag}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("tarch-bench-it-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -99,11 +95,8 @@ fn warm_cache_serves_every_job_with_identical_results() {
 fn cache_keys_distinguish_scales() {
     let ws = vec![workloads::by_name("fibo").unwrap()];
     let dir = temp_cache("scales");
-    let opts = MatrixOptions {
-        workers: 2,
-        cache_dir: Some(dir.clone()),
-        ..MatrixOptions::default()
-    };
+    let opts =
+        MatrixOptions { workers: 2, cache_dir: Some(dir.clone()), ..MatrixOptions::default() };
     let t = Matrix::run_with(&ws, Scale::Test, &opts).unwrap();
     assert_eq!(t.stats.cache_misses, t.stats.jobs);
     let d = Matrix::run_with(&ws, Scale::Default, &opts).unwrap();
@@ -126,8 +119,8 @@ fn artifact_reload_reproduces_figures() {
     )
     .unwrap();
     let artifact = run.artifact();
-    let path = std::env::temp_dir()
-        .join(format!("tarch-bench-it-{}-artifact.json", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("tarch-bench-it-{}-artifact.json", std::process::id()));
     artifact.write(&path).unwrap();
 
     let reloaded = BenchArtifact::read(&path).unwrap();
@@ -158,8 +151,9 @@ fn is_plain_typed(o: &JobOutcome) -> bool {
     !o.spec.profiled && o.spec.level == IsaLevel::Typed
 }
 
-/// With profiling on, each plain Typed cell is its profiled twin's run
-/// without the bytecode count: the pool runs 18 jobs for 24 outcomes,
+/// With profiling on, each plain Typed cell, and each plain wasm cell
+/// (its image is the same at every level), is its profiled twin's run
+/// without the bytecode count: the pool runs 14 jobs for 24 outcomes,
 /// and the derived cells are the ones a run without profiling simulates.
 /// The derived results go into the cache under the plain keys.
 #[test]
@@ -174,8 +168,8 @@ fn plain_typed_cells_are_derived_from_their_profiled_twins() {
     };
     let cold = Matrix::run_with(&ws, Scale::Test, &profiled).unwrap();
     assert_eq!(cold.outcomes.len(), 24);
-    assert_eq!(cold.stats.jobs, 18, "the 6 plain Typed cells are not simulated");
-    assert_eq!(cold.stats.cache_misses, 18);
+    assert_eq!(cold.stats.jobs, 14, "the 6 plain Typed and 4 other wasm cells are not simulated");
+    assert_eq!(cold.stats.cache_misses, 14);
     for o in cold.outcomes.iter().filter(|o| is_plain_typed(o)) {
         assert!(!o.cached, "{}: carries its twin's cache flag", o.spec.label());
         assert_eq!(o.wall_nanos, 0, "{}: the pool did no work for it", o.spec.label());
@@ -198,9 +192,20 @@ fn plain_typed_cells_are_derived_from_their_profiled_twins() {
             derived.spec.label()
         );
     }
+    // Every wasm cell but the profiled twin is taken from the twin, and
+    // equals the cell a run without profiling simulates.
+    let wasm: Vec<&JobOutcome> =
+        cold.outcomes.iter().filter(|o| o.spec.engine == EngineKind::Wasm).collect();
+    assert_eq!(wasm.len(), 8, "three levels and the profiled twin per workload");
+    for o in wasm.iter().filter(|o| !o.spec.profiled) {
+        assert_eq!(o.wall_nanos, 0, "{}: the pool did no work for it", o.spec.label());
+        let simulated = plain.outcomes.iter().find(|p| p.spec.key == o.spec.key).unwrap();
+        assert!(simulated.wall_nanos > 0, "{}: simulated without profiling", o.spec.label());
+        assert_eq!(fingerprint(o), fingerprint(simulated), "{}", o.spec.label());
+    }
 
     let warm = Matrix::run_with(&ws, Scale::Test, &profiled).unwrap();
-    assert_eq!(warm.stats.cache_hits, 18, "second run must be 100% hits");
+    assert_eq!(warm.stats.cache_hits, 14, "second run must be 100% hits");
     assert!(warm.outcomes.iter().all(|o| o.cached), "every outcome reports cached");
     assert_eq!(cold.artifact().fingerprint(), warm.artifact().fingerprint());
 
@@ -243,7 +248,7 @@ fn a_typed_cell_with_a_pgo_profile_is_simulated_not_derived() {
     )
     .unwrap();
     assert_eq!(run.outcomes.len(), 24);
-    assert_eq!(run.stats.jobs, 21, "only n-sieve's unguided Typed cells are derived");
+    assert_eq!(run.stats.jobs, 19, "only n-sieve's unguided Typed and wasm cells are derived");
     for o in run.outcomes.iter().filter(|o| is_plain_typed(o)) {
         let guided = o.spec.core.pgo.is_some();
         assert_eq!(guided, o.spec.workload == "fibo", "{}", o.spec.label());

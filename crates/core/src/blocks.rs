@@ -29,13 +29,21 @@
 //! build: every entry probes the direct-indexed entry table, and the
 //! table's generation is the one invalidation contract.
 //!
-//! A block's decoded run is handed out as an `Arc<[BlockOp]>`: the
-//! executor iterates a plain slice with no table borrow held, so
-//! invalidation during execution (a guest store into text) can drop or
-//! rebuild table state without pulling the slice out from under the
-//! executor — the executor instead watches the table's *generation* and
-//! stops using the (still-alive, now-detached) run at the next
-//! instruction boundary.
+//! A block is handed out as its slot id ([`BlockRun`]), and the
+//! executor moves the block's code — its decoded run, or its compiled
+//! closure — out of the slot for one execution and back after it
+//! ([`BlockTable::take_ops`], [`BlockTable::take_compiled`]), so it
+//! runs with no table borrow held and no reference count changes hands.
+//! The slot stays empty while its block runs, and nobody looks: mid-block
+//! the executor calls only [`BlockTable::generation`] and
+//! [`BlockTable::note_store`], which read no slot, while
+//! [`BlockTable::lookup`], [`BlockTable::flush`], [`BlockTable::reset`]
+//! and [`BlockTable::mark_stale`] run only between blocks. A guest store
+//! into text during the block bumps the generation; the executor watches
+//! it, stops at the next instruction boundary, and puts the code back
+//! for the next [`BlockTable::lookup`] to revalidate or drop. The runs
+//! stay behind `Arc`s only so that table clones (fleet tenants) share
+//! them.
 //!
 //! Correctness under mutation:
 //!
@@ -50,20 +58,19 @@
 //!   revalidate in place (one `u32` compare per word); changed blocks are
 //!   rebuilt from current memory.
 //! * [`BlockTable::flush`] drops every block outright (and bumps the
-//!   generation, so an in-flight block execution detaches from the
-//!   flushed state at the next instruction boundary).
+//!   generation). Like host writes, it happens between blocks.
 //!
 //! **Tier-3 compilation state** (PR 8) also lives here: each block keeps
 //! an entry-count heat counter and, once hot, an `Arc<CompiledBlock>`
 //! emitted by the [`crate::codegen::Template`] backend. The compiled
 //! closure rides the exact same lifecycle as the `Arc<[BlockOp]>` run:
-//! it is handed out detached inside [`BlockRun`], revalidation keeps it
-//! (words unchanged means the closure's folded constants are still
-//! true), and the word-compare drop path discards it with the rest of
-//! the block — counted as a tier deopt, since the next execution falls
-//! back to the interpreter backend. Cloned tables share compiled
-//! closures the same way they share op runs, which is what makes a
-//! fleet clone of a warmed template start hot.
+//! it leaves its slot for each execution, revalidation keeps it (words
+//! unchanged means the closure's folded constants are still true), and
+//! the word-compare drop path discards it with the rest of the block —
+//! counted as a tier deopt, since the next execution falls back to the
+//! interpreter backend. Cloned tables share compiled closures the same
+//! way they share op runs, which is what makes a fleet clone of a warmed
+//! template start hot.
 //!
 //! **PGO superblocks** (PR 9): with a profile loaded
 //! (`CoreConfig::pgo`), block building straightens the measured hot
@@ -228,10 +235,7 @@ impl BlockOp {
 /// fall-through, generation, and stop checks between its components.
 #[inline]
 fn fuse_alu_class(instr: Instruction) -> bool {
-    matches!(
-        instr,
-        Instruction::Alu { .. } | Instruction::AluImm { .. } | Instruction::Lui { .. }
-    )
+    matches!(instr, Instruction::Alu { .. } | Instruction::AluImm { .. } | Instruction::Lui { .. })
 }
 
 /// Fusion legality and the fused pair an adjacent `(a, b)` rewrites to.
@@ -274,9 +278,7 @@ fn fuse_pair(a: Instruction, b: Instruction) -> Option<BlockOp> {
         (Instruction::Store { .. }, _) if fuse_alu_class(b) => Some(BlockOp::StoreAlu(a, b)),
         (Instruction::Store { .. }, Instruction::Jal { .. }) => Some(BlockOp::StoreJal(a, b)),
         (Instruction::Tld { .. }, Instruction::Tchk { .. }) => Some(BlockOp::TldTchk(a, b)),
-        (Instruction::Tget { .. }, Instruction::Branch { .. }) => {
-            Some(BlockOp::TgetBranch(a, b))
-        }
+        (Instruction::Tget { .. }, Instruction::Branch { .. }) => Some(BlockOp::TgetBranch(a, b)),
         _ => None,
     }
 }
@@ -333,8 +335,7 @@ fn fuse_ops_with(
     while i < instrs.len() {
         if fuse && i + 1 < instrs.len() {
             let (a, b) = (instrs[i], instrs[i + 1]);
-            let allowed =
-                allow.is_none_or(|p| p.allows_pair(a.mnemonic(), b.mnemonic()));
+            let allowed = allow.is_none_or(|p| p.allows_pair(a.mnemonic(), b.mnemonic()));
             if allowed {
                 if let Some(p) = fuse_pair(a, b) {
                     ops.push(p);
@@ -366,20 +367,14 @@ fn classify_one(instr: Instruction) -> BlockOp {
     }
 }
 
-/// A handed-out block run: the detached ops plus the per-block facts the
-/// execution loop needs without re-touching the table — the block id,
-/// the total instruction width, and whether the final op is a branch or
-/// jump (computed once at install time, so the hot loop never
-/// re-inspects instructions to classify an exit).
-#[derive(Debug, Clone)]
+/// A handed-out block: its table slot plus the per-block facts the
+/// execution loop needs without re-touching the table — the total
+/// instruction width, and whether the final op is a branch or jump
+/// (computed once at install time, so the hot loop never re-inspects
+/// instructions to classify an exit). The block's code stays in the
+/// slot until the loop moves it out to run it.
+#[derive(Debug, Clone, Copy)]
 pub struct BlockRun {
-    /// The decoded (possibly fused) run — `None` when the run carries
-    /// compiled code, which executes without touching the ops (skipping
-    /// the `Arc` refcount round-trip on every hot-block entry). The one
-    /// consumer that still needs the walker ops for a compiled block —
-    /// a budget-clipped tail — refetches them with
-    /// [`BlockTable::ops_of`].
-    pub ops: Option<Arc<[BlockOp]>>,
     /// Block id: the table slot that holds the block's heat, compiled
     /// code and ops.
     pub bid: u32,
@@ -389,15 +384,11 @@ pub struct BlockRun {
     /// executing the whole run means the block exited through it, an
     /// exit the PGO edge recorder notes.
     pub jump_exit: bool,
-    /// The tier-3 compiled form, once the block has run hot. Detached
-    /// like `ops`: table mutation after hand-out cannot invalidate the
-    /// closure mid-block (the generation checks inside it do that).
-    pub compiled: Option<Arc<CompiledBlock>>,
 }
 
 /// One cached basic block: the raw words it was decoded from (for
 /// revalidation) and the (possibly fused) run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Block {
     gen: u64,
     words: Vec<u32>,
@@ -408,45 +399,24 @@ struct Block {
     /// per straightened segment so revalidation compares every cached
     /// word against the address it actually came from.
     segs: Vec<(u64, u32)>,
-    ops: Arc<[BlockOp]>,
+    /// The decoded (possibly fused) run. `None` once the block is
+    /// dropped (awaiting rebuild), and while the interpreter backend
+    /// executes it ([`BlockTable::take_ops`]).
+    ops: Option<Arc<[BlockOp]>>,
     width: u32,
     jump_exit: bool,
     /// Entries since install; drives tier-up against
     /// `CoreConfig::tier_threshold`. Reset (with `compiled`) on rebuild.
     heat: u32,
-    /// The tier-3 compiled closure, shared with every handed-out run
-    /// (and with table clones — the fleet's warm-cache inheritance).
+    /// The tier-3 compiled closure, shared with table clones (the
+    /// fleet's warm-cache inheritance). `None` while it executes
+    /// ([`BlockTable::take_compiled`]).
     compiled: Option<Arc<CompiledBlock>>,
 }
 
 impl Block {
     fn run(&self, bid: u32) -> BlockRun {
-        BlockRun {
-            ops: if self.compiled.is_some() {
-                None
-            } else {
-                Some(Arc::clone(&self.ops))
-            },
-            bid,
-            width: self.width,
-            jump_exit: self.jump_exit,
-            compiled: self.compiled.clone(),
-        }
-    }
-}
-
-impl Default for Block {
-    fn default() -> Block {
-        Block {
-            gen: 0,
-            words: Vec::new(),
-            segs: Vec::new(),
-            ops: Arc::from(Vec::new()),
-            width: 0,
-            jump_exit: false,
-            heat: 0,
-            compiled: None,
-        }
+        BlockRun { bid, width: self.width, jump_exit: self.jump_exit }
     }
 }
 
@@ -486,8 +456,10 @@ pub struct BlockStats {
 /// Lazily filled basic-block cache for the text segment.
 ///
 /// Cloning the table (for VM snapshot/clone) shares the immutable
-/// `Arc<[BlockOp]>` op runs but copies the entry index, words, and
-/// generation state, so invalidation in one clone never affects another.
+/// `Arc<[BlockOp]>` op runs and compiled closures but copies the entry
+/// index, words, and generation state, so invalidation in one clone
+/// never affects another. Clones are taken between blocks, when every
+/// slot holds its code.
 #[derive(Debug, Default, Clone)]
 pub struct BlockTable {
     base: u64,
@@ -574,8 +546,8 @@ impl BlockTable {
 
     /// Looks up the block starting at `pc`, revalidating its cached
     /// words against `mem` when the generation moved since it was last
-    /// used. Returns the decoded run, or `None` when the caller must
-    /// build (no block here yet, or the words under it changed).
+    /// used. Returns the block, or `None` when the caller must build (no
+    /// block here yet, or the words under it changed).
     #[inline]
     pub fn lookup(&mut self, pc: u64, mem: &MainMemory) -> Option<BlockRun> {
         if !self.covers(pc) {
@@ -586,20 +558,15 @@ impl BlockTable {
             return None;
         }
         let block = &mut self.blocks[bid as usize];
-        if block.ops.is_empty() {
-            return None; // previously dropped; awaiting rebuild
-        }
+        // A block without its run was dropped and awaits a rebuild.
+        block.ops.as_ref()?;
         if block.gen != self.gen {
             // A contiguous block (empty `segs`) compares its words
             // against `pc` onward; a superblock walks its recorded
             // segments so every cached word is compared against the
             // address it was decoded from.
             let stale = if block.segs.is_empty() {
-                block
-                    .words
-                    .iter()
-                    .enumerate()
-                    .any(|(i, w)| mem.read_u32(pc + 4 * i as u64) != *w)
+                block.words.iter().enumerate().any(|(i, w)| mem.read_u32(pc + 4 * i as u64) != *w)
             } else {
                 let mut words = block.words.iter();
                 block.segs.iter().any(|&(base, n)| {
@@ -631,7 +598,7 @@ impl BlockTable {
 
     /// Installs a freshly decoded block starting at `pc`, reusing the
     /// entry's block id if one was allocated before, fusing adjacent
-    /// pairs when `fuse` is set. Returns the run.
+    /// pairs when `fuse` is set. Returns the block.
     ///
     /// # Panics
     ///
@@ -661,7 +628,7 @@ impl BlockTable {
                 | Some(Instruction::Jalr { .. })
         );
         let width = instrs.len() as u32;
-        let ops: Arc<[BlockOp]> = Arc::from(fuse_ops_with(&instrs, fuse, self.pgo.as_deref()));
+        let ops = Some(Arc::from(fuse_ops_with(&instrs, fuse, self.pgo.as_deref())));
         let block = Block {
             gen: self.gen,
             words,
@@ -707,9 +674,8 @@ impl BlockTable {
     ) -> BlockRun {
         assert!(segs.len() >= 2, "a superblock straightens at least one edge");
         assert!(
-            segs.iter().all(|(base, w, i)| {
-                !i.is_empty() && w.len() == i.len() && self.covers(*base)
-            }),
+            segs.iter()
+                .all(|(base, w, i)| { !i.is_empty() && w.len() == i.len() && self.covers(*base) }),
             "install of empty, inconsistent, or uncovered superblock segment"
         );
         let pc = segs[0].0;
@@ -753,7 +719,7 @@ impl BlockTable {
             gen: self.gen,
             words,
             segs: seg_meta,
-            ops: Arc::from(ops),
+            ops: Some(Arc::from(ops)),
             width,
             jump_exit,
             heat: 0,
@@ -776,21 +742,49 @@ impl BlockTable {
         *heat
     }
 
-    /// Attaches tier-3 compiled code to block `bid`. Subsequent runs
-    /// (and table clones) hand the closure out until the block is
-    /// dropped or rebuilt.
-    pub(crate) fn set_compiled(&mut self, bid: u32, code: Arc<CompiledBlock>) {
-        self.blocks[bid as usize].compiled = Some(code);
-        self.stats.compiles += 1;
+    /// The decoded run of block `bid`, which a lookup or install just
+    /// handed out (the tier-3 emitter compiles from it).
+    pub(crate) fn ops(&self, bid: u32) -> &[BlockOp] {
+        self.blocks[bid as usize].ops.as_deref().expect("a handed-out block holds its run")
     }
 
-    /// The walker ops of block `bid`. Cold path: a compiled block's
-    /// `BlockRun` carries no ops (see [`BlockRun::ops`]); a
-    /// budget-clipped entry fetches them here to run the tail on the
-    /// interpreter. The table cannot have mutated since the run was
-    /// handed out (nothing executed in between), so `bid` is current.
-    pub(crate) fn ops_of(&self, bid: u32) -> Arc<[BlockOp]> {
-        Arc::clone(&self.blocks[bid as usize].ops)
+    /// Moves block `bid`'s decoded run out of its slot for one execution
+    /// on the interpreter backend; [`BlockTable::put_ops`] puts it back.
+    /// `bid` must come from the lookup or install just before, with no
+    /// table call in between but [`BlockTable::generation`] and
+    /// [`BlockTable::note_store`] (see the module docs).
+    #[inline]
+    pub(crate) fn take_ops(&mut self, bid: u32) -> Arc<[BlockOp]> {
+        self.blocks[bid as usize].ops.take().expect("a handed-out block holds its run")
+    }
+
+    /// Puts back the run [`BlockTable::take_ops`] moved out.
+    #[inline]
+    pub(crate) fn put_ops(&mut self, bid: u32, ops: Arc<[BlockOp]>) {
+        self.blocks[bid as usize].ops = Some(ops);
+    }
+
+    /// Moves block `bid`'s tier-3 compiled code, if it has any, out of
+    /// its slot for one execution; [`BlockTable::put_compiled`] puts it
+    /// back. Same contract as [`BlockTable::take_ops`].
+    #[inline]
+    pub(crate) fn take_compiled(&mut self, bid: u32) -> Option<Arc<CompiledBlock>> {
+        self.blocks[bid as usize].compiled.take()
+    }
+
+    /// Puts compiled code into block `bid`'s slot: the code
+    /// [`BlockTable::take_compiled`] moved out, or a fresh compile after
+    /// its first execution. Later entries (and table clones) run it
+    /// until the block is dropped or rebuilt.
+    #[inline]
+    pub(crate) fn put_compiled(&mut self, bid: u32, code: Arc<CompiledBlock>) {
+        self.blocks[bid as usize].compiled = Some(code);
+    }
+
+    /// Counts a tier-3 compile (the execution loop emitted code for a
+    /// block that ran hot).
+    pub(crate) fn note_compile(&mut self) {
+        self.stats.compiles += 1;
     }
 
     /// Counts a tier deopt observed by the execution loop (a compiled
@@ -825,9 +819,7 @@ impl BlockTable {
     }
 
     /// Drops every cached block (keeps the covered range and the
-    /// statistics). Bumps the generation so an in-flight block execution
-    /// stops consulting its (detached, still-alive) run at the next
-    /// instruction boundary.
+    /// statistics) and bumps the generation.
     pub fn flush(&mut self) {
         for e in &mut self.entry {
             *e = NO_BLOCK;
@@ -852,7 +844,13 @@ mod tests {
     }
 
     fn ld() -> Instruction {
-        Instruction::Load { width: MemWidth::Double, signed: false, rd: Reg::A1, rs1: Reg::A0, imm: 0 }
+        Instruction::Load {
+            width: MemWidth::Double,
+            signed: false,
+            rd: Reg::A1,
+            rs1: Reg::A0,
+            imm: 0,
+        }
     }
 
     fn sd() -> Instruction {
@@ -872,7 +870,7 @@ mod tests {
         mem.write_u32(0x1000, w1);
         mem.write_u32(0x1004, w2);
         let run = t.install(0x1000, vec![w1, w2], vec![i1, i2], false);
-        assert_eq!(run.ops.as_ref().expect("uncompiled run carries ops").len(), 2);
+        assert_eq!(t.ops(run.bid).len(), 2);
         assert_eq!(run.width, 2);
         assert!(!run.jump_exit, "no final branch or jump");
         (t, mem)
@@ -882,7 +880,7 @@ mod tests {
     fn install_then_lookup_round_trips() {
         let (mut t, mem) = table_with_block();
         let run = t.lookup(0x1000, &mem).expect("installed block");
-        assert_eq!(&run.ops.as_ref().unwrap()[..], &[one(1), one(2)]);
+        assert_eq!(t.ops(run.bid), &[one(1), one(2)]);
         assert!(t.lookup(0x1004, &mem).is_none(), "no block *starts* mid-run");
         assert_eq!(t.stats().builds, 1);
         assert_eq!(t.stats().hits, 1);
@@ -912,18 +910,23 @@ mod tests {
     #[test]
     fn changed_word_drops_block_and_detached_run_stays_alive() {
         let (mut t, mut mem) = table_with_block();
-        let old_run =
-            t.lookup(0x1000, &mem).expect("installed block").ops.expect("walker ops");
+        let bid = t.lookup(0x1000, &mem).expect("installed block").bid;
+        // The executor moves the run out of its slot, and the block
+        // stores into its own second word.
+        let old_run = t.take_ops(bid);
         let (w3, i3) = addi(3);
         mem.write_u32(0x1004, w3);
+        let gen = t.generation();
         t.note_store(0x1004, 4);
+        assert_ne!(t.generation(), gen, "the executor sees the store and stops");
+        // The run it holds is unaffected; it goes back into the slot, and
+        // the next lookup drops it.
+        assert_eq!(&old_run[..], &[one(1), one(2)]);
+        t.put_ops(bid, old_run);
         assert!(t.lookup(0x1000, &mem).is_none(), "changed word must force a rebuild");
         assert_eq!(t.stats().rebuilds, 1);
-        // The executor's detached view of the old run is unaffected by the
-        // drop — it stops using it via the generation check, not a free.
-        assert_eq!(&old_run[..], &[one(1), one(2)]);
         let run = t.install(0x1000, vec![addi(1).0, w3], vec![addi(1).1, i3], false);
-        assert_eq!(&run.ops.as_ref().unwrap()[..], &[one(1), BlockOp::One(i3)]);
+        assert_eq!(t.ops(run.bid), &[one(1), BlockOp::One(i3)]);
         assert_eq!(t.blocks.len(), 1, "rebuild reuses the entry's block slot");
     }
 
@@ -1044,16 +1047,13 @@ mod tests {
         t.set_pgo(Arc::new(profile));
         let run = t.install(0x1000, words.clone(), instrs.clone(), true);
         assert_eq!(
-            &run.ops.as_ref().unwrap()[..],
+            t.ops(run.bid),
             &[BlockOp::AluLoad(a, ld()), BlockOp::OneSafe(a), BlockOp::OneSafe(a)]
         );
         // A profile without a pair table keeps the global set.
         t.set_pgo(Arc::new(crate::pgo::PgoProfile::default()));
         let run = t.install(0x1000, words, instrs, true);
-        assert_eq!(
-            &run.ops.as_ref().unwrap()[..],
-            &[BlockOp::AluLoad(a, ld()), BlockOp::AluPair(a, a)]
-        );
+        assert_eq!(t.ops(run.bid), &[BlockOp::AluLoad(a, ld()), BlockOp::AluPair(a, a)]);
     }
 
     /// A two-segment superblock: [addi, bne +12] at 0x1000 straightened
@@ -1063,32 +1063,21 @@ mod tests {
         t.reset(0x1000, 8);
         let mut mem = MainMemory::new();
         let (wa, a) = addi(1);
-        let br = Instruction::Branch {
-            cond: BranchCond::Ne,
-            rs1: Reg::A0,
-            rs2: Reg::A1,
-            offset: 12,
-        };
+        let br =
+            Instruction::Branch { cond: BranchCond::Ne, rs1: Reg::A0, rs2: Reg::A1, offset: 12 };
         let wb = br.encode().unwrap();
         mem.write_u32(0x1000, wa);
         mem.write_u32(0x1004, wb);
         mem.write_u32(0x1010, wa);
         let run = t.install_super(
-            vec![
-                (0x1000, vec![wa, wb], vec![a, br]),
-                (0x1010, vec![wa], vec![a]),
-            ],
+            vec![(0x1000, vec![wa, wb], vec![a, br]), (0x1010, vec![wa], vec![a])],
             true,
         );
         assert_eq!(run.width, 3);
         assert!(!run.jump_exit, "final segment ends in a plain alu");
         assert_eq!(
-            &run.ops.as_ref().unwrap()[..],
-            &[
-                BlockOp::OneSafe(a),
-                BlockOp::GuardBranch(br, 0x1010),
-                BlockOp::OneSafe(a)
-            ],
+            t.ops(run.bid),
+            &[BlockOp::OneSafe(a), BlockOp::GuardBranch(br, 0x1010), BlockOp::OneSafe(a)],
             "ender excluded from fusion and rewritten into a guard"
         );
         assert_eq!(t.stats().superblocks, 1);

@@ -27,7 +27,7 @@
 //! watching) is backend-agnostic.
 //!
 //! **Compiled code never outruns invalidation.** A compiled closure is
-//! reached only through a `BlockRun` handed out by the block table, which
+//! reached only through a block the table's lookup handed out, which
 //! revalidates the block's words after any generation bump; the closure
 //! re-checks the generation after every op that can store, exactly like
 //! the walker. A stale compiled block therefore deopts to the interpreter
@@ -163,9 +163,7 @@ impl<'a> ExecCtx<'a> {
 
 impl fmt::Debug for ExecCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExecCtx")
-            .field("entry_gen", &self.entry_gen)
-            .finish_non_exhaustive()
+        f.debug_struct("ExecCtx").field("entry_gen", &self.entry_gen).finish_non_exhaustive()
     }
 }
 
@@ -210,10 +208,10 @@ pub enum BlockExit {
 
 /// The compiled form of one basic block: a single host-side closure that
 /// executes the whole (possibly fused) run with decode-time constants
-/// folded. Shared via `Arc` — a VM clone shares its template's compiled
-/// blocks (fleet fork-server warm cache) and an executing core keeps a
-/// detached reference, immune to table mutation, exactly like the
-/// `Arc<[BlockOp]>` runs.
+/// folded. Shared via `Arc` so that a VM clone shares its template's
+/// compiled blocks (fleet fork-server warm cache); an executing core
+/// moves it out of its table slot for each execution and back after it,
+/// exactly like the `Arc<[BlockOp]>` runs.
 pub struct CompiledBlock {
     /// Executes the block against `ctx`; behaviourally identical to
     /// [`interp::walk`] over the same ops with an un-clipped budget.

@@ -613,8 +613,7 @@ impl Cpu {
 
         self.charge_fetch(pc);
         let word = self.mem.read_u32(pc);
-        let instr =
-            Instruction::decode(word).map_err(|_| Trap::InvalidInstruction { pc, word })?;
+        let instr = Instruction::decode(word).map_err(|_| Trap::InvalidInstruction { pc, word })?;
 
         self.counters.instructions += 1;
         let event = self.execute(pc, instr)?;
@@ -691,7 +690,10 @@ impl Cpu {
     /// * A guest store into the text range bumps the block generation;
     ///   the loop re-checks it after every instruction, so a block that
     ///   invalidates *itself* stops using its cached run at the store.
-    ///   The run itself is an `Arc` snapshot, immune to table mutation.
+    ///   The run is moved out of its table slot for the execution and
+    ///   back after it (DESIGN.md invariant 2): mid-block the loop makes
+    ///   no table call but `generation` and `note_store`, so the empty
+    ///   slot is never seen, and no block entry touches a refcount.
     /// * **Fused pairs** (`BlockOp`, `CoreConfig::fuse`) execute both
     ///   components through the same `exec_*` helpers the stepwise
     ///   `Cpu::execute` arms delegate to, with every per-instruction
@@ -778,7 +780,7 @@ impl Cpu {
                     other => return Ok(other),
                 }
             }
-            let mut run = match self.blocks.lookup(pc, &self.mem) {
+            let run = match self.blocks.lookup(pc, &self.mem) {
                 Some(found) => found,
                 None => match self.build_block(pc) {
                     Some(built) => built,
@@ -804,11 +806,12 @@ impl Cpu {
             // entry heats the block toward compilation. Pair profiling
             // pins every block to the interpreter: its histogram needs
             // the walker's per-pair notes (and enabling it flushed any
-            // compiled blocks with the rest of the table).
+            // compiled blocks with the rest of the table). The code
+            // that runs — the compiled closure or the walker's ops —
+            // leaves its table slot for this one execution and goes
+            // back after it.
             let compiled = if tier && budget >= u64::from(run.width) {
-                // `take` moves the detached Arc out of the run handle
-                // rather than cloning it: no refcount traffic per entry.
-                match run.compiled.take() {
+                match self.blocks.take_compiled(run.bid) {
                     Some(code) => Some(code),
                     None if self.pair_profile.is_none() => {
                         // Sample-triggered tier-up: entries the PGO
@@ -822,11 +825,10 @@ impl Cpu {
                             _ => self.config.tier_threshold,
                         };
                         if self.blocks.heat_up(run.bid) >= threshold {
-                            // An uncompiled run always carries its ops.
-                            let ops = run.ops.as_deref().expect("uncompiled run carries ops");
-                            let code = emitter.emit(pc, line_shift, ops);
-                            if let Some(code) = &code {
-                                self.blocks.set_compiled(run.bid, Arc::clone(code));
+                            // Stored in the slot after its first run.
+                            let code = emitter.emit(pc, line_shift, self.blocks.ops(run.bid));
+                            if code.is_some() {
+                                self.blocks.note_compile();
                                 self.trace_event(TraceEventKind::BlockCompile {
                                     pc,
                                     len: run.width,
@@ -845,19 +847,16 @@ impl Cpu {
             let was_compiled = compiled.is_some();
             let exit: BlockExit = match compiled {
                 Some(code) => {
-                    let mut ctx = ExecCtx::new(self, &mut span, entry_gen);
-                    (code.enter)(&mut ctx)
+                    let exit = (code.enter)(&mut ExecCtx::new(self, &mut span, entry_gen));
+                    self.blocks.put_compiled(run.bid, code);
+                    exit
                 }
                 None => {
-                    // A run carrying compiled code has no ops attached
-                    // (skipping the Arc refcount round-trip on hot
-                    // entries); the rare budget-clipped compiled entry
-                    // refetches them from the table here.
-                    let ops = match run.ops.take() {
-                        Some(ops) => ops,
-                        None => self.blocks.ops_of(run.bid),
-                    };
-                    codegen::interp::walk(self, &mut span, &ops, run.width, budget, entry_gen)
+                    let ops = self.blocks.take_ops(run.bid);
+                    let exit =
+                        codegen::interp::walk(self, &mut span, &ops, run.width, budget, entry_gen);
+                    self.blocks.put_ops(run.bid, ops);
+                    exit
                 }
             };
             match exit {
@@ -1073,9 +1072,7 @@ impl Cpu {
 
     #[inline]
     fn stall2(&self, rs1: Reg, rs2: Reg) -> u64 {
-        self.now
-            .max(self.ready[rs1.number() as usize])
-            .max(self.ready[rs2.number() as usize])
+        self.now.max(self.ready[rs1.number() as usize]).max(self.ready[rs2.number() as usize])
     }
 
     #[inline]
@@ -1238,7 +1235,11 @@ impl Cpu {
         let target = pc.wrapping_add(offset as i64 as u64);
         let correct = self.bpred.predict_branch(pc, taken, target);
         self.now = t + 1 + if correct { 0 } else { self.bpred.miss_penalty() };
-        if taken { target } else { pc.wrapping_add(4) }
+        if taken {
+            target
+        } else {
+            pc.wrapping_add(4)
+        }
     }
 
     /// Direct jump-and-link; returns the target. Never traps.
@@ -1502,8 +1503,7 @@ impl Cpu {
                                 tarch_isa::TypedAluOp::Xmul => av.wrapping_mul(bv),
                             };
                             let overflow = self.spr.overflow_detect()
-                                && (r != (r as i32) as i64
-                                    || mul_overflows_i64(op, av, bv));
+                                && (r != (r as i32) as i64 || mul_overflows_i64(op, av, bv));
                             if overflow {
                                 // Section 7.1: overflow would corrupt a
                                 // co-located tag, so redirect to the slow
@@ -1513,10 +1513,7 @@ impl Cpu {
                                 self.now = t + 1 + lat.type_miss_penalty;
                             } else {
                                 self.counters.type_hits += 1;
-                                self.regs.write(
-                                    rd,
-                                    TaggedValue { v: r as u64, t: out, f: false },
-                                );
+                                self.regs.write(rd, TaggedValue { v: r as u64, t: out, f: false });
                                 let is_mul = op == tarch_isa::TypedAluOp::Xmul;
                                 self.now = t + 1;
                                 self.set_ready(rd, if is_mul { t + lat.mul } else { t + 1 });
@@ -1540,8 +1537,8 @@ impl Cpu {
                     Spr::Mask => self.spr.mask = v as u8,
                     Spr::Shift => self.spr.shift = (v & 0x3f) as u8,
                     Spr::TrtPush => {
-                        let rule = TrtRule::unpack(v)
-                            .ok_or(Trap::InvalidTrtRule { pc, packed: v })?;
+                        let rule =
+                            TrtRule::unpack(v).ok_or(Trap::InvalidTrtRule { pc, packed: v })?;
                         self.trt.push(rule);
                         let len = self.trt.len() as u32;
                         self.trace_event(TraceEventKind::TrtFill { len });

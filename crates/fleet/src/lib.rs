@@ -8,7 +8,9 @@
 //! * [`build_guest`] / [`Guest`] — the engine registry: the one place
 //!   that maps an `EngineKind` to its engine, returning the guest VM
 //!   behind one trait object for callers that pick the engine at run
-//!   time (this crate's scheduler, the bench harness, `repro`, tests);
+//!   time (this crate's scheduler, the bench harness, `repro`, tests),
+//!   and [`level_invariant`], the engine's declaration that its image
+//!   is the same at every ISA level;
 //! * [`Template`] — the fork-server idiom. Construct a guest VM once
 //!   (parse → compile → typed codegen → load), freeze its simulated
 //!   memory into a shared copy-on-write base image
@@ -40,7 +42,7 @@ mod snapshot;
 pub use scheduler::{
     run_fleet, FleetConfig, FleetOutcome, ShardReport, TenantOutcome, TenantStatus,
 };
-pub use snapshot::{build_guest, measure_costs, CloneCosts, Guest, Template};
+pub use snapshot::{build_guest, level_invariant, measure_costs, CloneCosts, Guest, Template};
 
 #[cfg(test)]
 mod tests {
@@ -148,10 +150,7 @@ mod tests {
         assert_eq!(lats.len(), 4);
         let first = *lats.iter().min().unwrap();
         let clock = out.shards[0].clock_cycles;
-        assert!(
-            first * 4 > clock * 3,
-            "first completion at {first} of {clock}: not round-robin"
-        );
+        assert!(first * 4 > clock * 3, "first completion at {first} of {clock}: not round-robin");
     }
 
     /// Why a clone is cheap, checked without a clock: a freshly spawned

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
-use tarch_core::{Cpu, CoreConfig, IsaLevel};
+use tarch_core::{CoreConfig, Cpu, IsaLevel};
 use tarch_runner::{EngineKind, ExecError};
 use tarch_sim::{Engine, EngineError, GuestVm, RunOutcome, RunReport};
 
@@ -162,6 +162,17 @@ pub fn build_guest(
         EngineKind::Lua => erase::<luart::Lua>(source, level, core),
         EngineKind::Js => erase::<jsrt::Js>(source, level, core),
         EngineKind::Wasm => erase::<wasmrt::Wasm>(source, level, core),
+    }
+}
+
+/// Whether `engine` builds the same image at every ISA level
+/// ([`Engine::LEVEL_INVARIANT`]), so that one level's run stands for the
+/// others.
+pub fn level_invariant(engine: EngineKind) -> bool {
+    match engine {
+        EngineKind::Lua => luart::Lua::LEVEL_INVARIANT,
+        EngineKind::Js => jsrt::Js::LEVEL_INVARIANT,
+        EngineKind::Wasm => wasmrt::Wasm::LEVEL_INVARIANT,
     }
 }
 

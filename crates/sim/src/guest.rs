@@ -3,7 +3,8 @@
 //! An engine differs from the others in four things only: its front end
 //! (MiniScript source → its bytecode module), its image builder (module →
 //! interpreter + program image for one ISA level), its opcode type and
-//! its `ecall` host. [`Engine`] names those four. Everything else — the
+//! its `ecall` host. [`Engine`] names those four, and declares whether
+//! the image depends on the ISA level at all. Everything else — the
 //! machine and the shared image, construction, the run loops, per-opcode
 //! attribution, the report and the error type — is written once here, in
 //! [`GuestVm`].
@@ -51,6 +52,14 @@ pub trait Engine: Clone + fmt::Debug + 'static {
     type ParseError: Error + 'static;
     /// The front end's compile error.
     type CompileError: Error + 'static;
+
+    /// Whether [`Engine::build_image`] emits the same image at every ISA
+    /// level. The level reaches the simulated machine only through the
+    /// image, so such an engine runs a program identically at every
+    /// level, and a harness may simulate one level and reuse its result
+    /// for the others. `tests/image_digests.rs` checks every engine that
+    /// declares it.
+    const LEVEL_INVARIANT: bool = false;
 
     /// The front end: parses and compiles MiniScript source.
     ///

@@ -21,6 +21,10 @@ impl tarch_sim::Engine for Wasm {
     type ParseError = ParseError;
     type CompileError = CompileError;
 
+    /// The image is the same at every level: it holds no typed-hardware
+    /// instruction (see [`WasmImage`]).
+    const LEVEL_INVARIANT: bool = true;
+
     fn front_end(src: &str) -> Result<Module, EngineError> {
         let chunk = miniscript::parse(src).map_err(EngineError::Parse)?;
         compile(&chunk).map_err(EngineError::Compile)

@@ -13,10 +13,15 @@
 //! (engine, level), over the 11 workloads at test and default scale and
 //! the sample programs below, in that order. `wasmrt` skips the programs
 //! it rejects at compile time.
+//!
+//! The same digests check each engine's claim to build one image at every
+//! level, on which the harness relies to simulate one level for all.
 
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::IsaLevel;
+use tarch_fleet::level_invariant;
 use tarch_isa::asm::Program;
+use tarch_runner::EngineKind;
 
 /// Sample programs covering what the workloads reach only in part: the
 /// type-pair loops of Figure 2(b), globals, calls, negative and float
@@ -147,4 +152,26 @@ fn every_interpreter_image_is_unchanged() {
     }
     assert_eq!(total, 252, "images built");
     assert!(moved.is_empty(), "interpreter images moved:\n{}", moved.join("\n"));
+}
+
+/// An engine declared level-invariant (`tarch_fleet::level_invariant`) has
+/// its plain cells at every level taken from one simulation, so its
+/// images must agree at all three levels; an engine whose images differ
+/// must not be declared.
+#[test]
+fn level_invariant_engines_build_one_image_at_every_level() {
+    for (name, engine) in
+        [("lua", EngineKind::Lua), ("js", EngineKind::Js), ("wasm", EngineKind::Wasm)]
+    {
+        let digests = IsaLevel::ALL.map(|level| digest(name, level).0);
+        let one_image = digests.iter().all(|&d| d == digests[0]);
+        assert_eq!(
+            level_invariant(engine),
+            one_image,
+            "{name}: declared level-invariant {}, digests {digests:016x?}",
+            level_invariant(engine)
+        );
+    }
+    assert!(!level_invariant(EngineKind::Lua) && !level_invariant(EngineKind::Js));
+    assert!(level_invariant(EngineKind::Wasm));
 }
