@@ -68,17 +68,16 @@ pub struct Step {
 ///
 /// The ladder starts from the naive core, every host-side layer off (the
 /// stepwise reference), and adds the MRU memos (`mem_fast_paths`),
-/// blocks, fusion, tier-3 compilation, which gives the shipping config
+/// compiled blocks, and fusion, which gives the shipping config
 /// `CoreConfig::paper()`, and PGO. Each ladder step compares a rung with
 /// the one below it. The leave-one-out steps compare the shipping config
-/// with itself less MRU, fusion or tiering.
+/// with itself less MRU or fusion.
 pub fn ladder() -> (Vec<Config>, Vec<Step>) {
     type Toggle = fn(&mut CoreConfig, bool);
-    let layers: [(&str, Toggle); 4] = [
+    let layers: [(&str, Toggle); 3] = [
         ("MRU", |c, on| c.mem_fast_paths = on),
         ("blocks", |c, on| c.blocks = on),
         ("fuse", |c, on| c.fuse = on),
-        ("tier", |c, on| c.tier = on),
     ];
     let config = |name: String, core, guided| Config { name, core, guided };
     let mut naive = CoreConfig::paper();
@@ -90,7 +89,7 @@ pub fn ladder() -> (Vec<Config>, Vec<Step>) {
         configs.push(config(format!("+{layer}"), core, false));
     }
     let shipping = configs.len() - 1;
-    assert_eq!(configs[shipping].core, CoreConfig::paper(), "+tier is the shipping config");
+    assert_eq!(configs[shipping].core, CoreConfig::paper(), "+fuse is the shipping config");
     configs.push(config("+pgo".into(), CoreConfig::paper(), true));
     for (layer, toggle) in layers.into_iter().filter(|(layer, _)| *layer != "blocks") {
         let mut core = CoreConfig::paper();

@@ -21,8 +21,8 @@
 //!                    percentiles and writes a BENCH_fleet_*.json
 //!                    artifact (default CELL: fibo/lua/typed)
 //!   pgo WORKLOAD     the full two-phase profile-guided loop on one
-//!                    workload: a profile run records hot PCs, control
-//!                    edges and opcode pairs into a PGO_<workload>.json
+//!                    workload: a profile run records control edges
+//!                    into a PGO_<workload>.json
 //!                    artifact (default dir pgo-artifacts/), then every
 //!                    cell is re-run unguided vs profile-guided on the
 //!                    pair engine of `ab`, verifying simulated counters
@@ -32,7 +32,7 @@
 //!                    decisions (stale/empty profile)
 //!   ab [CELL]        each host-side layer's speed gain in one serial
 //!                    pass: the execution ladder (naive -> +MRU ->
-//!                    +blocks -> +fuse -> +tier -> +pgo)
+//!                    +blocks -> +fuse -> +pgo)
 //!                    and the shipping config less one layer, interleaved
 //!                    ABBA, counters asserted equal; each step a median
 //!                    pair ratio with a 95% interval. Any part of CELL may
@@ -45,21 +45,11 @@
 //!   --no-cache              bypass the persistent result cache
 //!   --steps N               per-job step budget (default 2e10)
 //!   --workload NAME         restrict `bench` to one workload
-//!   --profile-pairs         (bench) histogram of adjacent same-block
-//!                           opcode pairs (the macro-op fusion evidence)
-//!                           instead of throughput measurement
-//!   --no-fuse               disable macro-op fusion in the simulated core
-//!   --no-tier               disable tier-3 template compilation of hot
-//!                           blocks in the core
-//!   --tier-threshold N      block entries before a hot block is
-//!                           template-compiled (default 16)
-//!
-//!   The core toggles (--no-fuse, --no-tier, --tier-threshold) apply
-//!   to every simulating subcommand — bench, trace, fleet, pgo, the
-//!   figure matrix — so e.g. `repro trace` can attribute a cell's
-//!   profile with any fast path disabled.
-//!
-//!   --sample-period N       (trace, pgo) sampling-profiler period in
+//!   --no-fuse               disable macro-op fusion in the simulated
+//!                           core; applies to every simulating
+//!                           subcommand but `ab` — bench, trace, fleet,
+//!                           pgo, the figure matrix
+//!   --sample-period N       (trace) sampling-profiler period in
 //!                           simulated cycles (default 10000)
 //!   --profile PATH          (pgo) reuse an existing profile artifact
 //!                           instead of running phase 1
@@ -85,10 +75,8 @@
 //!                           flamegraph stacks to PATH with a .folded
 //!                           extension
 //!   --emit-json PATH        write the run artifact to PATH; for `trace`
-//!                           the hot-PC table as JSON, for `bench
-//!                           --profile-pairs` the per-workload pair
-//!                           histograms as JSON, for `pgo` the profile
-//!                           artifact path
+//!                           the hot-PC table as JSON, for `pgo` the
+//!                           profile artifact path
 //!   --out DIR               directory for auto-emitted artifacts
 //!                           (default: bench-artifacts/)
 //!   --from-json PATH        render figures from a BENCH_*.json artifact
@@ -118,7 +106,7 @@ use tarch_bench::figures;
 use tarch_bench::harness::{default_cache_dir, Matrix, MatrixOptions, MAX_STEPS};
 use tarch_bench::paper_tables as tables;
 use tarch_bench::workloads::{self, Scale};
-use tarch_core::{CoreConfig, IsaLevel, PairProfile, TraceConfig};
+use tarch_core::{CoreConfig, IsaLevel, TraceConfig};
 use tarch_fleet::build_guest;
 use tarch_runner::{BenchArtifact, EngineKind, PgoSet};
 
@@ -129,10 +117,7 @@ struct Opts {
     no_cache: bool,
     step_budget: u64,
     workload: Option<String>,
-    profile_pairs: bool,
     no_fuse: bool,
-    no_tier: bool,
-    tier_threshold: Option<u32>,
     sample_period: Option<u64>,
     profile: Option<PathBuf>,
     pgo_dir: Option<PathBuf>,
@@ -153,24 +138,18 @@ struct Opts {
 
 impl Opts {
     /// The simulated core configuration for this invocation: the paper's
-    /// core with the requested fast paths toggled off. Toggles feed the
-    /// job content key, so A/B runs never collide in the result cache.
+    /// core, with fusion off under `--no-fuse`. The toggle feeds the job
+    /// content key, so A/B runs never collide in the result cache.
     fn core(&self) -> CoreConfig {
-        let paper = CoreConfig::paper();
-        CoreConfig {
-            fuse: !self.no_fuse,
-            tier: !self.no_tier,
-            tier_threshold: self.tier_threshold.unwrap_or(paper.tier_threshold),
-            ..paper
-        }
+        CoreConfig { fuse: !self.no_fuse, ..CoreConfig::paper() }
     }
 }
 
 const USAGE: &str = "usage: repro <table1..table8|fig1|fig2a|fig2b|fig5..fig9|all|selftest|bench\
                      |trace CELL|fleet [CELL]|pgo WORKLOAD|ab [CELL]> \
                      [--full|--test-scale] [-j N] [--no-cache] [--steps N] [--workload NAME] \
-                     [--profile-pairs] [--no-fuse] [--no-tier] [--tier-threshold N] \
-                     [--sample-period N] [--trace-out PATH] [--profile PATH] [--pgo-dir DIR] \
+                     [--no-fuse] [--sample-period N] [--trace-out PATH] [--profile PATH] \
+                     [--pgo-dir DIR] \
                      [--tenants N] [--shards N] [--budget N] [--slice N] [--ctxsw N] [--seed N] \
                      [--emit-json PATH] [--out DIR] [--from-json PATH] [--compare PATH] \
                      [--min-ratio R] [--verbose]";
@@ -184,10 +163,7 @@ fn main() -> ExitCode {
         no_cache: false,
         step_budget: MAX_STEPS,
         workload: None,
-        profile_pairs: false,
         no_fuse: false,
-        no_tier: false,
-        tier_threshold: None,
         sample_period: None,
         profile: None,
         pgo_dir: None,
@@ -221,41 +197,24 @@ fn main() -> ExitCode {
                 "--verbose" | "-v" => opts.verbose = true,
                 "--no-cache" => opts.no_cache = true,
                 "-j" | "--jobs" => {
-                    opts.jobs = value(a)?
-                        .parse()
-                        .map_err(|_| format!("{a} needs a number of workers"))?;
+                    opts.jobs =
+                        value(a)?.parse().map_err(|_| format!("{a} needs a number of workers"))?;
                 }
                 "--steps" => {
-                    opts.step_budget = value(a)?
-                        .parse()
-                        .map_err(|_| format!("{a} needs a step count"))?;
+                    opts.step_budget =
+                        value(a)?.parse().map_err(|_| format!("{a} needs a step count"))?;
                 }
                 "--workload" => opts.workload = Some(value(a)?),
-                "--profile-pairs" => opts.profile_pairs = true,
                 "--no-fuse" => opts.no_fuse = true,
-                "--no-tier" => opts.no_tier = true,
-                "--tier-threshold" => {
-                    let n: u32 = value(a)?
-                        .parse()
-                        .map_err(|_| format!("{a} needs an entry count"))?;
-                    if n == 0 {
-                        return Err(format!("{a} must be at least 1"));
-                    }
-                    opts.tier_threshold = Some(n);
-                }
                 "--sample-period" => {
-                    opts.sample_period = Some(
-                        value(a)?
-                            .parse()
-                            .map_err(|_| format!("{a} needs a cycle count"))?,
-                    );
+                    opts.sample_period =
+                        Some(value(a)?.parse().map_err(|_| format!("{a} needs a cycle count"))?);
                 }
                 "--trace-out" => opts.trace_out = Some(PathBuf::from(value(a)?)),
                 "--profile" => opts.profile = Some(PathBuf::from(value(a)?)),
                 "--pgo-dir" => opts.pgo_dir = Some(PathBuf::from(value(a)?)),
                 "--tenants" | "--shards" | "--budget" | "--slice" | "--ctxsw" | "--seed" => {
-                    let n: u64 =
-                        value(a)?.parse().map_err(|_| format!("{a} needs a number"))?;
+                    let n: u64 = value(a)?.parse().map_err(|_| format!("{a} needs a number"))?;
                     opts.fleet_opts_seen = true;
                     let count =
                         || u32::try_from(n).map_err(|_| format!("{a} is {n}, above the u32 range"));
@@ -273,9 +232,8 @@ fn main() -> ExitCode {
                 "--from-json" => opts.from_json = Some(PathBuf::from(value(a)?)),
                 "--compare" => opts.compare = Some(PathBuf::from(value(a)?)),
                 "--min-ratio" => {
-                    opts.min_ratio = Some(
-                        value(a)?.parse().map_err(|_| format!("{a} needs a ratio"))?,
-                    );
+                    opts.min_ratio =
+                        Some(value(a)?.parse().map_err(|_| format!("{a} needs a ratio"))?);
                 }
                 c if command.is_none() && !c.starts_with('-') => command = Some(c.to_string()),
                 c if matches!(command.as_deref(), Some("trace" | "fleet" | "pgo" | "ab"))
@@ -310,23 +268,14 @@ fn main() -> ExitCode {
         eprintln!("error: --min-ratio needs --compare under `bench`\n{USAGE}");
         return ExitCode::FAILURE;
     }
-    if opts.profile_pairs && command != "bench" {
-        eprintln!("error: --profile-pairs only applies to `bench`\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
     if opts.pgo_dir.is_some() && command != "bench" && command != "ab" {
         eprintln!("error: --pgo-dir only applies to `bench` and `ab`\n{USAGE}");
         return ExitCode::FAILURE;
     }
     // `ab` runs serially, so both sides of a pair see the same host; it
     // always simulates; its two sets are its configs.
-    let ab_rejects = [
-        (opts.jobs != 0, "-j"),
-        (opts.no_cache, "--no-cache"),
-        (opts.no_fuse, "--no-fuse"),
-        (opts.no_tier, "--no-tier"),
-        (opts.tier_threshold.is_some(), "--tier-threshold"),
-    ];
+    let ab_rejects =
+        [(opts.jobs != 0, "-j"), (opts.no_cache, "--no-cache"), (opts.no_fuse, "--no-fuse")];
     if let Some((_, flag)) = ab_rejects.iter().find(|(given, _)| *given && command == "ab") {
         eprintln!("error: {flag} does not apply to `ab`\n{USAGE}");
         return ExitCode::FAILURE;
@@ -335,8 +284,8 @@ fn main() -> ExitCode {
         eprintln!("error: --profile only applies to `pgo`\n{USAGE}");
         return ExitCode::FAILURE;
     }
-    if opts.sample_period.is_some() && command != "trace" && command != "pgo" {
-        eprintln!("error: --sample-period only applies to `trace` and `pgo`\n{USAGE}");
+    if opts.sample_period.is_some() && command != "trace" {
+        eprintln!("error: --sample-period only applies to `trace`\n{USAGE}");
         return ExitCode::FAILURE;
     }
     if opts.trace_out.is_some() && command != "trace" {
@@ -344,9 +293,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if command == "trace" && cell.is_none() {
-        eprintln!(
-            "error: trace needs a cell, e.g. `repro trace k-nucleotide/lua/typed`\n{USAGE}"
-        );
+        eprintln!("error: trace needs a cell, e.g. `repro trace k-nucleotide/lua/typed`\n{USAGE}");
         return ExitCode::FAILURE;
     }
     if command == "pgo" && cell.is_none() {
@@ -416,10 +363,8 @@ fn emit(opts: &Opts, command: &str, artifact: Option<&BenchArtifact>) -> Result<
     let path = match (&opts.emit_json, command) {
         (Some(p), _) => Some(p.clone()),
         (None, "all" | "bench") if opts.from_json.is_none() => {
-            let dir =
-                opts.out_dir.clone().unwrap_or_else(|| PathBuf::from("bench-artifacts"));
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| format!("create {}: {e}", dir.display()))?;
+            let dir = opts.out_dir.clone().unwrap_or_else(|| PathBuf::from("bench-artifacts"));
+            std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             Some(dir.join(artifact.default_filename()))
         }
         _ => None,
@@ -517,9 +462,6 @@ fn bench(opts: &Opts) -> Result<(), String> {
         }
         None => workloads::all(),
     };
-    if opts.profile_pairs {
-        return profile_pairs(opts, &ws);
-    }
     // Read the baseline first: a missing or malformed one fails before
     // anything is simulated or written.
     let baseline = match &opts.compare {
@@ -569,85 +511,6 @@ fn bench(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// Opcode-pair evidence run (`repro bench --profile-pairs`): executes the
-/// requested matrix *serially, in process, unfused* with the core's
-/// adjacent-pair profile enabled, aggregates every cell's profile and
-/// prints the histogram the macro-op fusion set is justified from.
-/// Serial because the profile lives inside each `Cpu`; throughput is not
-/// the point of this mode.
-fn profile_pairs(opts: &Opts, ws: &[workloads::Workload]) -> Result<(), String> {
-    let core = opts.core();
-    let mut total = PairProfile::new();
-    let mut per_workload: Vec<(String, PairProfile)> = Vec::new();
-    let mut cells = 0usize;
-    for w in ws {
-        let src = w.source(opts.scale);
-        let mut wprofile = PairProfile::new();
-        for engine in EngineKind::ALL {
-            for level in IsaLevel::ALL {
-                let label = format!("{}/{}/{}", w.name, engine.id(), level.name());
-                if opts.verbose {
-                    eprintln!("profiling {label}...");
-                }
-                let mut guest = build_guest(engine, &src, level, core.clone())
-                    .map_err(|e| format!("{label}: {e}"))?;
-                guest.cpu_mut().enable_pair_profile();
-                guest.run(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
-                if let Some(p) = guest.cpu().pair_profile() {
-                    wprofile.merge(p);
-                }
-                cells += 1;
-            }
-        }
-        total.merge(&wprofile);
-        per_workload.push((w.name.to_string(), wprofile));
-    }
-    eprintln!("profiled {cells} cell(s) at scale {}", opts.scale.id());
-    print!("{}", tarch_runner::pairs::render_histogram(&total, 30));
-    if let Some(path) = &opts.emit_json {
-        // Machine-readable per-workload histograms: what the per-workload
-        // fusion tables (and any by-hand analysis) consume.
-        use tarch_runner::Json;
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("tarch-pairs/v1")),
-            ("scale".into(), Json::str(opts.scale.id())),
-            (
-                "workloads".into(),
-                Json::Arr(
-                    per_workload
-                        .iter()
-                        .map(|(name, p)| {
-                            Json::Obj(vec![
-                                ("workload".into(), Json::str(name.clone())),
-                                ("total".into(), Json::num(p.total())),
-                                (
-                                    "pairs".into(),
-                                    Json::Arr(
-                                        p.sorted()
-                                            .into_iter()
-                                            .map(|(prev, cur, count)| {
-                                                Json::Obj(vec![
-                                                    ("prev".into(), Json::str(prev)),
-                                                    ("cur".into(), Json::str(cur)),
-                                                    ("count".into(), Json::num(count)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        std::fs::write(path, doc.to_pretty_string())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-        eprintln!("wrote pair histograms {}", path.display());
-    }
-    Ok(())
-}
-
 /// The cells a `workload/engine/level` spelling names, in matrix order;
 /// any part may be `*`. `command` and `example` word the error for a
 /// spelling without three parts.
@@ -688,8 +551,8 @@ fn one_cell(spec: &str, command: &str, example: &str) -> Result<Cell, String> {
 /// `repro trace CELL`: runs one cell *serially, in process* with the
 /// tarch-trace observability layer enabled and renders the result — the
 /// hot-PC attribution table on stdout, and (with `--trace-out`) a Chrome
-/// trace_event JSON plus flamegraph-folded stacks on disk. Serial for the
-/// same reason as [`profile_pairs`]: the tracer lives inside the `Cpu`.
+/// trace_event JSON plus flamegraph-folded stacks on disk. Serial
+/// because the tracer lives inside the `Cpu`.
 fn trace_cell(opts: &Opts, spec: &str) -> Result<(), String> {
     let cell = one_cell(spec, "trace", "k-nucleotide/lua/typed")?;
     let mut tc = TraceConfig::new();
@@ -842,7 +705,12 @@ fn fleet(opts: &Opts, spec: &str) -> Result<(), String> {
     for s in &summaries {
         println!(
             "{:<6} {:>8} {:>10} {:>14} {:>14} {:>7.3}",
-            s.shard, s.tenants, s.completed, s.instructions, s.cycles, s.ipc()
+            s.shard,
+            s.tenants,
+            s.completed,
+            s.instructions,
+            s.cycles,
+            s.ipc()
         );
     }
     let completed = outcome.completed();
@@ -856,10 +724,7 @@ fn fleet(opts: &Opts, spec: &str) -> Result<(), String> {
         ),
         None => println!("tenant latency: no tenant completed"),
     }
-    println!(
-        "wall {:.2} s on {workers} worker(s)",
-        wall_nanos as f64 / 1e9
-    );
+    println!("wall {:.2} s on {workers} worker(s)", wall_nanos as f64 / 1e9);
 
     let mut artifact = tarch_runner::FleetArtifact {
         created_unix: 0,
@@ -884,10 +749,8 @@ fn fleet(opts: &Opts, spec: &str) -> Result<(), String> {
     let path = match &opts.emit_json {
         Some(p) => p.clone(),
         None => {
-            let dir =
-                opts.out_dir.clone().unwrap_or_else(|| PathBuf::from("bench-artifacts"));
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| format!("create {}: {e}", dir.display()))?;
+            let dir = opts.out_dir.clone().unwrap_or_else(|| PathBuf::from("bench-artifacts"));
+            std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
             dir.join(artifact.default_filename())
         }
     };
@@ -901,9 +764,9 @@ fn fleet(opts: &Opts, spec: &str) -> Result<(), String> {
 ///
 /// **Phase 1 (profile run)** — unless `--profile PATH` reuses an
 /// existing artifact — runs every (engine × ISA level) cell serially,
-/// in process, with the tracer, the opcode-pair profile and the
-/// control-edge recorder enabled, and distills the observations into a
-/// `PGO_<workload>.json` artifact (see `tarch_runner::pgo`).
+/// in process, on the shipping core with the control-edge recorder
+/// enabled, and writes the edges into a `PGO_<workload>.json` artifact
+/// (see `tarch_runner::pgo`).
 ///
 /// **Phase 2 (A/B)** measures every cell unguided against profile-guided
 /// on the pair engine ([`ab::measure`]), which fails if the sides'
@@ -946,55 +809,15 @@ fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
                     if opts.verbose {
                         eprintln!("profiling {label}...");
                     }
-                    let mut tc = TraceConfig::new();
-                    if let Some(p) = opts.sample_period {
-                        tc.sample_period = p.max(1);
-                    }
-                    let core = CoreConfig { trace: Some(tc), ..opts.core() };
-                    let mut guest = build_guest(engine, &src, level, core)
+                    let mut guest = build_guest(engine, &src, level, opts.core())
                         .map_err(|e| format!("{label}: {e}"))?;
-                    guest.cpu_mut().enable_pair_profile();
                     guest.cpu_mut().enable_edge_profile();
                     guest.run_slice(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
                     if !guest.is_halted() {
                         return Err(format!("{label}: step budget exhausted while profiling"));
                     }
-                    let pairs: Vec<(String, String, u64)> = guest
-                        .cpu()
-                        .pair_profile()
-                        .map(|p| {
-                            p.sorted()
-                                .into_iter()
-                                .map(|(a, b, n)| (a.to_string(), b.to_string(), n))
-                                .collect()
-                        })
-                        .unwrap_or_default();
                     let edges = guest.cpu().edge_profile().cloned().unwrap_or_default();
-                    let summary = guest
-                        .cpu_mut()
-                        .finish_trace()
-                        .ok_or_else(|| format!("{label}: tracing was not enabled"))?;
-                    let hot = summary
-                        .hot_pcs
-                        .iter()
-                        .map(|h| tarch_runner::PgoHotPc {
-                            pc: h.pc,
-                            samples: h.samples,
-                            icache: h.misses.icache,
-                            dcache: h.misses.dcache,
-                            itlb: h.misses.itlb,
-                            dtlb: h.misses.dtlb,
-                        })
-                        .collect();
-                    cells.push(tarch_runner::PgoCell::new(
-                        engine,
-                        level,
-                        summary.sample_period,
-                        summary.total_samples,
-                        hot,
-                        &edges,
-                        pairs,
-                    ));
+                    cells.push(tarch_runner::PgoCell::new(engine, level, &edges));
                 }
             }
             let artifact =
@@ -1002,10 +825,8 @@ fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
             let path = match &opts.emit_json {
                 Some(p) => p.clone(),
                 None => {
-                    let dir = opts
-                        .out_dir
-                        .clone()
-                        .unwrap_or_else(|| PathBuf::from("pgo-artifacts"));
+                    let dir =
+                        opts.out_dir.clone().unwrap_or_else(|| PathBuf::from("pgo-artifacts"));
                     std::fs::create_dir_all(&dir)
                         .map_err(|e| format!("create {}: {e}", dir.display()))?;
                     dir.join(artifact.default_filename())
@@ -1030,8 +851,15 @@ fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
     let runs = ab::measure(&cells, opts.scale, &configs, PAIRS, opts.step_budget, opts.verbose)?;
     println!(
         "{:<16} {:<6} {:<13} {:>14} {:>7} {:>7} {:>10} {:>10} {:>8}",
-        "workload", "engine", "level", "instructions", "sblocks", "deopts", "base MIPS",
-        "pgo MIPS", "median"
+        "workload",
+        "engine",
+        "level",
+        "instructions",
+        "sblocks",
+        "deopts",
+        "base MIPS",
+        "pgo MIPS",
+        "median"
     );
     let mut superblocks = 0u64;
     for run in &runs {
@@ -1189,10 +1017,10 @@ fn compare_against(
         "workload", "engine", "level", "tier", "deopts", "base MIPS", "cur MIPS", "ratio"
     );
     for c in &cmp.cells {
-        // Tier attribution: which side(s) ran with tier-3 compilation,
-        // so an A/B ratio is readable as "what the tier bought" rather
-        // than a bare number (`off->on` marks a tier A/B cell). The
-        // deopt column gives the same context for PGO A/B runs: a ratio
+        // The per-job `tier` flag each artifact recorded: `on` for
+        // every run since every block compiles when it is built, `off`
+        // only in an older artifact that ran with tier-3 compilation
+        // off. The deopt column gives context for PGO A/B runs: a ratio
         // below 1.0 next to a deopt jump points at a stale profile.
         let tier = |t: bool| if t { "on" } else { "off" };
         println!(
@@ -1268,10 +1096,7 @@ fn selftest(opts: &Opts) -> Result<(), String> {
     let n_engines = EngineKind::ALL.len();
     let expected = ws.len() * n_engines * 3 + ws.len() * n_engines;
     if run.outcomes.len() != expected {
-        return Err(format!(
-            "selftest: expected {expected} outcomes, got {}",
-            run.outcomes.len()
-        ));
+        return Err(format!("selftest: expected {expected} outcomes, got {}", run.outcomes.len()));
     }
     let f5 = figures::fig5(&run.matrix)?;
     let f9 = figures::fig9(&run.matrix)?;

@@ -54,9 +54,9 @@ fn ab_prints_every_ladder_and_leave_one_out_row() {
     let dir = fresh_dir("ab");
     let (ok, stdout, stderr) = repro(&dir, &["ab", "fibo/lua/typed", "--test-scale"]);
     assert!(ok, "repro ab failed: {stderr}");
-    let measured = ["naive -> +MRU", "+MRU -> +blocks", "+blocks -> +fuse", "+fuse -> +tier"]
+    let measured = ["naive -> +MRU", "+MRU -> +blocks", "+blocks -> +fuse"]
         .into_iter()
-        .chain(["shipping, MRU off", "shipping, fuse off", "shipping, tier off"]);
+        .chain(["shipping, MRU off", "shipping, fuse off"]);
     let row = |label: &str| {
         let rest = stdout.lines().find_map(|l| l.strip_prefix(label)).unwrap_or_default();
         rest.split_whitespace().collect::<Vec<_>>()
@@ -66,7 +66,8 @@ fn ab_prints_every_ladder_and_leave_one_out_row() {
         let interval = cols.len() == 4 && cols[2].starts_with('[') && cols[3].ends_with("x]");
         assert!(interval && cols[0] == "6", "`{label}`: {stdout}");
     }
-    assert_eq!(row("+tier -> +pgo").first(), Some(&"skipped:"), "{stdout}");
+    assert_eq!(row("+fuse -> +pgo").first(), Some(&"skipped:"), "{stdout}");
+    assert!(!stdout.contains("tier"), "no tier rung or leave-one-out row: {stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -99,10 +100,11 @@ fn bench_skips_pgo_profiles_recorded_at_another_scale() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Options a subcommand cannot honour, malformed cells and fleet counts
-/// above `u32` fail before anything runs. A cell spelling is parsed once
-/// for `trace`, `fleet` and `ab`, and keeps each subcommand's message;
-/// a fleet count used to be truncated (4294967297 tenants ran one).
+/// Options a subcommand cannot honour, removed flags, malformed cells and
+/// fleet counts above `u32` fail before anything runs. A cell spelling is
+/// parsed once for `trace`, `fleet` and `ab`, and keeps each subcommand's
+/// message; a fleet count used to be truncated (4294967297 tenants ran
+/// one).
 #[test]
 fn bad_options_fail_before_anything_runs() {
     let dir = fresh_dir("bad-options");
@@ -110,7 +112,11 @@ fn bad_options_fail_before_anything_runs() {
     for (args, message) in [
         (&["ab", "-j", "2"][..], "-j does not apply to `ab`"),
         (&["ab", "--no-cache"], "--no-cache does not apply to `ab`"),
-        (&["ab", "--tier-threshold", "4"], "--tier-threshold does not apply to `ab`"),
+        (&["ab", "--no-fuse"], "--no-fuse does not apply to `ab`"),
+        (&["bench", "--profile-pairs"], "unexpected argument `--profile-pairs`"),
+        (&["bench", "--no-tier"], "unexpected argument `--no-tier`"),
+        (&["bench", "--tier-threshold", "4"], "unexpected argument `--tier-threshold`"),
+        (&["pgo", "fibo", "--sample-period", "9"], "--sample-period only applies to `trace`"),
         (&["trace", "fibo/lua"], "e.g. k-nucleotide/lua/typed (got `fibo/lua`)"),
         (&["fleet", "fibo"], "fleet needs workload/engine/level, e.g. fibo/lua/typed (got `fibo`)"),
         (&["trace", "*/lua/typed"], "trace needs one cell, and `*/lua/typed` names 11"),

@@ -14,25 +14,34 @@
 //! I-TLB, DRAM, branch predictor, every counter) are still applied per
 //! instruction, bit-identically to the stepwise path.
 //!
-//! **Macro-op fusion** ([`fuse_ops_with`]) is a further host-side fast
+//! **Macro-op fusion** ([`fuse_ops`]) is a further host-side fast
 //! path, architecturally invisible: at block-build time, common adjacent
 //! instruction pairs — ALU/ALU address formation, ALU+load, load+ALU,
 //! compare-and-branch, load+indirect-jump dispatch, `tld`+`tchk`,
 //! `tget`+branch — are rewritten into fused [`BlockOp`] variants whose
-//! handlers in `Cpu::run_blocks` apply both components'
+//! compiled templates apply both components'
 //! fetch/cache/TLB/counter charges exactly, while skipping the
 //! inter-instruction bookkeeping the pair provably cannot need (see the
-//! legality rules on [`fuse_pair`]). The fusion set is chosen from
-//! `repro bench --profile-pairs` data; see DESIGN.md.
+//! legality rules on [`fuse_pair`]). The fusion set was chosen from a
+//! measured opcode-pair histogram; see [`fuse_pair`] and DESIGN.md.
+//!
+//! **Compile at install.** [`BlockTable::install`] and
+//! [`BlockTable::install_super`] hand the block's op run to the template
+//! compiler ([`crate::codegen::Template`]) and keep only the compiled
+//! closure and the raw words; the op run exists only as the compiler's
+//! input. Revalidation keeps the closure (words unchanged means its
+//! folded constants are still true), and the word-compare drop path
+//! discards it with the rest of the block, counted as a tier deopt.
+//! Cloned tables share compiled closures, which is what makes a fleet
+//! clone of a warmed template start hot.
 //!
 //! A block is entered only through [`BlockTable::lookup`] or a fresh
 //! build: every entry probes the direct-indexed entry table, and the
 //! table's generation is the one invalidation contract.
 //!
 //! A block is handed out as its slot id ([`BlockRun`]), and the
-//! executor moves the block's code — its decoded run, or its compiled
-//! closure — out of the slot for one execution and back after it
-//! ([`BlockTable::take_ops`], [`BlockTable::take_compiled`]), so it
+//! executor moves the block's compiled closure out of the slot for one
+//! execution and back after it ([`BlockTable::take_compiled`]), so it
 //! runs with no table borrow held and no reference count changes hands.
 //! The slot stays empty while its block runs, and nobody looks: mid-block
 //! the executor calls only [`BlockTable::generation`] and
@@ -41,9 +50,9 @@
 //! and [`BlockTable::mark_stale`] run only between blocks. A guest store
 //! into text during the block bumps the generation; the executor watches
 //! it, stops at the next instruction boundary, and puts the code back
-//! for the next [`BlockTable::lookup`] to revalidate or drop. The runs
-//! stay behind `Arc`s only so that table clones (fleet tenants) share
-//! them.
+//! for the next [`BlockTable::lookup`] to revalidate or drop. The
+//! closures stay behind `Arc`s only so that table clones (fleet tenants)
+//! share them.
 //!
 //! Correctness under mutation:
 //!
@@ -60,18 +69,6 @@
 //! * [`BlockTable::flush`] drops every block outright (and bumps the
 //!   generation). Like host writes, it happens between blocks.
 //!
-//! **Tier-3 compilation state** (PR 8) also lives here: each block keeps
-//! an entry-count heat counter and, once hot, an `Arc<CompiledBlock>`
-//! emitted by the [`crate::codegen::Template`] backend. The compiled
-//! closure rides the exact same lifecycle as the `Arc<[BlockOp]>` run:
-//! it leaves its slot for each execution, revalidation keeps it (words
-//! unchanged means the closure's folded constants are still true), and
-//! the word-compare drop path discards it with the rest of the block —
-//! counted as a tier deopt, since the next execution falls back to the
-//! interpreter backend. Cloned tables share compiled closures the same
-//! way they share op runs, which is what makes a fleet clone of a warmed
-//! template start hot.
-//!
 //! **PGO superblocks** (PR 9): with a profile loaded
 //! (`CoreConfig::pgo`), block building straightens the measured hot
 //! path across taken branches into one block
@@ -86,7 +83,7 @@
 //! Entries outside the text range miss the table and fall back to the
 //! stepwise path, so dynamically placed code still runs.
 
-use crate::codegen::CompiledBlock;
+use crate::codegen::{CompiledBlock, Template};
 use std::sync::Arc;
 use tarch_isa::Instruction;
 use tarch_mem::MainMemory;
@@ -98,12 +95,10 @@ pub const MAX_BLOCK_LEN: usize = 64;
 /// Sentinel in the entry map for "no block starts at this word".
 const NO_BLOCK: u32 = u32::MAX;
 
-/// One executable unit of a cached block: a single instruction, or a
-/// fused adjacent pair rewritten by `fuse_ops_with`. Fused variants name
-/// component classes their `Cpu::run_blocks` handlers are specialized
-/// for; the pair's components are stored verbatim so the budget-clipped
-/// fallback can execute the first component alone through the generic
-/// single-instruction path.
+/// One unit of a block's op run, the template compiler's input: a single
+/// instruction, or a fused adjacent pair rewritten by `fuse_ops`. Fused
+/// variants name the component classes their templates are specialized
+/// for.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlockOp {
     /// An unfused instruction executed through the generic path with the
@@ -198,34 +193,6 @@ impl BlockOp {
             _ => 2,
         }
     }
-
-    /// The components of a fused pair, or `None` for a single.
-    pub fn pair(self) -> Option<(Instruction, Instruction)> {
-        match self {
-            BlockOp::One(_)
-            | BlockOp::OneSafe(_)
-            | BlockOp::OneLoad(_)
-            | BlockOp::OneStore(_)
-            | BlockOp::OneBranch(_)
-            | BlockOp::OneJal(_)
-            | BlockOp::OneJalr(_)
-            | BlockOp::GuardBranch(..)
-            | BlockOp::GuardJal(_) => None,
-            BlockOp::AluPair(a, b)
-            | BlockOp::AluLoad(a, b)
-            | BlockOp::LoadAlu(a, b)
-            | BlockOp::AluBranch(a, b)
-            | BlockOp::AluJal(a, b)
-            | BlockOp::LoadJalr(a, b)
-            | BlockOp::AluStore(a, b)
-            | BlockOp::LoadStore(a, b)
-            | BlockOp::LoadLoad(a, b)
-            | BlockOp::StoreAlu(a, b)
-            | BlockOp::StoreJal(a, b)
-            | BlockOp::TldTchk(a, b)
-            | BlockOp::TgetBranch(a, b) => Some((a, b)),
-        }
-    }
 }
 
 /// Whether `instr` is in the fusable ALU class: integer ALU (reg-reg or
@@ -239,6 +206,11 @@ fn fuse_alu_class(instr: Instruction) -> bool {
 }
 
 /// Fusion legality and the fused pair an adjacent `(a, b)` rewrites to.
+///
+/// The set was chosen from a histogram of the adjacent same-block opcode
+/// pairs the unfused engine retired over the evaluation matrix: of 554 M
+/// retired pairs, alu+alu made 11.5%, shift+shift 8.2%, add+load 7.7%
+/// and load+jalr 5.6%.
 ///
 /// Legality rules (DESIGN.md has the full argument):
 ///
@@ -313,35 +285,19 @@ fn safe_one(instr: Instruction) -> bool {
 /// is never re-fused with its other neighbour), and classifying the
 /// remaining singles into the specialized single-instruction variants
 /// ([`BlockOp::OneSafe`], [`BlockOp::OneLoad`], [`BlockOp::OneStore`],
-/// and the block-ending branch/jump forms) whose handlers skip the
+/// and the block-ending branch/jump forms) whose templates skip the
 /// inter-instruction checks their class makes statically dead.
 /// With `fuse` off every instruction becomes a plain [`BlockOp::One`] —
-/// the fully generic engine, and the shape pair profiling requires (its
-/// histogram must see every adjacent retired pair).
-///
-/// `allow` is an optional PGO fusion-pair table: when a profile
-/// carrying a pair table is loaded, only the statically legal pairs the
-/// profile also *observed* for this workload are fused — the global
-/// hand-picked set filtered down to what actually runs. Filtering can
-/// only shrink the fused set, so every legality rule of [`fuse_pair`]
-/// still holds.
-fn fuse_ops_with(
-    instrs: &[Instruction],
-    fuse: bool,
-    allow: Option<&crate::pgo::PgoProfile>,
-) -> Vec<BlockOp> {
+/// the fully generic form.
+fn fuse_ops(instrs: &[Instruction], fuse: bool) -> Vec<BlockOp> {
     let mut ops = Vec::with_capacity(instrs.len());
     let mut i = 0;
     while i < instrs.len() {
         if fuse && i + 1 < instrs.len() {
-            let (a, b) = (instrs[i], instrs[i + 1]);
-            let allowed = allow.is_none_or(|p| p.allows_pair(a.mnemonic(), b.mnemonic()));
-            if allowed {
-                if let Some(p) = fuse_pair(a, b) {
-                    ops.push(p);
-                    i += 2;
-                    continue;
-                }
+            if let Some(p) = fuse_pair(instrs[i], instrs[i + 1]) {
+                ops.push(p);
+                i += 2;
+                continue;
             }
         }
         ops.push(if fuse { classify_one(instrs[i]) } else { BlockOp::One(instrs[i]) });
@@ -367,6 +323,37 @@ fn classify_one(instr: Instruction) -> BlockOp {
     }
 }
 
+/// The op run of a PGO superblock: each segment's body fused like a
+/// normal block, and each non-final segment's ender rewritten into a
+/// guard (enders are excluded from fusion: a guard must stay an
+/// individually executable op). See [`BlockTable::install_super`] for
+/// the panics.
+fn superblock_ops(segs: &[(u64, Vec<u32>, Vec<Instruction>)], fuse: bool) -> Vec<BlockOp> {
+    let mut ops = Vec::new();
+    for (i, (_, _, instrs)) in segs.iter().enumerate() {
+        if i + 1 < segs.len() {
+            let (body, ender) = instrs.split_at(instrs.len() - 1);
+            ops.extend(fuse_ops(body, fuse));
+            ops.push(match ender[0] {
+                b @ Instruction::Branch { .. } => BlockOp::GuardBranch(b, segs[i + 1].0),
+                j @ Instruction::Jal { .. } => BlockOp::GuardJal(j),
+                other => panic!("superblock segment ends in unguardable {other:?}"),
+            });
+        } else {
+            ops.extend(fuse_ops(instrs, fuse));
+        }
+    }
+    ops
+}
+
+/// Whether a decoded run ends in a branch or jump (`jal`, `jalr`).
+fn jumps_out(instrs: &[Instruction]) -> bool {
+    matches!(
+        instrs.last(),
+        Some(Instruction::Branch { .. } | Instruction::Jal { .. } | Instruction::Jalr { .. })
+    )
+}
+
 /// A handed-out block: its table slot plus the per-block facts the
 /// execution loop needs without re-touching the table — the total
 /// instruction width, and whether the final op is a branch or jump
@@ -375,8 +362,7 @@ fn classify_one(instr: Instruction) -> BlockOp {
 /// slot until the loop moves it out to run it.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockRun {
-    /// Block id: the table slot that holds the block's heat, compiled
-    /// code and ops.
+    /// Block id: the table slot that holds the block's compiled code.
     pub bid: u32,
     /// Total instructions the run retires when executed in full.
     pub width: u32,
@@ -387,7 +373,7 @@ pub struct BlockRun {
 }
 
 /// One cached basic block: the raw words it was decoded from (for
-/// revalidation) and the (possibly fused) run.
+/// revalidation) and its compiled code.
 #[derive(Debug, Clone, Default)]
 struct Block {
     gen: u64,
@@ -399,17 +385,11 @@ struct Block {
     /// per straightened segment so revalidation compares every cached
     /// word against the address it actually came from.
     segs: Vec<(u64, u32)>,
-    /// The decoded (possibly fused) run. `None` once the block is
-    /// dropped (awaiting rebuild), and while the interpreter backend
-    /// executes it ([`BlockTable::take_ops`]).
-    ops: Option<Arc<[BlockOp]>>,
     width: u32,
     jump_exit: bool,
-    /// Entries since install; drives tier-up against
-    /// `CoreConfig::tier_threshold`. Reset (with `compiled`) on rebuild.
-    heat: u32,
-    /// The tier-3 compiled closure, shared with table clones (the
-    /// fleet's warm-cache inheritance). `None` while it executes
+    /// The compiled closure, shared with table clones (the fleet's
+    /// warm-cache inheritance). `None` once the block is dropped
+    /// (awaiting rebuild), and while it executes
     /// ([`BlockTable::take_compiled`]).
     compiled: Option<Arc<CompiledBlock>>,
 }
@@ -440,11 +420,13 @@ pub struct BlockStats {
     /// Always 0: every block entry is a [`BlockTable::lookup`] hit or a
     /// build. Kept because the benchmark's work counters report it.
     pub chained_transfers: u64,
-    /// Blocks tier-compiled into host closures.
+    /// Blocks compiled into host closures: every build compiles, so
+    /// this equals [`BlockStats::builds`]. Kept because the benchmark's
+    /// work counters report it.
     pub compiles: u64,
-    /// Compiled blocks abandoned back to the interpreter backend: a
-    /// generation bump observed during or after a compiled execution,
-    /// or a word-compare drop of a block that carried compiled code.
+    /// Compiled blocks abandoned: a generation bump observed during a
+    /// block's execution (it exits at that op boundary), or a
+    /// word-compare drop of a block.
     pub tier_deopts: u64,
     /// PGO superblocks installed (blocks straightened across at least
     /// one measured hot edge). Zero unless a profile with usable edges
@@ -456,10 +438,9 @@ pub struct BlockStats {
 /// Lazily filled basic-block cache for the text segment.
 ///
 /// Cloning the table (for VM snapshot/clone) shares the immutable
-/// `Arc<[BlockOp]>` op runs and compiled closures but copies the entry
-/// index, words, and generation state, so invalidation in one clone
-/// never affects another. Clones are taken between blocks, when every
-/// slot holds its code.
+/// compiled closures but copies the entry index, words, and generation
+/// state, so invalidation in one clone never affects another. Clones are
+/// taken between blocks, when every slot holds its code.
 #[derive(Debug, Default, Clone)]
 pub struct BlockTable {
     base: u64,
@@ -468,10 +449,6 @@ pub struct BlockTable {
     blocks: Vec<Block>,
     gen: u64,
     stats: BlockStats,
-    /// The loaded PGO profile, consulted at install time for the
-    /// per-workload fusion-pair table. `None` (no profile, or a profile
-    /// without a pair table) keeps the built-in global pair set.
-    pgo: Option<Arc<crate::pgo::PgoProfile>>,
 }
 
 impl BlockTable {
@@ -491,16 +468,6 @@ impl BlockTable {
         self.gen = 0;
     }
 
-    /// Attaches a PGO profile. Install consults it for the per-workload
-    /// fusion-pair table (when it carries one — [`PgoProfile::allows_pair`]
-    /// permits everything otherwise). Survives [`BlockTable::reset`] —
-    /// the profile describes the workload, not one loaded image.
-    ///
-    /// [`PgoProfile::allows_pair`]: crate::pgo::PgoProfile::allows_pair
-    pub fn set_pgo(&mut self, profile: Arc<crate::pgo::PgoProfile>) {
-        self.pgo = Some(profile);
-    }
-
     /// Effectiveness statistics.
     pub fn stats(&self) -> BlockStats {
         self.stats
@@ -512,8 +479,9 @@ impl BlockTable {
         self.blocks.len()
     }
 
-    /// Number of installed blocks currently carrying tier-3 compiled
-    /// code (trace-layer occupancy sampling).
+    /// Number of installed blocks currently carrying compiled code
+    /// (trace-layer occupancy sampling): every live block but the one
+    /// executing.
     pub fn compiled_len(&self) -> usize {
         self.blocks.iter().filter(|b| b.compiled.is_some()).count()
     }
@@ -558,8 +526,8 @@ impl BlockTable {
             return None;
         }
         let block = &mut self.blocks[bid as usize];
-        // A block without its run was dropped and awaits a rebuild.
-        block.ops.as_ref()?;
+        // A block without its code was dropped and awaits a rebuild.
+        block.compiled.as_ref()?;
         if block.gen != self.gen {
             // A contiguous block (empty `segs`) compares its words
             // against `pc` onward; a superblock walks its recorded
@@ -576,15 +544,11 @@ impl BlockTable {
                 })
             };
             if stale {
-                // The text under this block changed: drop the cached
-                // run — and with it this block's heat and compiled
-                // code — (the entry keeps its block id for reuse) and
-                // make the caller rebuild from current memory. Dropping compiled code is a
-                // tier deopt: the rebuilt block restarts cold on the
-                // interpreter backend.
-                if block.compiled.is_some() {
-                    self.stats.tier_deopts += 1;
-                }
+                // The text under this block changed: drop its compiled
+                // code (the entry keeps its block id for reuse), a tier
+                // deopt, and make the caller rebuild and recompile from
+                // current memory.
+                self.stats.tier_deopts += 1;
                 *block = Block::default();
                 self.stats.rebuilds += 1;
                 return None;
@@ -597,8 +561,9 @@ impl BlockTable {
     }
 
     /// Installs a freshly decoded block starting at `pc`, reusing the
-    /// entry's block id if one was allocated before, fusing adjacent
-    /// pairs when `fuse` is set. Returns the block.
+    /// entry's block id if one was allocated before: fuses adjacent pairs
+    /// when `fuse` is set and compiles the op run, folding fetch spans
+    /// for an I-cache line of `1 << line_shift` bytes. Returns the block.
     ///
     /// # Panics
     ///
@@ -610,51 +575,28 @@ impl BlockTable {
         words: Vec<u32>,
         instrs: Vec<Instruction>,
         fuse: bool,
+        line_shift: u32,
     ) -> BlockRun {
         assert!(self.covers(pc) && !instrs.is_empty(), "install of empty or uncovered block");
-        let idx = self.index(pc);
-        let bid = if self.entry[idx] == NO_BLOCK {
-            self.blocks.push(Block::default());
-            let bid = (self.blocks.len() - 1) as u32;
-            self.entry[idx] = bid;
-            bid
-        } else {
-            self.entry[idx]
-        };
-        let jump_exit = matches!(
-            instrs.last(),
-            Some(Instruction::Branch { .. })
-                | Some(Instruction::Jal { .. })
-                | Some(Instruction::Jalr { .. })
-        );
-        let width = instrs.len() as u32;
-        let ops = Some(Arc::from(fuse_ops_with(&instrs, fuse, self.pgo.as_deref())));
         let block = Block {
-            gen: self.gen,
             words,
-            segs: Vec::new(),
-            ops,
-            width,
-            jump_exit,
-            heat: 0,
-            compiled: None,
+            width: instrs.len() as u32,
+            jump_exit: jumps_out(&instrs),
+            ..Block::default()
         };
-        let run = block.run(bid);
-        self.blocks[bid as usize] = block;
-        self.stats.builds += 1;
-        run
+        self.put(pc, block, &fuse_ops(&instrs, fuse), line_shift)
     }
 
-    /// Installs a PGO superblock: two or more decoded text segments
-    /// straightened along measured hot edges into one block entered at
-    /// the first segment's pc. Each non-final segment ends in a direct
-    /// branch or `jal` that the builder verified targets (or falls
-    /// through to, for branches) the next segment's start; that ender
-    /// becomes a [`BlockOp::GuardBranch`] / [`BlockOp::GuardJal`] whose
-    /// handler continues into the next segment on the measured outcome
-    /// and side-exits the block otherwise. Enders are excluded from
-    /// fusion (a guard must stay an individually executable op); each
-    /// segment's body fuses exactly like a normal block.
+    /// Installs and compiles a PGO superblock: two or more decoded text
+    /// segments straightened along measured hot edges into one block
+    /// entered at the first segment's pc. Each non-final segment ends in
+    /// a direct branch or `jal` that the builder verified targets (or
+    /// falls through to, for branches) the next segment's start; that
+    /// ender becomes a [`BlockOp::GuardBranch`] / [`BlockOp::GuardJal`]
+    /// whose template continues into the next segment on the measured
+    /// outcome and side-exits the block otherwise. Enders are excluded
+    /// from fusion (a guard must stay an individually executable op);
+    /// each segment's body fuses exactly like a normal block.
     ///
     /// The installed block revalidates per segment (see
     /// [`BlockTable::lookup`]) and otherwise rides the generation
@@ -671,6 +613,7 @@ impl BlockTable {
         &mut self,
         segs: Vec<(u64, Vec<u32>, Vec<Instruction>)>,
         fuse: bool,
+        line_shift: u32,
     ) -> BlockRun {
         assert!(segs.len() >= 2, "a superblock straightens at least one edge");
         assert!(
@@ -678,7 +621,22 @@ impl BlockTable {
                 .all(|(base, w, i)| { !i.is_empty() && w.len() == i.len() && self.covers(*base) }),
             "install of empty, inconsistent, or uncovered superblock segment"
         );
-        let pc = segs[0].0;
+        let block = Block {
+            words: segs.iter().flat_map(|(_, w, _)| w.iter().copied()).collect(),
+            segs: segs.iter().map(|(base, w, _)| (*base, w.len() as u32)).collect(),
+            width: segs.iter().map(|(_, _, i)| i.len() as u32).sum(),
+            jump_exit: jumps_out(&segs[segs.len() - 1].2),
+            ..Block::default()
+        };
+        let run = self.put(segs[0].0, block, &superblock_ops(&segs, fuse), line_shift);
+        self.stats.superblocks += 1;
+        run
+    }
+
+    /// Compiles `ops`, `block`'s op run, and puts the block in the slot
+    /// of its entry `pc`, reusing the entry's block id if one was
+    /// allocated before.
+    fn put(&mut self, pc: u64, mut block: Block, ops: &[BlockOp], line_shift: u32) -> BlockRun {
         let idx = self.index(pc);
         let bid = if self.entry[idx] == NO_BLOCK {
             self.blocks.push(Block::default());
@@ -688,107 +646,35 @@ impl BlockTable {
         } else {
             self.entry[idx]
         };
-        let allow = self.pgo.clone();
-        let mut words = Vec::new();
-        let mut seg_meta = Vec::with_capacity(segs.len());
-        let mut ops = Vec::new();
-        let mut width = 0u32;
-        for (i, (base, w, instrs)) in segs.iter().enumerate() {
-            seg_meta.push((*base, w.len() as u32));
-            words.extend_from_slice(w);
-            width += instrs.len() as u32;
-            if i + 1 < segs.len() {
-                let (body, ender) = instrs.split_at(instrs.len() - 1);
-                ops.extend(fuse_ops_with(body, fuse, allow.as_deref()));
-                ops.push(match ender[0] {
-                    b @ Instruction::Branch { .. } => BlockOp::GuardBranch(b, segs[i + 1].0),
-                    j @ Instruction::Jal { .. } => BlockOp::GuardJal(j),
-                    other => panic!("superblock segment ends in unguardable {other:?}"),
-                });
-            } else {
-                ops.extend(fuse_ops_with(instrs, fuse, allow.as_deref()));
-            }
-        }
-        let jump_exit = matches!(
-            segs.last().expect("non-empty").2.last(),
-            Some(Instruction::Branch { .. })
-                | Some(Instruction::Jal { .. })
-                | Some(Instruction::Jalr { .. })
-        );
-        let block = Block {
-            gen: self.gen,
-            words,
-            segs: seg_meta,
-            ops: Some(Arc::from(ops)),
-            width,
-            jump_exit,
-            heat: 0,
-            compiled: None,
-        };
+        block.gen = self.gen;
+        block.compiled = Some(Template::emit(pc, line_shift, ops));
         let run = block.run(bid);
         self.blocks[bid as usize] = block;
         self.stats.builds += 1;
-        self.stats.superblocks += 1;
+        self.stats.compiles += 1;
         run
     }
 
-    /// Bumps block `bid`'s entry-count heat (saturating) and returns the
-    /// new value; the execution loop compares it against the tier
-    /// threshold.
-    #[inline]
-    pub(crate) fn heat_up(&mut self, bid: u32) -> u32 {
-        let heat = &mut self.blocks[bid as usize].heat;
-        *heat = heat.saturating_add(1);
-        *heat
-    }
-
-    /// The decoded run of block `bid`, which a lookup or install just
-    /// handed out (the tier-3 emitter compiles from it).
-    pub(crate) fn ops(&self, bid: u32) -> &[BlockOp] {
-        self.blocks[bid as usize].ops.as_deref().expect("a handed-out block holds its run")
-    }
-
-    /// Moves block `bid`'s decoded run out of its slot for one execution
-    /// on the interpreter backend; [`BlockTable::put_ops`] puts it back.
-    /// `bid` must come from the lookup or install just before, with no
-    /// table call in between but [`BlockTable::generation`] and
+    /// Moves block `bid`'s compiled code out of its slot for one
+    /// execution; [`BlockTable::put_compiled`] puts it back. `bid` must
+    /// come from the lookup or install just before, with no table call in
+    /// between but [`BlockTable::generation`] and
     /// [`BlockTable::note_store`] (see the module docs).
     #[inline]
-    pub(crate) fn take_ops(&mut self, bid: u32) -> Arc<[BlockOp]> {
-        self.blocks[bid as usize].ops.take().expect("a handed-out block holds its run")
+    pub(crate) fn take_compiled(&mut self, bid: u32) -> Arc<CompiledBlock> {
+        self.blocks[bid as usize].compiled.take().expect("a handed-out block holds its code")
     }
 
-    /// Puts back the run [`BlockTable::take_ops`] moved out.
-    #[inline]
-    pub(crate) fn put_ops(&mut self, bid: u32, ops: Arc<[BlockOp]>) {
-        self.blocks[bid as usize].ops = Some(ops);
-    }
-
-    /// Moves block `bid`'s tier-3 compiled code, if it has any, out of
-    /// its slot for one execution; [`BlockTable::put_compiled`] puts it
-    /// back. Same contract as [`BlockTable::take_ops`].
-    #[inline]
-    pub(crate) fn take_compiled(&mut self, bid: u32) -> Option<Arc<CompiledBlock>> {
-        self.blocks[bid as usize].compiled.take()
-    }
-
-    /// Puts compiled code into block `bid`'s slot: the code
-    /// [`BlockTable::take_compiled`] moved out, or a fresh compile after
-    /// its first execution. Later entries (and table clones) run it
-    /// until the block is dropped or rebuilt.
+    /// Puts back the code [`BlockTable::take_compiled`] moved out. Later
+    /// entries (and table clones) run it until the block is dropped or
+    /// rebuilt.
     #[inline]
     pub(crate) fn put_compiled(&mut self, bid: u32, code: Arc<CompiledBlock>) {
         self.blocks[bid as usize].compiled = Some(code);
     }
 
-    /// Counts a tier-3 compile (the execution loop emitted code for a
-    /// block that ran hot).
-    pub(crate) fn note_compile(&mut self) {
-        self.stats.compiles += 1;
-    }
-
-    /// Counts a tier deopt observed by the execution loop (a compiled
-    /// block saw the generation move out from under it).
+    /// Counts a tier deopt observed by the execution loop (a block saw
+    /// the generation move out from under it).
     #[inline]
     pub(crate) fn note_deopt(&mut self) {
         self.stats.tier_deopts += 1;
@@ -839,9 +725,8 @@ mod tests {
         (i.encode().unwrap(), i)
     }
 
-    fn one(imm: i32) -> BlockOp {
-        BlockOp::One(addi(imm).1)
-    }
+    /// `log2` of the paper's 64-byte I-cache line.
+    const LINE_SHIFT: u32 = 6;
 
     fn ld() -> Instruction {
         Instruction::Load {
@@ -869,20 +754,21 @@ mod tests {
         let (w2, i2) = addi(2);
         mem.write_u32(0x1000, w1);
         mem.write_u32(0x1004, w2);
-        let run = t.install(0x1000, vec![w1, w2], vec![i1, i2], false);
-        assert_eq!(t.ops(run.bid).len(), 2);
+        let run = t.install(0x1000, vec![w1, w2], vec![i1, i2], false, LINE_SHIFT);
         assert_eq!(run.width, 2);
         assert!(!run.jump_exit, "no final branch or jump");
         (t, mem)
     }
 
     #[test]
-    fn install_then_lookup_round_trips() {
+    fn install_compiles_then_lookup_round_trips() {
         let (mut t, mem) = table_with_block();
+        assert_eq!(t.compiled_len(), 1, "install compiles the block");
         let run = t.lookup(0x1000, &mem).expect("installed block");
-        assert_eq!(t.ops(run.bid), &[one(1), one(2)]);
+        assert_eq!((run.bid, run.width), (0, 2));
         assert!(t.lookup(0x1004, &mem).is_none(), "no block *starts* mid-run");
         assert_eq!(t.stats().builds, 1);
+        assert_eq!(t.stats().compiles, 1, "every build compiles");
         assert_eq!(t.stats().hits, 1);
     }
 
@@ -908,26 +794,29 @@ mod tests {
     }
 
     #[test]
-    fn changed_word_drops_block_and_detached_run_stays_alive() {
+    fn changed_word_drops_block_and_detached_code_stays_alive() {
         let (mut t, mut mem) = table_with_block();
         let bid = t.lookup(0x1000, &mem).expect("installed block").bid;
-        // The executor moves the run out of its slot, and the block
+        // The executor moves the code out of its slot, and the block
         // stores into its own second word.
-        let old_run = t.take_ops(bid);
+        let old_code = t.take_compiled(bid);
+        assert_eq!(t.compiled_len(), 0, "the slot is empty while its block runs");
         let (w3, i3) = addi(3);
         mem.write_u32(0x1004, w3);
         let gen = t.generation();
         t.note_store(0x1004, 4);
         assert_ne!(t.generation(), gen, "the executor sees the store and stops");
-        // The run it holds is unaffected; it goes back into the slot, and
-        // the next lookup drops it.
-        assert_eq!(&old_run[..], &[one(1), one(2)]);
-        t.put_ops(bid, old_run);
+        // The code it holds is unaffected; it goes back into the slot, and
+        // the next lookup drops it: a deopt.
+        assert_eq!(old_code.width, 2);
+        t.put_compiled(bid, old_code);
         assert!(t.lookup(0x1000, &mem).is_none(), "changed word must force a rebuild");
         assert_eq!(t.stats().rebuilds, 1);
-        let run = t.install(0x1000, vec![addi(1).0, w3], vec![addi(1).1, i3], false);
-        assert_eq!(t.ops(run.bid), &[one(1), BlockOp::One(i3)]);
+        assert_eq!(t.stats().tier_deopts, 1, "dropping compiled code is a deopt");
+        let run = t.install(0x1000, vec![addi(1).0, w3], vec![addi(1).1, i3], false, LINE_SHIFT);
+        assert_eq!(run.bid, bid);
         assert_eq!(t.blocks.len(), 1, "rebuild reuses the entry's block slot");
+        assert_eq!(t.stats().compiles, 2, "the rebuilt block is compiled again");
     }
 
     #[test]
@@ -981,10 +870,10 @@ mod tests {
     fn fuse_rewrites_known_pairs_and_disables_cleanly() {
         let (_, a) = addi(1);
         let instrs = vec![a, ld(), a, bne()];
-        let fused = fuse_ops_with(&instrs, true, None);
+        let fused = fuse_ops(&instrs, true);
         assert_eq!(fused, vec![BlockOp::AluLoad(a, ld()), BlockOp::AluBranch(a, bne())]);
         assert_eq!(fused.iter().map(|op| op.width()).sum::<u64>(), 4);
-        let unfused = fuse_ops_with(&instrs, false, None);
+        let unfused = fuse_ops(&instrs, false);
         assert_eq!(unfused.len(), 4);
         assert!(unfused.iter().all(|op| op.width() == 1));
     }
@@ -994,7 +883,7 @@ mod tests {
         let (_, a) = addi(1);
         // [alu, alu, alu]: the first two fuse, the third stays single —
         // the middle instruction is never consumed twice.
-        let fused = fuse_ops_with(&[a, a, a], true, None);
+        let fused = fuse_ops(&[a, a, a], true);
         assert_eq!(fused, vec![BlockOp::AluPair(a, a), BlockOp::OneSafe(a)]);
         assert_eq!(fused.iter().map(|op| op.width()).sum::<u64>(), 3);
     }
@@ -1023,38 +912,7 @@ mod tests {
         assert_eq!(fuse_pair(bne(), a), None);
     }
 
-    // --- PGO: fusion-pair tables and superblocks ---
-
-    #[test]
-    fn pgo_pair_table_filters_fusion_at_install() {
-        let mut t = BlockTable::new();
-        t.reset(0x1000, 8);
-        let mut mem = MainMemory::new();
-        let (wa, a) = addi(1);
-        let wl = ld().encode().unwrap();
-        for (pc, w) in [(0x1000u64, wa), (0x1004, wl), (0x1008, wa), (0x100c, wa)] {
-            mem.write_u32(pc, w);
-        }
-        let instrs = vec![a, ld(), a, a];
-        let words = vec![wa, wl, wa, wa];
-        // Allow only (alu, load): the trailing (alu, alu) must stay
-        // unfused even though it is statically legal.
-        let profile = crate::pgo::PgoProfile::new(
-            Vec::new(),
-            std::collections::BTreeMap::new(),
-            Some(vec![(a.mnemonic().to_string(), ld().mnemonic().to_string())]),
-        );
-        t.set_pgo(Arc::new(profile));
-        let run = t.install(0x1000, words.clone(), instrs.clone(), true);
-        assert_eq!(
-            t.ops(run.bid),
-            &[BlockOp::AluLoad(a, ld()), BlockOp::OneSafe(a), BlockOp::OneSafe(a)]
-        );
-        // A profile without a pair table keeps the global set.
-        t.set_pgo(Arc::new(crate::pgo::PgoProfile::default()));
-        let run = t.install(0x1000, words, instrs, true);
-        assert_eq!(t.ops(run.bid), &[BlockOp::AluLoad(a, ld()), BlockOp::AluPair(a, a)]);
-    }
+    // --- PGO superblocks ---
 
     /// A two-segment superblock: [addi, bne +12] at 0x1000 straightened
     /// into its measured taken target [addi] at 0x1010.
@@ -1069,17 +927,15 @@ mod tests {
         mem.write_u32(0x1000, wa);
         mem.write_u32(0x1004, wb);
         mem.write_u32(0x1010, wa);
-        let run = t.install_super(
-            vec![(0x1000, vec![wa, wb], vec![a, br]), (0x1010, vec![wa], vec![a])],
-            true,
-        );
-        assert_eq!(run.width, 3);
-        assert!(!run.jump_exit, "final segment ends in a plain alu");
+        let segs = vec![(0x1000, vec![wa, wb], vec![a, br]), (0x1010, vec![wa], vec![a])];
         assert_eq!(
-            t.ops(run.bid),
-            &[BlockOp::OneSafe(a), BlockOp::GuardBranch(br, 0x1010), BlockOp::OneSafe(a)],
+            superblock_ops(&segs, true),
+            [BlockOp::OneSafe(a), BlockOp::GuardBranch(br, 0x1010), BlockOp::OneSafe(a)],
             "ender excluded from fusion and rewritten into a guard"
         );
+        let run = t.install_super(segs, true, LINE_SHIFT);
+        assert_eq!(run.width, 3);
+        assert!(!run.jump_exit, "final segment ends in a plain alu");
         assert_eq!(t.stats().superblocks, 1);
         (t, mem)
     }
@@ -1112,7 +968,7 @@ mod tests {
         // Rebuilding the same entry as a plain block reuses the id and
         // clears the segment metadata.
         let (wa, a) = addi(1);
-        let run = t.install(0x1000, vec![wa], vec![a], true);
+        let run = t.install(0x1000, vec![wa], vec![a], true, LINE_SHIFT);
         assert_eq!(run.width, 1);
         assert!(t.lookup(0x1000, &mem).is_some());
         t.mark_stale();

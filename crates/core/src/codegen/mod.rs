@@ -1,62 +1,54 @@
-//! Block-execution backends behind the [`CodeGenerator`] emitter trait.
+//! The block backend: tier-3 template compilation.
 //!
 //! PR 3–5 made block dispatch cheap (basic blocks and fusion), but
-//! every block entry still walked its `[BlockOp]` run
-//! through a `match` per op, re-destructuring each instruction's fields
-//! on every execution. This module factors the execution of one block
-//! behind an emitter trait with two backends:
+//! walking a block's `[BlockOp]` run through a `match` per op
+//! re-destructured each instruction's fields on every execution. The
+//! [`Template`] backend instead compiles a block **once**, when the block
+//! table installs it, into a single host-side closure
+//! ([`CompiledBlock`]) built by composing per-instruction template
+//! closures with decode-time constants folded — immediates, register
+//! indices, and each instruction's same-line fetch-batch kind (entry /
+//! guaranteed hit / line open) are burned into the closures, so a block
+//! executes with no `BlockOp` match, no instruction destructuring, and
+//! no span arithmetic. The op run is only the compiler's input; the
+//! table keeps the closure.
 //!
-//! * [`Interp`] — the PR 3/4 fused-block walker, unchanged in behaviour
-//!   ([`interp::walk`]). It emits nothing; it *is* the fallback executor
-//!   every block starts on and the target every deopt lands on.
-//! * [`Template`] — the tier-3 backend: compiles a hot block **once**
-//!   into a single host-side closure ([`CompiledBlock`]) built by
-//!   composing per-instruction template closures with decode-time
-//!   constants folded — immediates, register indices, and each
-//!   instruction's same-line fetch-batch kind (entry / guaranteed hit /
-//!   line open) are burned into the closures at compile time, so a hot
-//!   block re-executes with no `BlockOp` match, no instruction
-//!   destructuring, and no span arithmetic.
+//! A compiled block carries no per-op budget checks: `Cpu::run_blocks`
+//! enters it only when the step budget covers its whole width, and runs
+//! a budget-clipped tail on the stepwise core instead. Once a
+//! single-pass compiler costs a fraction of a microsecond per block, an
+//! interpreter tier below it stops paying (Titzer, "Whose baseline
+//! compiler is it anyway?", PAPERS.md); here the stepwise core is the
+//! one reference every compiled block must match counter for counter.
 //!
-//! Tier-up is heat-driven: `Cpu::run_blocks` counts block entries and
-//! compiles a block when the count crosses `CoreConfig::tier_threshold`.
-//! Both backends run over the same [`ExecCtx`] — the core plus the
+//! A compiled block runs over an [`ExecCtx`] — the core plus the
 //! deferred fetch-hit batch ([`SpanBatch`]) that persists across block
-//! boundaries — and report the same [`BlockExit`] protocol, so the
-//! surrounding loop (budget accounting, edge recording, invalidation
-//! watching) is backend-agnostic.
+//! boundaries — and reports how it ended through the [`BlockExit`]
+//! protocol, so the surrounding loop does only budget accounting, edge
+//! recording, and invalidation watching.
 //!
 //! **Compiled code never outruns invalidation.** A compiled closure is
 //! reached only through a block the table's lookup handed out, which
 //! revalidates the block's words after any generation bump; the closure
-//! re-checks the generation after every op that can store, exactly like
-//! the walker. A stale compiled block therefore deopts to the interpreter
-//! at an instruction boundary and is dropped (or re-verified) by the next
-//! lookup — it never executes stale state. See DESIGN.md invariant 8.
-//!
-//! The trait shape (a named emitter with co-existing interpreter and
-//! compiled backends) follows the `aivm` `CodeGenerator` /
-//! `CodeGeneratorImpl` pattern referenced in SNIPPETS.md; the closure
-//! composition is the classic template-interpreter technique from
-//! "Whose baseline compiler is it anyway?" (PAPERS.md).
+//! re-checks the generation after every op that can store. A block whose
+//! execution sees the generation move exits at that op boundary (a tier
+//! deopt), and the next lookup drops or re-proves it before any compiled
+//! code runs again — it never executes stale state. See DESIGN.md
+//! invariant 8.
 
-pub(crate) mod interp;
 mod template;
 
-pub use interp::Interp;
 pub use template::Template;
 
-use crate::blocks::BlockOp;
 use crate::cpu::{Cpu, StepEvent, Trap};
 use std::fmt;
-use std::sync::Arc;
 
 /// Deferred same-line fetch-hit batch (see `Cpu::run_blocks`): the line
 /// the last *real* fetch charge opened, and the guaranteed hits
-/// accumulated in it since. Both backends thread one `SpanBatch` through
-/// every block so the batch persists across block boundaries; the
-/// stepwise fallback [`SpanBatch::reset`]s it (a raw `Cpu::step` makes
-/// its own accesses, which can evict the line).
+/// accumulated in it since. One `SpanBatch` is threaded through every
+/// block so the batch persists across block boundaries; the stepwise
+/// fallback [`SpanBatch::reset`]s it (a raw `Cpu::step` makes its own
+/// accesses, which can evict the line).
 #[derive(Debug)]
 pub struct SpanBatch {
     /// Line index (`addr >> line_shift`) of the open span, or `u64::MAX`
@@ -67,14 +59,12 @@ pub struct SpanBatch {
     span_addr: u64,
     /// Deferred guaranteed-hit count.
     pending: u64,
-    /// `log2` of the I-cache line size.
-    line_shift: u32,
 }
 
 impl SpanBatch {
     /// A batch with no open span.
-    pub(crate) fn new(line_shift: u32) -> SpanBatch {
-        SpanBatch { cur_span: u64::MAX, span_addr: 0, pending: 0, line_shift }
+    pub(crate) fn new() -> SpanBatch {
+        SpanBatch { cur_span: u64::MAX, span_addr: 0, pending: 0 }
     }
 
     /// Applies the deferred hits (if any) and empties the batch. The
@@ -94,21 +84,9 @@ impl SpanBatch {
         self.cur_span = u64::MAX;
     }
 
-    /// Per-instruction fetch charge with same-line batching: a fetch in
-    /// the open span defers a guaranteed hit; anything else flushes and
-    /// charges a real fetch.
-    #[inline]
-    pub(crate) fn charge(&mut self, cpu: &mut Cpu, addr: u64) {
-        let span = addr >> self.line_shift;
-        if span == self.cur_span {
-            self.pending += 1;
-        } else {
-            self.open(cpu, addr, span);
-        }
-    }
-
-    /// [`SpanBatch::charge`] with the span index precomputed (template
-    /// backend: the shift is folded at compile time).
+    /// Per-instruction fetch charge at `addr`, whose line index `span`
+    /// the compiler folded: a fetch in the open span defers a guaranteed
+    /// hit; anything else flushes and charges a real fetch.
     #[inline]
     pub(crate) fn charge_at(&mut self, cpu: &mut Cpu, addr: u64, span: u64) {
         if span == self.cur_span {
@@ -118,17 +96,17 @@ impl SpanBatch {
         }
     }
 
-    /// Defers one guaranteed same-line hit (template backend, for
-    /// fetches statically known to stay in the open span).
+    /// Defers one guaranteed same-line hit (for fetches statically known
+    /// to stay in the open span).
     #[inline]
     pub(crate) fn hit(&mut self) {
         self.pending += 1;
     }
 
-    /// Defers `n` guaranteed same-line hits at once (template backend:
-    /// a compiled block counts its statically-known hits at compile
-    /// time and materializes them only at exits, traps, and line
-    /// opens — the points where the batch becomes observable).
+    /// Defers `n` guaranteed same-line hits at once (a compiled block
+    /// counts its statically-known hits at compile time and materializes
+    /// them only at exits, traps, and line opens — the points where the
+    /// batch becomes observable).
     #[inline]
     pub(crate) fn add_pending(&mut self, n: u64) {
         self.pending += n;
@@ -145,7 +123,7 @@ impl SpanBatch {
     }
 }
 
-/// Execution context a block backend runs against: the core, the
+/// Execution context a compiled block runs against: the core, the
 /// cross-block fetch-hit batch, and the generation snapshotted at block
 /// entry (invalidation watching). Retired-instruction accounting needs
 /// no slot here: the template folds each exit's count at compile time.
@@ -169,8 +147,9 @@ impl fmt::Debug for ExecCtx<'_> {
 
 /// How one block execution ended, in the protocol `Cpu::run_blocks`
 /// consumes. Architectural state (counters, cycles-on-trap rewind,
-/// pending fetch batch) is already settled by the backend; the caller
-/// only does budget accounting, edge recording, and deopt detection.
+/// pending fetch batch) is already settled by the compiled code; the
+/// caller only does budget accounting, edge recording, and deopt
+/// detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockExit {
     /// The block exited normally (full run, mid-block redirect, or
@@ -210,11 +189,10 @@ pub enum BlockExit {
 /// executes the whole (possibly fused) run with decode-time constants
 /// folded. Shared via `Arc` so that a VM clone shares its template's
 /// compiled blocks (fleet fork-server warm cache); an executing core
-/// moves it out of its table slot for each execution and back after it,
-/// exactly like the `Arc<[BlockOp]>` runs.
+/// moves it out of its table slot for each execution and back after it.
 pub struct CompiledBlock {
-    /// Executes the block against `ctx`; behaviourally identical to
-    /// [`interp::walk`] over the same ops with an un-clipped budget.
+    /// Executes the whole block against `ctx`; behaviourally identical
+    /// to stepping its instructions on the stepwise core.
     pub(crate) enter: Box<dyn Fn(&mut ExecCtx<'_>) -> BlockExit + Send + Sync>,
     /// Instructions the block retires when executed in full.
     pub(crate) width: u32,
@@ -223,33 +201,5 @@ pub struct CompiledBlock {
 impl fmt::Debug for CompiledBlock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledBlock").field("width", &self.width).finish_non_exhaustive()
-    }
-}
-
-/// A block-execution backend: given a decoded (possibly fused) run, it
-/// may emit a [`CompiledBlock`] specialized for it.
-///
-/// Returning `None` means "this backend does not compile" — the block
-/// keeps executing through the interpreter walker. The two in-tree
-/// backends are [`Interp`] (never emits; the walker is its executor) and
-/// [`Template`] (always emits). A future backend (e.g. the ROADMAP's
-/// wasmrt experiment) can decline blocks containing ops it does not
-/// support and they fall back per block, not per run.
-pub trait CodeGenerator {
-    /// Short static backend name (diagnostics and reports).
-    fn name(&self) -> &'static str;
-
-    /// Compiles the block at `entry_pc` whose decoded run is `ops`, or
-    /// declines. `line_shift` is `log2` of the I-cache line size, used
-    /// to fold each instruction's fetch-span kind at compile time.
-    fn emit(&self, entry_pc: u64, line_shift: u32, ops: &[BlockOp]) -> Option<Arc<CompiledBlock>>;
-}
-
-/// The backend for a core configured with `tier` on or off.
-pub(crate) fn generator(tier: bool) -> &'static dyn CodeGenerator {
-    if tier {
-        &Template
-    } else {
-        &Interp
     }
 }

@@ -1,5 +1,5 @@
-//! The template backend: tier-3 compilation of hot blocks into composed
-//! host closures.
+//! The template backend: compilation of blocks into composed host
+//! closures.
 //!
 //! [`Template::emit`] walks a block's decoded run **once** and builds a
 //! per-op template closure for every [`BlockOp`], folding in everything
@@ -19,8 +19,7 @@
 //!   below);
 //! * ALU-class components become an [`AluTmpl`] calling the split
 //!   `exec_alu`/`exec_alu_imm`/`exec_lui` cores directly — skipping the
-//!   full `Cpu::execute` instruction match the walker's generic singles
-//!   pay on every execution.
+//!   full `Cpu::execute` instruction match the generic single pays.
 //!
 //! The per-op closures compose by **continuation chaining**: each
 //! closure captures its successor as `next` and invokes it directly on
@@ -34,10 +33,10 @@
 //!
 //! # Batched counters
 //!
-//! The walker bumps `counters.instructions` and the span batch's
-//! pending-hit count once per component. Neither is observable
-//! mid-block except at well-defined points: the instruction counter can
-//! be read only by `Cpu::execute` paths (`csrr`, ecalls), and pending
+//! The stepwise core bumps `counters.instructions` once per instruction
+//! and charges every fetch as it happens. Neither is observable mid-block
+//! except at well-defined points: the instruction counter can be read
+//! only by `Cpu::execute` paths (`csrr`, ecalls), and deferred fetch
 //! hits only matter when the batch is flushed (trap, stop, line open,
 //! or after the block returns). The template therefore accumulates both
 //! **at compile time** and materializes the folded constants exactly at
@@ -47,40 +46,39 @@
 //!   adds the instructions retired and hits batched since the last
 //!   materialization;
 //! * every trap path adds the counts up to and including the faulting
-//!   component before the batch flush — matching the walker, which
-//!   counts an instruction before executing it;
+//!   component before the batch flush — matching the stepwise core,
+//!   which counts an instruction before executing it;
 //! * every [`Fetch::Open`] carries the hits batched since the last
 //!   materialization and deposits them before flushing;
 //! * [`BlockOp::One`] and non-ALU [`BlockOp::OneSafe`] run through
 //!   `Cpu::execute` (which can observe the counter via `csrr`/ecall),
 //!   so they are *sync points*: they materialize both pending deltas
-//!   up front and then run with the walker's dynamic bookkeeping.
+//!   up front and then count their own instruction and fetch
+//!   dynamically.
 //!
 //! At every observation point the counter and pending values equal the
-//! walker's — `tests/predecode_equiv.rs` pins bit-identical counters
-//! across the tier×fuse matrix.
+//! stepwise core's — `tests/predecode_equiv.rs` pins bit-identical
+//! counters across the fuse × MRU × trace matrix.
 //!
-//! Each op template is otherwise a line-for-line specialization of the
-//! corresponding [`super::interp::walk`] arm — same charge order, same
+//! Each op template applies its instructions' charges in program order
+//! through the same `exec_*` cores `Cpu::execute` delegates to — same
 //! trap checkpoints, same `pc` updates (every op leaves `cpu.pc` at the
 //! next instruction, the invariant the trap paths' "pc already at the
-//! faulting op" reasoning rests on), same generation re-checks after
+//! faulting op" reasoning rests on), and a generation re-check after
 //! anything that stores.
 //!
 //! Compiled blocks are only entered with an un-clipped budget
-//! (`remaining >= width`, enforced by `Cpu::run_blocks`), so the
-//! walker's budget-clip fallbacks have no compiled counterpart; they
-//! also never run under pair profiling (tier-up is gated on it, and
-//! enabling it flushes every block), so the profile hook has none
-//! either.
+//! (`remaining >= width`, enforced by `Cpu::run_blocks`, which steps a
+//! clipped tail instead), so no template carries a budget check.
 
-use super::{BlockExit, CodeGenerator, CompiledBlock, ExecCtx};
+use super::{BlockExit, CompiledBlock, ExecCtx};
 use crate::blocks::BlockOp;
 use crate::cpu::{Cpu, StepEvent, Trap};
 use std::sync::Arc;
 use tarch_isa::{AluImmOp, AluOp, Instruction, Reg};
 
-/// The tier-3 template-compilation backend.
+/// The template compiler: every block the table installs is compiled by
+/// [`Template::emit`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Template;
 
@@ -121,8 +119,7 @@ fn charge(fetch: Fetch, ctx: &mut ExecCtx<'_>) {
 
 /// Dynamic fetch charge for sync ops ([`BlockOp::One`] and non-ALU
 /// [`BlockOp::OneSafe`]): their arm materialized all batched state up
-/// front, so a same-line hit goes into the span batch immediately, like
-/// the walker's.
+/// front, so a same-line hit goes into the span batch immediately.
 #[inline(always)]
 fn charge_dyn(fetch: Fetch, ctx: &mut ExecCtx<'_>) {
     match fetch {
@@ -141,9 +138,9 @@ fn settle(ctx: &mut ExecCtx<'_>, add_instr: u64, add_hits: u64) {
 }
 
 /// Trap exit from a compiled op: materialize the batched counts up to
-/// and including the faulting component, then do exactly what the
-/// walker's `trap_exit!` does (flush the fetch batch, rewind
-/// `counters.cycles` to the pre-fetch checkpoint, trace the trap).
+/// and including the faulting component, flush the fetch batch, rewind
+/// `counters.cycles` to the pre-fetch checkpoint (where the stepwise
+/// core left it), and trace the trap.
 #[cold]
 fn trap_exit(
     ctx: &mut ExecCtx<'_>,
@@ -228,17 +225,15 @@ struct Fold {
     hx: u64,
 }
 
-impl CodeGenerator for Template {
-    fn name(&self) -> &'static str {
-        "template"
-    }
-
-    /// Compiles every block (the full [`BlockOp`] vocabulary is
-    /// supported). A forward pass folds each op's constants and batch
-    /// deltas; a backward pass chains the continuations, the terminal
-    /// one materializing what the last fall-through left batched and
-    /// retiring the whole block.
-    fn emit(&self, entry_pc: u64, line_shift: u32, ops: &[BlockOp]) -> Option<Arc<CompiledBlock>> {
+impl Template {
+    /// Compiles the block at `entry_pc` whose decoded run is `ops` (the
+    /// full [`BlockOp`] vocabulary is supported). `line_shift` is `log2`
+    /// of the I-cache line size, used to fold each instruction's
+    /// fetch-span kind. A forward pass folds each op's constants and
+    /// batch deltas; a backward pass chains the continuations, the
+    /// terminal one materializing what the last fall-through left
+    /// batched and retiring the whole block.
+    pub fn emit(entry_pc: u64, line_shift: u32, ops: &[BlockOp]) -> Arc<CompiledBlock> {
         let mut folded: Vec<Fold> = Vec::with_capacity(ops.len());
         let mut apc = entry_pc;
         // Compile-time span tracker: the line of the previous fetch, or
@@ -322,7 +317,7 @@ impl CodeGenerator for Template {
         for &f in folded.iter().rev() {
             next = compile_op(f, next);
         }
-        Some(Arc::new(CompiledBlock { width, enter: next }))
+        Arc::new(CompiledBlock { width, enter: next })
     }
 }
 
@@ -330,19 +325,14 @@ impl CodeGenerator for Template {
 fn compile_op(f: Fold, next: Chain) -> Chain {
     let Fold { op, apc, bpc, fa, fb, k, i0, h0, ha, hb, hx } = f;
     // Instruction-counter deltas at the two components' observation
-    // points: the walker counts an instruction before executing it.
+    // points: the stepwise core counts an instruction before executing
+    // it.
     let ia = i0 + 1;
     let ib = i0 + 2;
     match op {
         // The generic single: a sync point — materialize the batches,
-        // then full stepwise semantics via `execute`, like the walker's
-        // `step_one!` (minus the pair-profile hook; compiled blocks
-        // never run under profiling).
+        // then full stepwise semantics via `execute`.
         BlockOp::One(instr) => Box::new(move |ctx| {
-            debug_assert!(
-                ctx.cpu.pair_profile.is_none(),
-                "compiled block entered under pair profiling"
-            );
             settle(ctx, i0, h0);
             let checkpoint = ctx.cpu.now;
             charge_dyn(fa, ctx);
@@ -372,7 +362,7 @@ fn compile_op(f: Fold, next: Chain) -> Chain {
                 })
             }
             // `csrr` reads the counter CSRs, so it is a sync point:
-            // materialize the batches, then the walker's dynamic form.
+            // materialize the batches, then count dynamically.
             Instruction::Csrr { .. } => Box::new(move |ctx| {
                 settle(ctx, i0, h0);
                 charge_dyn(fa, ctx);
@@ -654,7 +644,7 @@ fn compile_op(f: Fold, next: Chain) -> Chain {
                 }
                 // The leading store may have hit text (even this block):
                 // abandon the cached decode before the second component,
-                // exactly like the walker's inter-component check.
+                // exactly like a stepwise post-store generation check.
                 if ctx.cpu.blocks.generation() != ctx.entry_gen {
                     ctx.cpu.pc = bpc;
                     settle(ctx, ia, ha);

@@ -162,19 +162,15 @@ pub struct CoreConfig {
     /// accesses skip the way/entry scan (host-side fast path; simulated
     /// counters are identical either way).
     pub mem_fast_paths: bool,
-    /// Tier-3 execution: template-compile hot basic blocks into host-side
-    /// closures with decode-time constants folded, once a block's entry
-    /// count crosses [`CoreConfig::tier_threshold`] (host-side fast path;
-    /// simulated counters are identical either way — pinned by
-    /// `tests/predecode_equiv.rs`). Only meaningful with `blocks`. A
-    /// compiled block is valid only while its generation matches the
-    /// block table's; any invalidation deopts it back to the interpreter
-    /// backend (see DESIGN.md invariant 8).
+    /// Has no effect: the block engine compiles every block when it
+    /// builds it, and runs nothing else. Kept, `true` in
+    /// [`CoreConfig::paper`], for the same job-key reason as
+    /// [`CoreConfig::predecode`]; the run artifact still records it per
+    /// job.
     pub tier: bool,
-    /// Block entries before a hot block is tier-compiled. Low values
-    /// compile almost everything (more one-shot compile work, faster
-    /// steady state); high values leave cold blocks interpreted. Only
-    /// meaningful with `tier`.
+    /// Has no effect (see [`CoreConfig::tier`]). Kept, 16 in
+    /// [`CoreConfig::paper`], for the same job-key reason as
+    /// [`CoreConfig::predecode`].
     pub tier_threshold: u32,
     /// Observability: `Some` attaches a `tarch_trace::Tracer` to the
     /// core — simulated-time PC sampling, a structured event ring, and
@@ -186,14 +182,13 @@ pub struct CoreConfig {
     /// share a cache entry.
     pub trace: Option<TraceConfig>,
     /// Profile-guided optimization: `Some` feeds a recorded
-    /// [`PgoProfile`] back into the engine — trace-driven superblock
-    /// formation across measured hot edges, a per-workload fusion-pair
-    /// table, and sample-triggered tier-up of profiler-hot blocks. All
-    /// of it is host-side only; simulated counters are bit-identical
-    /// with any profile loaded, stale or empty included (pinned by
-    /// `tests/predecode_equiv.rs`). Participates in the runner's job
-    /// key like every other field, so differently-profiled runs never
-    /// share a cache entry. Only meaningful with `blocks`.
+    /// [`PgoProfile`] back into the engine, which forms superblocks
+    /// across its measured hot edges. That is host-side only; simulated
+    /// counters are bit-identical with any profile loaded, stale or
+    /// empty included (pinned by `tests/predecode_equiv.rs`).
+    /// Participates in the runner's job key like every other field, so
+    /// differently-profiled runs never share a cache entry. Only
+    /// meaningful with `blocks`.
     pub pgo: Option<Arc<PgoProfile>>,
 }
 

@@ -20,18 +20,16 @@
 
 use crate::blocks::{BlockRun, BlockStats, BlockTable, MAX_BLOCK_LEN};
 use crate::bpred::BranchPredictor;
-use crate::codegen::{self, BlockExit, ExecCtx, SpanBatch};
+use crate::codegen::{BlockExit, ExecCtx, SpanBatch};
 use crate::config::CoreConfig;
 use crate::counters::PerfCounters;
 use crate::observe::{Attribution, HandlerProfile, Observers};
-use crate::pairprof::PairProfile;
 use crate::pgo::EdgeProfile;
 use crate::regfile::{RegFile, TaggedValue};
 use crate::tagio::{Inserted, SprState};
 use crate::trt::TypeRuleTable;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use tarch_isa::asm::Program;
 use tarch_isa::{
     AluImmOp, AluOp, Csr, FpCmpOp, FpuOp, Instruction, MemWidth, Reg, Spr, TrtClass, TrtRule,
@@ -159,8 +157,9 @@ pub struct PredecodeStats {
 pub struct Cpu {
     config: CoreConfig,
     regs: RegFile,
-    // `pub(crate)` fields are the execution surface the block backends in
-    // `codegen` run against; everything else stays private to this module.
+    // `pub(crate)` fields are the execution surface the compiled blocks
+    // in `codegen` run against; everything else stays private to this
+    // module.
     pub(crate) pc: u64,
     spr: SprState,
     trt: TypeRuleTable,
@@ -177,7 +176,6 @@ pub struct Cpu {
     ready_f: [u64; 32],
     halted: bool,
     pub(crate) blocks: BlockTable,
-    pub(crate) pair_profile: Option<Box<PairProfile>>,
     /// Block-entry recorders: the PGO edge recorder
     /// ([`Cpu::enable_edge_profile`]) and per-handler attribution
     /// ([`Cpu::enable_handler_profile`]). `None` costs one predictable
@@ -192,10 +190,6 @@ pub struct Cpu {
 impl Cpu {
     /// Creates a core with zeroed state.
     pub fn new(config: CoreConfig) -> Cpu {
-        let mut blocks = BlockTable::new();
-        if let Some(pgo) = &config.pgo {
-            blocks.set_pgo(Arc::clone(pgo));
-        }
         let tracer = config.trace.map(|tc| Box::new(Tracer::new(tc)));
         Cpu {
             regs: RegFile::new(),
@@ -214,27 +208,11 @@ impl Cpu {
             ready: [0; 32],
             ready_f: [0; 32],
             halted: false,
-            blocks,
-            pair_profile: None,
+            blocks: BlockTable::new(),
             observers: None,
             tracer,
             config,
         }
-    }
-
-    /// Starts recording adjacent same-block opcode pairs (the measurement
-    /// behind the macro-op fusion set; see [`PairProfile`]). Profiling
-    /// disables fusion for this core — the histogram must describe the
-    /// unfused instruction stream — so any already-built fused blocks are
-    /// flushed.
-    pub fn enable_pair_profile(&mut self) {
-        self.pair_profile = Some(Box::default());
-        self.blocks.flush();
-    }
-
-    /// The recorded pair profile, when profiling is enabled.
-    pub fn pair_profile(&self) -> Option<&PairProfile> {
-        self.pair_profile.as_deref()
     }
 
     /// Starts recording observed block-to-block control edges — the raw
@@ -499,9 +477,9 @@ impl Cpu {
         self.blocks.stats()
     }
 
-    /// Number of installed blocks currently carrying tier-3 compiled
-    /// code (host-side metric; a clone of a tiered core starts with its
-    /// template's count — the compiled cache is shared).
+    /// Number of installed blocks currently carrying compiled code
+    /// (host-side metric; every build compiles, and a clone starts with
+    /// its template's count — the compiled cache is shared).
     pub fn compiled_blocks(&self) -> usize {
         self.blocks.compiled_len()
     }
@@ -654,7 +632,7 @@ impl Cpu {
     }
 
     /// [`Cpu::run`] through the basic-block engine: straight-line runs of
-    /// decoded instructions execute in one host-loop iteration, with
+    /// decoded instructions execute as one compiled host closure, with
     /// the `halted` check, pc-alignment check, block lookup, and
     /// `counters.cycles` sync hoisted to block boundaries. Per-instruction
     /// *architectural* work — fetch charges, branch prediction, counters —
@@ -687,49 +665,37 @@ impl Cpu {
     ///   blocks end before split pcs and the recorder sees every block
     ///   start, so a profiled run retires the same instructions, at most
     ///   through shorter blocks (DESIGN.md invariant 10).
-    /// * A guest store into the text range bumps the block generation;
-    ///   the loop re-checks it after every instruction, so a block that
-    ///   invalidates *itself* stops using its cached run at the store.
-    ///   The run is moved out of its table slot for the execution and
-    ///   back after it (DESIGN.md invariant 2): mid-block the loop makes
-    ///   no table call but `generation` and `note_store`, so the empty
-    ///   slot is never seen, and no block entry touches a refcount.
-    /// * **Fused pairs** (`BlockOp`, `CoreConfig::fuse`) execute both
-    ///   components through the same `exec_*` helpers the stepwise
-    ///   `Cpu::execute` arms delegate to, with every per-instruction
-    ///   charge (fetch span, `instructions`, trap checkpoint) applied in
-    ///   exact program order; the inter-instruction fall-through /
-    ///   generation / stop checks are skipped only where the first
-    ///   component provably cannot store, redirect, or stop (see
-    ///   `fuse_pair` in `blocks.rs` and DESIGN.md). If the step budget
-    ///   cannot cover both components, the first executes alone through
-    ///   the generic path and the block resumes stepwise-style at the
-    ///   second's pc.
+    /// * **Compiled blocks** (`codegen::Template`): every block is
+    ///   compiled when it is built, into a host closure that applies each
+    ///   instruction's charges through the same `exec_*` cores the
+    ///   stepwise `Cpu::execute` arms delegate to, with decode-time
+    ///   constants folded. **Fused pairs** (`BlockOp`, `CoreConfig::fuse`)
+    ///   apply both components' charges in exact program order and skip
+    ///   the inter-instruction fall-through / generation / stop checks
+    ///   only where the first component provably cannot store, redirect,
+    ///   or stop (see `fuse_pair` in `blocks.rs` and DESIGN.md).
     /// * A block runs only after [`BlockTable::lookup`] or a fresh build
     ///   proved it current (DESIGN.md invariant 6): every entry probes
     ///   the entry table, and a block whose generation is stale
     ///   re-compares its words against memory first.
-    /// * **Tier-3 compilation** (`CoreConfig::tier`): a block whose entry
-    ///   count crosses `CoreConfig::tier_threshold` is template-compiled
-    ///   once into a host closure (`codegen::Template`) that replays the
-    ///   walker's exact per-op semantics with decode-time constants
-    ///   folded; every block below the threshold — and every
-    ///   budget-clipped tail — runs on the interpreter backend
-    ///   (`codegen::interp::walk`, the pre-tier walker verbatim). A
-    ///   compiled block is entered only through a table lookup that
-    ///   proved its generation current, re-checks the generation
-    ///   after every storing op exactly like the walker, and deopts to
-    ///   the interpreter at an instruction boundary when it moves
-    ///   (DESIGN.md invariant 8) — so tier-on/off counters are
-    ///   bit-identical, pinned by `tests/predecode_equiv.rs`.
+    /// * A guest store into the text range bumps the block generation;
+    ///   the compiled code re-checks it after every op that can store, so
+    ///   a block that invalidates *itself* exits at the store (a tier
+    ///   deopt, DESIGN.md invariant 8) and the next lookup drops or
+    ///   re-proves it. The code is moved out of its table slot for the
+    ///   execution and back after it (DESIGN.md invariant 2): mid-block
+    ///   the loop makes no table call but `generation` and `note_store`,
+    ///   so the empty slot is never seen, and no block entry touches a
+    ///   refcount.
+    /// * **Budget-clipped tails**: a compiled block carries no budget
+    ///   checks, so when the remaining budget is below a block's width
+    ///   the tail runs on [`Cpu::step`] instead (`Cpu::run_tail`). That
+    ///   happens once per step budget or fleet slice.
     ///
     /// # Errors
     ///
     /// Propagates traps from [`Cpu::step`].
     pub fn run_blocks(&mut self, max_steps: u64) -> Result<StepEvent, Trap> {
-        let line_shift = self.config.icache.line_bytes.trailing_zeros();
-        let tier = self.config.tier;
-        let emitter = codegen::generator(tier);
         let mut remaining = max_steps;
         // Entry pc of the block just exited through its final branch or
         // jump, or through a guard side-exit: a phase-1 PGO run notes the
@@ -738,9 +704,9 @@ impl Cpu {
         // Deferred same-line fetch-hit batch; persists across block
         // boundaries — only fetch charges touch the I-cache/I-TLB inside
         // this loop, so a line stays resident until the next real charge
-        // (the stepwise fallback resets the span: `step` makes its own
+        // (the stepwise fallbacks reset the span: `step` makes its own
         // accesses, which can evict). See [`SpanBatch`].
-        let mut span = SpanBatch::new(line_shift);
+        let mut span = SpanBatch::new();
         while remaining > 0 {
             if self.halted {
                 span.flush(self);
@@ -798,70 +764,27 @@ impl Cpu {
                     }
                 },
             };
-            let budget = remaining;
-            let entry_gen = self.blocks.generation();
-            // Tier selection: a compiled block executes only with an
-            // un-clipped budget (its closures carry no per-op budget
-            // checks — the walker handles clipped tails); otherwise this
-            // entry heats the block toward compilation. Pair profiling
-            // pins every block to the interpreter: its histogram needs
-            // the walker's per-pair notes (and enabling it flushed any
-            // compiled blocks with the rest of the table). The code
-            // that runs — the compiled closure or the walker's ops —
-            // leaves its table slot for this one execution and goes
-            // back after it.
-            let compiled = if tier && budget >= u64::from(run.width) {
-                match self.blocks.take_compiled(run.bid) {
-                    Some(code) => Some(code),
-                    None if self.pair_profile.is_none() => {
-                        // Sample-triggered tier-up: entries the PGO
-                        // profiler sampled hot compile on first
-                        // execution instead of waiting out the heat
-                        // threshold (host-side only — the compile
-                        // *point* moves, the compiled semantics are the
-                        // walker's either way).
-                        let threshold = match self.config.pgo.as_deref() {
-                            Some(p) if p.is_hot(pc) => 1,
-                            _ => self.config.tier_threshold,
-                        };
-                        if self.blocks.heat_up(run.bid) >= threshold {
-                            // Stored in the slot after its first run.
-                            let code = emitter.emit(pc, line_shift, self.blocks.ops(run.bid));
-                            if code.is_some() {
-                                self.blocks.note_compile();
-                                self.trace_event(TraceEventKind::BlockCompile {
-                                    pc,
-                                    len: run.width,
-                                });
-                            }
-                            code
-                        } else {
-                            None
-                        }
+            if remaining < u64::from(run.width) {
+                span.flush(self);
+                span.reset();
+                match self.run_tail(remaining)? {
+                    (executed, StepEvent::Retired) => {
+                        remaining -= executed;
+                        continue;
                     }
-                    None => None,
+                    // The budget is dead on a stop.
+                    (_, event) => return Ok(event),
                 }
-            } else {
-                None
-            };
-            let was_compiled = compiled.is_some();
-            let exit: BlockExit = match compiled {
-                Some(code) => {
-                    let exit = (code.enter)(&mut ExecCtx::new(self, &mut span, entry_gen));
-                    self.blocks.put_compiled(run.bid, code);
-                    exit
-                }
-                None => {
-                    let ops = self.blocks.take_ops(run.bid);
-                    let exit =
-                        codegen::interp::walk(self, &mut span, &ops, run.width, budget, entry_gen);
-                    self.blocks.put_ops(run.bid, ops);
-                    exit
-                }
-            };
+            }
+            // The compiled code leaves its table slot for this one
+            // execution and goes back after it.
+            let entry_gen = self.blocks.generation();
+            let code = self.blocks.take_compiled(run.bid);
+            let exit = (code.enter)(&mut ExecCtx::new(self, &mut span, entry_gen));
+            self.blocks.put_compiled(run.bid, code);
             match exit {
-                // The backend already settled trap state (span flushed,
-                // cycles rewound to the checkpoint, trap traced).
+                // The compiled code already settled trap state (span
+                // flushed, cycles rewound to the checkpoint, trap traced).
                 BlockExit::Trap(trap) => return Err(trap),
                 BlockExit::Stop { executed: _, event } => {
                     // The budget is dead on a stop return, so `remaining`
@@ -873,28 +796,25 @@ impl Cpu {
                 BlockExit::Done { executed } | BlockExit::SideExit { executed } => {
                     remaining -= executed;
                     self.counters.cycles = self.now;
-                    if was_compiled && self.blocks.generation() != entry_gen {
-                        // The compiled block's execution saw an
-                        // invalidation (a store into text, possibly by
-                        // the block itself) and exited at that op
-                        // boundary, exactly like the walker. Count the
-                        // deopt: the next entry at this pc goes through
-                        // `lookup`, which drops or re-proves the block
-                        // before any compiled code runs again (DESIGN.md
-                        // invariant 8).
+                    if self.blocks.generation() != entry_gen {
+                        // The block's execution saw an invalidation (a
+                        // store into text, possibly by the block itself)
+                        // and exited at that op boundary. Count the deopt:
+                        // the next entry at this pc goes through `lookup`,
+                        // which drops or re-proves the block before any
+                        // compiled code runs again (DESIGN.md invariant 8).
                         self.blocks.note_deopt();
                         self.trace_event(TraceEventKind::BlockDeopt { pc });
                     }
                     // The edge recorder notes an exit through the block's
                     // final branch or jump (known at build time) when the
                     // whole run executed — early exits (mid-block
-                    // redirect, self-invalidating store, budget clip,
-                    // trap) leave `executed` short of the width, and a
-                    // final `ecall`/`halt` is no such exit. Indirect
-                    // jumps (`jalr`) count too. A superblock guard's
-                    // side-exit (`SideExit`) counts despite running
-                    // short: the exit is the guard branch's static
-                    // off-trace target.
+                    // redirect, self-invalidating store, trap) leave
+                    // `executed` short of the width, and a final
+                    // `ecall`/`halt` is no such exit. Indirect jumps
+                    // (`jalr`) count too. A superblock guard's side-exit
+                    // (`SideExit`) counts despite running short: the exit
+                    // is the guard branch's static off-trace target.
                     let side_exit = matches!(exit, BlockExit::SideExit { .. });
                     if side_exit || (run.jump_exit && executed == run.width as u64) {
                         exited_from = Some(pc);
@@ -906,37 +826,61 @@ impl Cpu {
         Ok(StepEvent::Retired)
     }
 
-    /// Decodes the basic block starting at `pc` and installs it in the
-    /// block table. Adjacent pairs are fused at install time when the
-    /// config asks for it — except under pair profiling, whose histogram
-    /// must describe the unfused stream. Returns `None`
-    /// when the entry word itself does not decode (the caller raises the
-    /// stepwise trap); an undecodable word *after* a decodable run simply
-    /// ends the block before it.
+    /// Runs a budget-clipped block tail on [`Cpu::step`]: at most
+    /// `budget` instructions, fewer than the block's width, so the tail
+    /// never reaches the block's final instruction. Returns the
+    /// instructions retired and the last event after a stop, a redirect,
+    /// or a block-ending instruction (a superblock's guard), so that the
+    /// loop's entry hooks (edge recorder, handler attribution, tracer
+    /// tick) see every arrival; traps propagate as from `step`. Kept out
+    /// of line: written into `run_blocks`, this loop slowed every block
+    /// entry.
+    #[cold]
+    #[inline(never)]
+    fn run_tail(&mut self, budget: u64) -> Result<(u64, StepEvent), Trap> {
+        let mut executed = 0;
+        while executed < budget {
+            let pc = self.pc;
+            let ends = Instruction::decode(self.mem.read_u32(pc)).is_ok_and(ends_block);
+            let event = self.step()?;
+            executed += 1;
+            if event != StepEvent::Retired || ends || self.pc != pc.wrapping_add(4) {
+                return Ok((executed, event));
+            }
+        }
+        Ok((executed, StepEvent::Retired))
+    }
+
+    /// Decodes the basic block starting at `pc`, installs it in the block
+    /// table and compiles it. Adjacent pairs are fused at install time
+    /// when the config asks for it, and a loaded PGO profile straightens
+    /// the measured hot path into a superblock. Returns `None` when the
+    /// entry word itself does not decode (the caller raises the stepwise
+    /// trap); an undecodable word *after* a decodable run simply ends the
+    /// block before it.
     fn build_block(&mut self, pc: u64) -> Option<BlockRun> {
         let (words, instrs) = self.decode_run(pc, MAX_BLOCK_LEN);
         if instrs.is_empty() {
             return None;
         }
-        let fuse = self.config.fuse && self.pair_profile.is_none();
+        let fuse = self.config.fuse;
+        let line_shift = self.config.icache.line_bytes.trailing_zeros();
         let mut segs = vec![(pc, words, instrs)];
         // Trace-driven superblock formation: follow the profile's
         // measured dominant successor across the block-ending branch,
         // straightening the hot path into one multi-segment block with
-        // guard side-exits. Never under pair profiling — its histogram
-        // must describe plain-block boundaries.
-        if self.pair_profile.is_none() {
-            if let Some(pgo) = self.config.pgo.clone() {
-                self.extend_superblock(&mut segs, &pgo);
-            }
+        // guard side-exits.
+        if let Some(pgo) = self.config.pgo.clone() {
+            self.extend_superblock(&mut segs, &pgo);
         }
         let run = if segs.len() > 1 {
-            self.blocks.install_super(segs, fuse)
+            self.blocks.install_super(segs, fuse, line_shift)
         } else {
             let (pc, words, instrs) = segs.pop().expect("entry segment always present");
-            self.blocks.install(pc, words, instrs, fuse)
+            self.blocks.install(pc, words, instrs, fuse, line_shift)
         };
         self.trace_event(TraceEventKind::BlockBuild { pc, len: run.width });
+        self.trace_event(TraceEventKind::BlockCompile { pc, len: run.width });
         Some(run)
     }
 
@@ -1090,18 +1034,18 @@ impl Cpu {
     // --- shared execution cores ---
     //
     // One implementation per instruction class, used by BOTH the
-    // stepwise [`Cpu::execute`] arms and the fused-pair handlers in
-    // [`Cpu::run_blocks`] — fused/unfused equivalence holds by
-    // construction, not by keeping two copies in sync. The helpers
-    // deliberately do not touch `self.pc`: `execute` folds their result
-    // into its `next_pc`, the fused handlers set `pc` once per pair.
+    // stepwise [`Cpu::execute`] arms and the compiled templates in
+    // `codegen` — compiled/stepwise equivalence holds by construction,
+    // not by keeping two copies in sync. The helpers deliberately do not
+    // touch `self.pc`: `execute` folds their result into its `next_pc`,
+    // the templates set `pc` once per op.
 
     /// `alu`/`alu-imm`/`lui`: never traps, redirects, stores, or stops.
     /// Dispatches to the split per-kind cores below (which the template
     /// backend calls directly, with the instruction kind folded at block
     /// compile time).
     #[inline]
-    pub(crate) fn exec_alu_class(&mut self, instr: Instruction) {
+    fn exec_alu_class(&mut self, instr: Instruction) {
         match instr {
             Instruction::Alu { op, rd, rs1, rs2 } => self.exec_alu(op, rd, rs1, rs2),
             Instruction::AluImm { op, rd, rs1, imm } => self.exec_alu_imm(op, rd, rs1, imm),

@@ -73,7 +73,6 @@ mod counters;
 mod cpu;
 mod ctxsw;
 mod observe;
-mod pairprof;
 mod pgo;
 mod regfile;
 mod tagio;
@@ -81,13 +80,12 @@ mod trt;
 
 pub use blocks::{BlockOp, BlockStats, BlockTable, MAX_BLOCK_LEN};
 pub use bpred::{BranchPredictor, BranchStats};
-pub use codegen::{BlockExit, CodeGenerator, CompiledBlock, Interp, Template};
+pub use codegen::{BlockExit, CompiledBlock, Template};
 pub use config::{BranchConfig, CoreConfig, IsaLevel, LatencyConfig};
 pub use counters::PerfCounters;
 pub use cpu::{canonical_f64_bits, Cpu, PredecodeStats, StepEvent, Trap};
 pub use ctxsw::TypedState;
 pub use observe::HandlerProfile;
-pub use pairprof::PairProfile;
 pub use pgo::{EdgeProfile, PgoProfile};
 pub use regfile::{RegFile, TaggedValue, UNTYPED_TAG};
 pub use tagio::{is_nan_boxed, Inserted, SprState, TagDword, NANBOX_FP_TAG};

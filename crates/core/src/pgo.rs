@@ -1,25 +1,17 @@
 //! Profile-guided optimization: the profile the engine consumes and the
 //! edge recorder that produces its raw material.
 //!
-//! PGO is a two-phase loop. A **profile run** records what actually
-//! executed: the tracer's hot-PC histogram (`tarch-trace`), the
-//! block-to-block control edges observed at block exits through a final
-//! branch or jump or a guard side-exit ([`EdgeProfile`], recorded by
-//! `Cpu::run_blocks`), and the adjacent opcode-pair histogram
-//! (`PairProfile`). The runner distills those into a [`PgoProfile`] and
-//! threads it back in through `CoreConfig::pgo` for the **optimized
-//! run**, where it drives three decisions:
+//! PGO is a two-phase loop. A **profile run** records the block-to-block
+//! control edges observed at block exits through a final branch or jump
+//! or a guard side-exit ([`EdgeProfile`], recorded by
+//! `Cpu::run_blocks`). The runner distills them into a [`PgoProfile`]
+//! and threads it back in through `CoreConfig::pgo` for the **optimized
+//! run**, where it drives one decision: **superblock formation** — block
+//! building follows the measured dominant successor across taken
+//! branches, straightening the hot path into one block with guard
+//! side-exits.
 //!
-//! * **superblock formation** — block building follows the measured
-//!   dominant successor across taken branches, straightening the hot
-//!   path into one block with guard side-exits;
-//! * **fusion-pair tables** — the global hand-picked `fuse_pair` set is
-//!   filtered down to the pairs this workload actually executes;
-//! * **sample-triggered tier-up** — blocks whose entry PC the profiler
-//!   sampled hot are template-compiled on first execution instead of
-//!   waiting out the heat threshold.
-//!
-//! Every decision is host-side only: a stale or empty profile can cost
+//! The decision is host-side only: a stale or empty profile can cost
 //! host speed but can never change a simulated counter. The profile
 //! participates in the runner's job content key (its `Debug` rendering
 //! is deterministic — sorted containers only), so cached results from
@@ -27,44 +19,23 @@
 
 use std::collections::BTreeMap;
 
-/// A distilled, per-workload optimization profile (phase-2 input).
-///
-/// Construct with [`PgoProfile::new`], which canonicalizes the hot-PC
-/// list (sorted, deduplicated) so equal profiles render identically
-/// under `Debug` — the runner keys cached results on that rendering.
+/// A distilled, per-workload optimization profile (phase-2 input): the
+/// dominant control edge per block-entry PC. A `BTreeMap` keeps the
+/// `Debug` rendering, which the runner keys cached results on,
+/// independent of insertion order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PgoProfile {
-    /// Block-entry PCs the sampling profiler found hot (sorted).
-    hot_pcs: Vec<u64>,
     /// Dominant control edge per block-entry PC: where execution went
     /// from this block's final branch or jump, when one successor
     /// dominated.
     edges: BTreeMap<u64, u64>,
-    /// Fusion-pair allow list as `(prev, cur)` mnemonics; `None` keeps
-    /// the built-in global pair set (the stale/empty-profile fallback).
-    pairs: Option<Vec<(String, String)>>,
 }
 
 impl PgoProfile {
-    /// Builds a canonicalized profile.
-    pub fn new(
-        mut hot_pcs: Vec<u64>,
-        edges: BTreeMap<u64, u64>,
-        pairs: Option<Vec<(String, String)>>,
-    ) -> PgoProfile {
-        hot_pcs.sort_unstable();
-        hot_pcs.dedup();
-        let pairs = pairs.map(|mut p| {
-            p.sort();
-            p.dedup();
-            p
-        });
-        PgoProfile { hot_pcs, edges, pairs }
-    }
-
-    /// Whether the profiler sampled this block-entry PC hot.
-    pub fn is_hot(&self, pc: u64) -> bool {
-        self.hot_pcs.binary_search(&pc).is_ok()
+    /// A profile of the dominant edges `edges` (block-entry PC to its
+    /// dominant successor).
+    pub fn new(edges: BTreeMap<u64, u64>) -> PgoProfile {
+        PgoProfile { edges }
     }
 
     /// The measured dominant successor of the block entered at `pc`.
@@ -72,29 +43,10 @@ impl PgoProfile {
         self.edges.get(&pc).copied()
     }
 
-    /// Whether the profile permits fusing the `(prev, cur)` mnemonic
-    /// pair. `true` for every pair when no table was recorded.
-    pub fn allows_pair(&self, prev: &str, cur: &str) -> bool {
-        match &self.pairs {
-            None => true,
-            Some(table) => table.iter().any(|(a, b)| a == prev && b == cur),
-        }
-    }
-
-    /// Whether the profile carries a fusion-pair table.
-    pub fn has_pairs(&self) -> bool {
-        self.pairs.is_some()
-    }
-
     /// Whether the profile contains no decisions at all (the
     /// deliberately-empty regression fixture looks like this).
     pub fn is_empty(&self) -> bool {
-        self.hot_pcs.is_empty() && self.edges.is_empty() && self.pairs.is_none()
-    }
-
-    /// The hot-PC list (sorted).
-    pub fn hot_pcs(&self) -> &[u64] {
-        &self.hot_pcs
+        self.edges.is_empty()
     }
 
     /// The dominant-edge map.
@@ -156,11 +108,12 @@ impl EdgeProfile {
     /// successor observed at least `min_count` times that carries at
     /// least `dominance_percent` of its source's outgoing edges.
     /// Sources with contested or rare successors are dropped — a guard
-    /// that frequently side-exits costs more than it saves.
+    /// that frequently side-exits costs more than it saves. Shares are
+    /// compared in `u128`, so no count can overflow them.
     pub fn dominant(&self, min_count: u64, dominance_percent: u64) -> BTreeMap<u64, u64> {
-        let mut out_totals: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut out_totals: BTreeMap<u64, u128> = BTreeMap::new();
         for (&(from, _), &c) in &self.counts {
-            *out_totals.entry(from).or_insert(0) += c;
+            *out_totals.entry(from).or_insert(0) += u128::from(c);
         }
         let mut best: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
         for (&(from, to), &c) in &self.counts {
@@ -171,7 +124,8 @@ impl EdgeProfile {
         }
         best.into_iter()
             .filter(|&(from, (_, c))| {
-                c >= min_count && c * 100 >= dominance_percent * out_totals[&from]
+                c >= min_count
+                    && u128::from(c) * 100 >= u128::from(dominance_percent) * out_totals[&from]
             })
             .map(|(from, (to, _))| (from, to))
             .collect()
@@ -183,41 +137,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn profile_canonicalizes_and_answers_queries() {
-        let p = PgoProfile::new(
-            vec![0x30, 0x10, 0x30],
-            BTreeMap::from([(0x10, 0x40)]),
-            Some(vec![
-                ("ld".into(), "add".into()),
-                ("add".into(), "beq".into()),
-                ("ld".into(), "add".into()),
-            ]),
-        );
-        assert!(p.is_hot(0x10) && p.is_hot(0x30) && !p.is_hot(0x20));
+    fn profile_answers_queries() {
+        let p = PgoProfile::new(BTreeMap::from([(0x10, 0x40)]));
         assert_eq!(p.successor(0x10), Some(0x40));
         assert_eq!(p.successor(0x40), None);
-        assert!(p.allows_pair("ld", "add"));
-        assert!(!p.allows_pair("add", "ld"));
         assert!(!p.is_empty());
-        assert_eq!(p.hot_pcs(), &[0x10, 0x30]);
     }
 
     #[test]
-    fn empty_profile_permits_everything_and_decides_nothing() {
+    fn empty_profile_decides_nothing() {
         let p = PgoProfile::default();
         assert!(p.is_empty());
-        assert!(!p.is_hot(0x10));
         assert_eq!(p.successor(0x10), None);
-        assert!(p.allows_pair("anything", "at-all"));
-        assert!(!p.has_pairs());
     }
 
     #[test]
     fn debug_rendering_is_deterministic() {
         // The job key hashes the Debug rendering; insertion order must
         // not leak through.
-        let a = PgoProfile::new(vec![3, 1, 2], BTreeMap::from([(2, 9), (1, 8)]), None);
-        let b = PgoProfile::new(vec![2, 3, 1], BTreeMap::from([(1, 8), (2, 9)]), None);
+        let a = PgoProfile::new(BTreeMap::from_iter([(2, 9), (1, 8)]));
+        let b = PgoProfile::new(BTreeMap::from_iter([(1, 8), (2, 9)]));
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -233,10 +172,7 @@ mod tests {
         e.merge(&f);
         assert_eq!(e.total(), 5);
         let edges: Vec<_> = e.edges().collect();
-        assert_eq!(
-            edges,
-            vec![(0x10, 0x14, 1), (0x10, 0x40, 3), (0x50, 0x60, 1)]
-        );
+        assert_eq!(edges, vec![(0x10, 0x14, 1), (0x10, 0x40, 3), (0x50, 0x60, 1)]);
     }
 
     #[test]
@@ -257,5 +193,15 @@ mod tests {
         e.note(0x50, 0x60); // dominant but rare
         let d = e.dominant(8, 75);
         assert_eq!(d, BTreeMap::from([(0x10, 0x40)]));
+    }
+
+    #[test]
+    fn dominant_shares_do_not_overflow() {
+        // `c * 100` alone would overflow `u64` for both counts.
+        let mut e = EdgeProfile::new();
+        e.note_many(0x10, 0x40, u64::MAX / 2);
+        e.note_many(0x10, 0x14, u64::MAX / 200);
+        assert_eq!(e.dominant(8, 99), BTreeMap::from([(0x10, 0x40)]));
+        assert_eq!(e.dominant(8, 100), BTreeMap::new());
     }
 }

@@ -199,11 +199,7 @@ fn no_superblock_straightens_into_a_handler_entry() {
     // `op_a`: without attribution the builder straightens it.
     let program = program();
     let back = program.symbol("back").unwrap();
-    let pgo = PgoProfile::new(
-        Vec::new(),
-        BTreeMap::from([(back, program.symbol("op_a").unwrap())]),
-        None,
-    );
+    let pgo = PgoProfile::new(BTreeMap::from([(back, program.symbol("op_a").unwrap())]));
     let guided = CoreConfig { pgo: Some(Arc::new(pgo)), ..CoreConfig::paper() };
     let (mut plain, _) = loaded(guided.clone());
     finish(&mut plain, u64::MAX);

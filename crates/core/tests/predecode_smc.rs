@@ -9,8 +9,8 @@
 //! must observe the new instruction, and the architectural counters must
 //! match a stepwise run. They also pin the hardest case: a store that
 //! patches an instruction *later in the currently executing block*,
-//! which must abandon the in-flight block run (interpreted or compiled)
-//! rather than retire stale decodes.
+//! which must abandon the in-flight compiled block rather than retire
+//! stale decodes.
 
 use tarch_core::{CoreConfig, Cpu, StepEvent};
 use tarch_isa::text::assemble;
@@ -73,10 +73,10 @@ fn smc_counters_match_decode_every_step() {
 }
 
 /// One straight-line block whose store patches an instruction *further
-/// down the same block*. The executor holds a detached run of the block's
-/// decoded instructions; after the store it must notice the generation
-/// bump, abandon the run, and rebuild — executing the replacement, not
-/// the stale decode.
+/// down the same block*. The executor holds the block's detached compiled
+/// code; after the store it must notice the generation bump, abandon the
+/// block at the store boundary (a deopt), and rebuild — executing the
+/// replacement, not the stale decode.
 /// The second pass re-enters the patched block from the top, forcing the
 /// table to notice the changed word and rebuild the dropped entry.
 const MID_BLOCK_SRC: &str = "
@@ -200,29 +200,13 @@ fn host_store_u64_invalidates_text_but_not_data() {
     assert!(after_text.rebuilds > after_data.rebuilds, "patched block must rebuild");
 }
 
-/// The mid-block SMC program with tier-3 compilation forced on from the
-/// first entry (`tier_threshold: 1`): the patching store executes
-/// *inside a compiled closure* and rewrites an instruction later in the
-/// same block. The closure must notice the generation bump at the store
-/// boundary, deopt to the interpreter, and never retire the stale
-/// decode — with counters bit-identical to the untiered run.
-fn run_mid_block_tiered(tier: bool) -> Cpu {
-    let mut program = assemble(MID_BLOCK_SRC, TEXT_BASE, DATA_BASE).expect("assembles");
-    program.data = addi_a0(100).to_le_bytes().to_vec();
-    let mut cpu = Cpu::new(CoreConfig { tier, tier_threshold: 1, ..CoreConfig::paper() });
-    cpu.load_program(&program);
-    assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
-    cpu
-}
-
 #[test]
 fn guest_store_mid_compiled_block_deopts_at_the_store() {
-    let cpu = run_mid_block_tiered(true);
-    // Same arithmetic as the interpreter mid-block test: a stale
-    // compiled closure would retire the original `addi 7`.
+    let cpu = run_mid_block(true);
+    // A stale compiled closure would retire the original `addi 7`.
     assert_eq!(cpu.regs().read(Reg::A0).v, 204);
     let stats = cpu.block_stats();
-    assert!(stats.compiles > 0, "threshold 1 must compile the block on first entry");
+    assert_eq!(stats.compiles, stats.builds, "every block is compiled when it is built");
     assert!(
         stats.tier_deopts > 0,
         "the self-patching store must deopt the in-flight compiled block"
@@ -231,19 +215,9 @@ fn guest_store_mid_compiled_block_deopts_at_the_store() {
 }
 
 #[test]
-fn mid_compiled_block_smc_counters_match_untiered() {
-    let on = run_mid_block_tiered(true);
-    let off = run_mid_block_tiered(false);
-    assert_eq!(off.regs().read(Reg::A0).v, 204, "reference run must also see the patch");
-    assert_eq!(off.block_stats().compiles, 0, "tier off must never compile");
-    assert_eq!(on.counters(), off.counters());
-    assert_eq!(on.branch_stats(), off.branch_stats());
-}
-
-#[test]
 fn host_store_u64_deopts_compiled_text_but_not_data() {
     // The two-block loop from the `host_store_u64` test, with both
-    // blocks tier-compiled from their first entry. A host heap store
+    // blocks compiled when they are built. A host heap store
     // must leave the compiled blocks alone; a host text store must drop
     // the patched block's compiled code (a deopt) and the replacement
     // must execute.
@@ -258,12 +232,12 @@ fn host_store_u64_deopts_compiled_text_but_not_data() {
     ";
     let program = assemble(src, TEXT_BASE, DATA_BASE).expect("assembles");
     assert_eq!(program.text[0], addi_a0(1));
-    let mut cpu = Cpu::new(CoreConfig { tier_threshold: 1, ..CoreConfig::paper() });
+    let mut cpu = Cpu::new(CoreConfig::paper());
     cpu.load_program(&program);
     cpu.regs_mut().write_untyped(Reg::S1, 6);
     assert_eq!(cpu.run(12).expect("no trap"), StepEvent::Retired);
     let warm = cpu.block_stats();
-    assert!(warm.compiles >= 2, "both loop blocks must compile while the loop is hot");
+    assert!(warm.compiles >= 2, "both loop blocks must compile when they are built");
 
     cpu.host_store_u64(DATA_BASE, 0xdead_beef_dead_beef);
     assert_eq!(cpu.run(4).expect("no trap"), StepEvent::Retired);

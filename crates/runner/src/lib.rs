@@ -22,9 +22,9 @@
 //! * [`fleet`] — versioned `BENCH_fleet_<timestamp>.json` artifacts for
 //!   multi-tenant (`repro fleet`) runs: per-shard throughput plus
 //!   tenant-latency percentiles in simulated cycles;
-//! * [`pgo`] — versioned `PGO_<workload>.json` profile artifacts: raw
-//!   hot-PC / control-edge / opcode-pair observations from a profile
-//!   run, distilled on load into the engine's `PgoProfile`;
+//! * [`pgo`] — versioned `PGO_<workload>.json` profile artifacts: the
+//!   raw control-edge counts of a profile run, distilled on load into
+//!   the engine's `PgoProfile`;
 //! * [`json`] — the minimal hand-rolled JSON reader/writer backing the
 //!   cache and artifact formats (no external dependencies): one streaming
 //!   writer, and a reader whose tree borrows from the input text.
@@ -41,7 +41,6 @@ pub mod compare;
 pub mod fleet;
 pub mod job;
 pub mod json;
-pub mod pairs;
 pub mod percentile;
 pub mod pgo;
 pub mod pool;
@@ -51,10 +50,10 @@ pub use artifact::{BenchArtifact, ARTIFACT_SCHEMA};
 pub use cache::ResultCache;
 pub use compare::{compare, CellDelta, Comparison};
 pub use fleet::{FleetArtifact, ShardSummary, FLEET_SCHEMA};
-pub use percentile::Percentiles;
 pub use job::{EngineKind, JobKey, JobSpec, RenderedConfig, Scale};
 pub use json::Json;
-pub use pgo::{PgoArtifact, PgoCell, PgoHotPc, PgoSet, PGO_SCHEMA};
+pub use percentile::Percentiles;
+pub use pgo::{PgoArtifact, PgoCell, PgoSet, PGO_SCHEMA};
 pub use pool::{
     run_jobs, ExecError, JobOutcome, RunConfig, RunReport, RunStats, RunnerError,
     DEFAULT_STEP_BUDGET,

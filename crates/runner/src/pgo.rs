@@ -2,15 +2,14 @@
 //! workload, serialized to a `PGO_<workload>.json` file.
 //!
 //! The artifact is the handoff point of the two-phase PGO loop (see
-//! `tarch_core::pgo`): phase 1 records raw observations — the tracer's
-//! hot-PC histogram with miss attribution, the block-to-block control
-//! edges, and the adjacent opcode-pair histogram — one [`PgoCell`] per
-//! (engine, ISA level); phase 2 distills a cell into the engine's
-//! [`PgoProfile`] via [`PgoCell::profile`], applying the dominance
-//! thresholds that separate "measured hot path" from noise.
+//! `tarch_core::pgo`): phase 1 records the block-to-block control edges
+//! of every (engine, ISA level) cell, one [`PgoCell`] each; phase 2
+//! distills a cell into the engine's [`PgoProfile`] via
+//! [`PgoCell::profile`], applying the dominance thresholds that separate
+//! "measured hot path" from noise.
 //!
-//! Raw observations (not distilled decisions) are what's persisted so
-//! the thresholds can evolve without re-profiling, and so the artifact
+//! Raw edge counts (not distilled decisions) are what's persisted so the
+//! thresholds can evolve without re-profiling, and so the artifact
 //! doubles as a human-readable record of *why* the optimizer did what it
 //! did. Serialization is deterministic: rows are emitted in sorted
 //! order, so write → read → write is byte-identical (pinned by test).
@@ -22,7 +21,9 @@ use std::path::Path;
 use tarch_core::{EdgeProfile, IsaLevel, PgoProfile};
 
 /// Profile artifact format identifier; bump on breaking schema change.
-pub const PGO_SCHEMA: &str = "tarch-pgo/v1";
+/// `v1` also carried the tracer's hot-PC rows and an opcode-pair
+/// histogram, which nothing reads any more.
+pub const PGO_SCHEMA: &str = "tarch-pgo/v2";
 
 /// Edge-dominance thresholds for [`PgoCell::profile`]: a successor must
 /// be observed at least this many times ...
@@ -37,25 +38,6 @@ pub const EDGE_MIN_COUNT: u64 = 32;
 pub const EDGE_DOMINANCE_PERCENT: u64 = 99;
 /// Edge rows kept per cell at serialization time (top by count).
 pub const MAX_EDGES: usize = 512;
-/// Opcode-pair rows kept per cell at serialization time (top by count).
-pub const MAX_PAIRS: usize = 64;
-
-/// One hot-PC row: samples plus the misses attributed to the pc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PgoHotPc {
-    /// Guest pc (block-entry granularity under the block engine).
-    pub pc: u64,
-    /// Profiler samples recorded at this pc.
-    pub samples: u64,
-    /// Instruction-cache misses attributed here.
-    pub icache: u64,
-    /// Data-cache misses attributed here.
-    pub dcache: u64,
-    /// Instruction-TLB misses attributed here.
-    pub itlb: u64,
-    /// Data-TLB misses attributed here.
-    pub dtlb: u64,
-}
 
 /// The raw observations of one profiled cell (engine × ISA level).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,81 +46,38 @@ pub struct PgoCell {
     pub engine: EngineKind,
     /// ISA level that was profiled.
     pub level: IsaLevel,
-    /// Sampling period the hot-PC histogram was taken at.
-    pub sample_period: u64,
-    /// Total profiler samples in the run.
-    pub total_samples: u64,
-    /// Hot pcs by descending sample count (the tracer's cap applies).
-    pub hot_pcs: Vec<PgoHotPc>,
     /// Observed block-to-block edges as `(from, to, count)`, sorted by
     /// key; trimmed to the [`MAX_EDGES`] heaviest at construction.
     pub edges: Vec<(u64, u64, u64)>,
-    /// Observed adjacent opcode pairs as `(prev, cur, count)`, sorted;
-    /// trimmed to the [`MAX_PAIRS`] heaviest at construction. Empty when
-    /// the profile run recorded no pair histogram.
-    pub pairs: Vec<(String, String, u64)>,
 }
 
 impl PgoCell {
-    /// Builds a cell from raw recorders, applying the size trims and
+    /// Builds a cell from the edge recorder, applying the size trim and
     /// canonical (key-sorted) row order.
-    pub fn new(
-        engine: EngineKind,
-        level: IsaLevel,
-        sample_period: u64,
-        total_samples: u64,
-        hot_pcs: Vec<PgoHotPc>,
-        edges: &EdgeProfile,
-        pairs: Vec<(String, String, u64)>,
-    ) -> PgoCell {
+    pub fn new(engine: EngineKind, level: IsaLevel, edges: &EdgeProfile) -> PgoCell {
         let mut edges: Vec<(u64, u64, u64)> = edges.edges().collect();
         // Trim by weight first, then restore key order for determinism.
         edges.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
         edges.truncate(MAX_EDGES);
         edges.sort_unstable();
-        let mut pairs = pairs;
-        pairs.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-        pairs.truncate(MAX_PAIRS);
-        pairs.sort();
-        PgoCell { engine, level, sample_period, total_samples, hot_pcs, edges, pairs }
+        PgoCell { engine, level, edges }
     }
 
-    /// Distills the raw observations into the engine-facing profile:
-    /// hot pcs pass through (the tracer already keeps only the top of
-    /// the histogram), edges are filtered to the dominant successors
-    /// superblock formation follows ([`EDGE_MIN_COUNT`],
-    /// [`EDGE_DOMINANCE_PERCENT`]), and the pair histogram, when one was
-    /// recorded, becomes the fusion allow list.
+    /// Distills the raw edges into the engine-facing profile: the
+    /// dominant successors superblock formation follows
+    /// ([`EDGE_MIN_COUNT`], [`EDGE_DOMINANCE_PERCENT`]).
     pub fn profile(&self) -> PgoProfile {
         let mut edges = EdgeProfile::new();
         for &(from, to, count) in &self.edges {
             edges.note_many(from, to, count);
         }
-        let dominant = edges.dominant(EDGE_MIN_COUNT, EDGE_DOMINANCE_PERCENT);
-        let pairs = (!self.pairs.is_empty()).then(|| {
-            self.pairs.iter().map(|(a, b, _)| (a.clone(), b.clone())).collect()
-        });
-        PgoProfile::new(self.hot_pcs.iter().map(|h| h.pc).collect(), dominant, pairs)
+        PgoProfile::new(edges.dominant(EDGE_MIN_COUNT, EDGE_DOMINANCE_PERCENT))
     }
 
     fn write_json(&self, w: &mut JsonWriter) {
         w.obj(|o| {
             o.key("engine").str(self.engine.id());
             o.key("level").str(self.level.name());
-            o.key("sample_period").u64(self.sample_period);
-            o.key("total_samples").u64(self.total_samples);
-            o.key("hot_pcs").arr(|a| {
-                for h in &self.hot_pcs {
-                    a.item().obj(|o| {
-                        o.key("pc").u64(h.pc);
-                        o.key("samples").u64(h.samples);
-                        o.key("icache").u64(h.icache);
-                        o.key("dcache").u64(h.dcache);
-                        o.key("itlb").u64(h.itlb);
-                        o.key("dtlb").u64(h.dtlb);
-                    });
-                }
-            });
             o.key("edges").arr(|a| {
                 for &(from, to, count) in &self.edges {
                     a.item().obj(|o| {
@@ -148,49 +87,25 @@ impl PgoCell {
                     });
                 }
             });
-            o.key("pairs").arr(|a| {
-                for (prev, cur, count) in &self.pairs {
-                    a.item().obj(|o| {
-                        o.key("prev").str(prev);
-                        o.key("cur").str(cur);
-                        o.key("count").u64(*count);
-                    });
-                }
-            });
         });
     }
 
+    /// Reads one cell. The edge counts must sum within `u64`, as a
+    /// recorder's do: [`PgoCell::profile`] replays them into an
+    /// [`EdgeProfile`], whose totals are `u64`.
     fn from_json(v: &Json) -> Result<PgoCell, String> {
         let engine = EngineKind::parse(v.req_str("engine")?)
             .ok_or_else(|| format!("unknown engine `{}`", v.req_str("engine").unwrap()))?;
         let level = IsaLevel::parse(v.req_str("level")?)
             .ok_or_else(|| format!("unknown level `{}`", v.req_str("level").unwrap()))?;
-        let sample_period = v.req_u64("sample_period")?;
-        let total_samples = v.req_u64("total_samples")?;
-        let mut hot_pcs = Vec::new();
-        for h in v.get("hot_pcs").and_then(Json::as_arr).ok_or("missing `hot_pcs`")? {
-            hot_pcs.push(PgoHotPc {
-                pc: h.req_u64("pc")?,
-                samples: h.req_u64("samples")?,
-                icache: h.req_u64("icache")?,
-                dcache: h.req_u64("dcache")?,
-                itlb: h.req_u64("itlb")?,
-                dtlb: h.req_u64("dtlb")?,
-            });
-        }
         let mut edges = Vec::new();
+        let mut total = 0u64;
         for e in v.get("edges").and_then(Json::as_arr).ok_or("missing `edges`")? {
-            edges.push((e.req_u64("from")?, e.req_u64("to")?, e.req_u64("count")?));
+            let count = e.req_u64("count")?;
+            total = total.checked_add(count).ok_or("edge counts overflow u64")?;
+            edges.push((e.req_u64("from")?, e.req_u64("to")?, count));
         }
-        let mut pairs = Vec::new();
-        for p in v.get("pairs").and_then(Json::as_arr).ok_or("missing `pairs`")? {
-            pairs.push((
-                p.req_str("prev")?.to_string(),
-                p.req_str("cur")?.to_string(),
-                p.req_u64("count")?,
-            ));
-        }
-        Ok(PgoCell { engine, level, sample_period, total_samples, hot_pcs, edges, pairs })
+        Ok(PgoCell { engine, level, edges })
     }
 }
 
@@ -264,8 +179,7 @@ impl PgoArtifact {
     ///
     /// Returns the underlying I/O error message.
     pub fn write(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.document())
-            .map_err(|e| format!("write {}: {e}", path.display()))
+        std::fs::write(path, self.document()).map_err(|e| format!("write {}: {e}", path.display()))
     }
 
     /// Reads and validates a profile artifact.
@@ -275,8 +189,8 @@ impl PgoArtifact {
     /// Returns a descriptive message on I/O failure, malformed JSON, a
     /// schema mismatch, or any missing/mistyped field.
     pub fn read(path: &Path) -> Result<PgoArtifact, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let schema = doc.req_str("schema")?;
         if schema != PGO_SCHEMA {
@@ -381,21 +295,7 @@ mod tests {
         }
         edges.note(0x100, 0x104);
         edges.note(0x200, 0x240); // rare: dropped by dominance filter
-        PgoCell::new(
-            engine,
-            level,
-            4096,
-            123,
-            vec![
-                PgoHotPc { pc: 0x100, samples: 80, icache: 3, dcache: 1, itlb: 0, dtlb: 0 },
-                PgoHotPc { pc: 0x240, samples: 20, ..PgoHotPc::default() },
-            ],
-            &edges,
-            vec![
-                ("ld".into(), "add".into(), 500),
-                ("add".into(), "beq".into(), 300),
-            ],
-        )
+        PgoCell::new(engine, level, &edges)
     }
 
     fn sample_artifact() -> PgoArtifact {
@@ -431,30 +331,13 @@ mod tests {
     fn distilled_profile_applies_dominance_thresholds() {
         let cell = sample_cell(EngineKind::Lua, IsaLevel::Typed);
         let p = cell.profile();
-        assert!(p.is_hot(0x100) && p.is_hot(0x240) && !p.is_hot(0x104));
         // 0x100 → 0x140 is 99.5% dominant with 199 samples: kept.
         assert_eq!(p.successor(0x100), Some(0x140));
         // 0x200 → 0x240 is dominant but rare: dropped.
         assert_eq!(p.successor(0x200), None);
-        assert!(p.has_pairs());
-        assert!(p.allows_pair("ld", "add"));
-        assert!(!p.allows_pair("beq", "ld"));
-    }
-
-    #[test]
-    fn cell_without_pairs_keeps_global_fusion_table() {
-        let cell = PgoCell::new(
-            EngineKind::Lua,
-            IsaLevel::Typed,
-            4096,
-            0,
-            vec![],
-            &EdgeProfile::new(),
-            vec![],
-        );
-        let p = cell.profile();
-        assert!(!p.has_pairs());
-        assert!(p.allows_pair("anything", "at-all"));
+        assert!(PgoCell::new(EngineKind::Lua, IsaLevel::Typed, &EdgeProfile::new())
+            .profile()
+            .is_empty());
     }
 
     #[test]
@@ -465,15 +348,9 @@ mod tests {
                 edges.note(i * 4, i * 4 + 4);
             }
         }
-        let pairs: Vec<(String, String, u64)> = (0..(MAX_PAIRS as u64 + 10))
-            .map(|i| (format!("a{i}"), format!("b{i}"), i))
-            .collect();
-        let cell =
-            PgoCell::new(EngineKind::Js, IsaLevel::Baseline, 1, 0, vec![], &edges, pairs);
+        let cell = PgoCell::new(EngineKind::Js, IsaLevel::Baseline, &edges);
         assert_eq!(cell.edges.len(), MAX_EDGES);
-        assert_eq!(cell.pairs.len(), MAX_PAIRS);
         assert!(cell.edges.is_sorted());
-        assert!(cell.pairs.is_sorted());
     }
 
     #[test]
@@ -498,10 +375,26 @@ mod tests {
         assert!(err.contains("v999"), "{err}");
     }
 
+    /// Counts that sum past `u64` within a cell are an error naming the
+    /// file and the cell, not a panic when the profile is distilled.
+    #[test]
+    fn overflowing_edge_counts_are_rejected() {
+        let committed =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../pgo-artifacts/PGO_fibo.json");
+        let text = std::fs::read_to_string(committed).unwrap();
+        let at = text.find("\"count\": ").expect("the first edge's count") + "\"count\": ".len();
+        let end = at + text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let path = temp("overflow");
+        std::fs::write(&path, format!("{}{}{}", &text[..at], u64::MAX, &text[end..])).unwrap();
+        let err = PgoArtifact::read(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(err.contains(&*path.to_string_lossy()), "{err}");
+        assert!(err.contains("cell 0: edge counts overflow u64"), "{err}");
+    }
+
     #[test]
     fn pgo_set_loads_a_directory() {
-        let dir = std::env::temp_dir()
-            .join(format!("tarch-pgo-set-test-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("tarch-pgo-set-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let a = sample_artifact();
         a.write(&dir.join(a.default_filename())).unwrap();

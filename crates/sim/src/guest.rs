@@ -288,7 +288,7 @@ impl<E: Engine> GuestVm<E> {
     }
 
     /// The simulated core, mutably (measurement tooling, e.g. enabling
-    /// the opcode-pair profile behind `repro bench --profile-pairs`).
+    /// the control-edge recorder behind `repro pgo`).
     pub fn cpu_mut(&mut self) -> &mut Cpu {
         self.machine.cpu_mut()
     }

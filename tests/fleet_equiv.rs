@@ -28,15 +28,13 @@ const VM_STEPS: u64 = 2_000_000_000;
 /// Deliberately small and odd-sized so slice boundaries land mid-block.
 const SLICE_STEPS: u64 = 777;
 
-/// The execution engines: one-instruction-at-a-time stepping, the
-/// basic-block engine without tier-3 compilation, and the fully tiered
-/// paper configuration with a low threshold so even test-scale programs
-/// spend most of their run inside compiled blocks.
-fn cores() -> [(&'static str, CoreConfig); 3] {
+/// The execution engines: one-instruction-at-a-time stepping, and the
+/// paper configuration, whose block engine compiles every block when it
+/// builds it.
+fn cores() -> [(&'static str, CoreConfig); 2] {
     [
         ("stepwise", CoreConfig { blocks: false, ..CoreConfig::paper() }),
-        ("blocks", CoreConfig { tier: false, ..CoreConfig::paper() }),
-        ("tiered", CoreConfig { tier_threshold: 2, ..CoreConfig::paper() }),
+        ("compiled", CoreConfig::paper()),
     ]
 }
 
@@ -63,7 +61,13 @@ fn run_to_halt(guest: &mut Guest, tag: &str) -> Observed {
 }
 
 /// Fresh-VM reference: full construction, uninterrupted run.
-fn fresh_reference(engine: EngineKind, src: &str, level: IsaLevel, core: CoreConfig, tag: &str) -> Observed {
+fn fresh_reference(
+    engine: EngineKind,
+    src: &str,
+    level: IsaLevel,
+    core: CoreConfig,
+    tag: &str,
+) -> Observed {
     let mut fresh = build_guest(engine, src, level, core).unwrap_or_else(|e| panic!("{tag}: {e}"));
     run_to_halt(&mut fresh, tag)
 }
@@ -119,20 +123,20 @@ fn preempted_clone_matches_uninterrupted_fresh_run() {
 
 #[test]
 fn mid_run_clone_of_tiered_guest_shares_warm_compiled_cache() {
-    // A mid-run fork of a *tiered* guest: run until the hot blocks are
-    // template-compiled, freeze, clone, and let parent and clone finish
-    // independently. The clone must start with the parent's compiled
-    // cache already warm (the closures are shared, not rebuilt), stay
-    // architecturally isolated from the parent (COW), and both must
-    // match an uninterrupted fresh run bit-for-bit.
+    // A mid-run fork of a guest: run until blocks are compiled, freeze,
+    // clone, and let parent and clone finish independently. The clone
+    // must start with the parent's compiled cache already warm (the
+    // closures are shared, not rebuilt), stay architecturally isolated
+    // from the parent (COW), and both must match an uninterrupted fresh
+    // run bit-for-bit.
     let w = workloads::by_name("fibo").expect("known workload");
     let src = w.source(Scale::Test);
-    let core = CoreConfig { tier_threshold: 2, ..CoreConfig::paper() };
+    let core = CoreConfig::paper();
     for engine in EngineKind::ALL {
-        let tag = format!("fibo: {engine:?} mid-run clone [tiered]");
+        let tag = format!("fibo: {engine:?} mid-run clone [compiled]");
         let reference = fresh_reference(engine, &src, IsaLevel::Typed, core.clone(), &tag);
-        let mut parent =
-            build_guest(engine, &src, IsaLevel::Typed, core.clone()).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let mut parent = build_guest(engine, &src, IsaLevel::Typed, core.clone())
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
         let mut slices = 0u64;
         while parent.cpu().compiled_blocks() == 0 {
             assert!(!parent.is_halted(), "{tag}: halted before any block compiled");

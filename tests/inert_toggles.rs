@@ -1,12 +1,14 @@
-//! `CoreConfig::predecode` and `CoreConfig::chain_blocks` have no effect.
+//! `CoreConfig::{predecode, chain_blocks, tier, tier_threshold}` have no
+//! effect.
 //!
-//! The core keeps no predecoded copy of the text and enters every block
-//! through the block table, so neither field changes anything the core
-//! does. They stay in `CoreConfig` only because the runner's job key
-//! hashes its `Debug` text. This test runs one Typed cell per engine
-//! with both fields off and with the shipping config, and demands the
-//! same simulated counters, branch statistics and output, and the same
-//! host-side block statistics: no block may be entered any other way.
+//! The core keeps no predecoded copy of the text, enters every block
+//! through the block table, and compiles every block when it builds it,
+//! so none of these fields changes anything the core does. They stay in
+//! `CoreConfig` only because the runner's job key hashes its `Debug`
+//! text. This test runs one Typed cell per engine with all four fields
+//! changed and with the shipping config, and demands the same simulated
+//! counters, branch statistics and output, and the same host-side block
+//! statistics: no block may be entered, built or compiled any other way.
 
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{CoreConfig, IsaLevel};
@@ -16,7 +18,13 @@ use tarch_runner::EngineKind;
 #[test]
 fn predecode_and_chain_blocks_change_nothing() {
     let src = workloads::by_name("fibo").expect("known workload").source(Scale::Test);
-    let retired = CoreConfig { predecode: false, chain_blocks: false, ..CoreConfig::paper() };
+    let retired = CoreConfig {
+        predecode: false,
+        chain_blocks: false,
+        tier: false,
+        tier_threshold: 1,
+        ..CoreConfig::paper()
+    };
     for engine in EngineKind::ALL {
         let run = |core: CoreConfig| {
             let mut guest = build_guest(engine, &src, IsaLevel::Typed, core).expect("builds");
@@ -32,5 +40,6 @@ fn predecode_and_chain_blocks_change_nothing() {
         assert_eq!(off_blocks, paper_blocks, "{tag}: block statistics");
         assert!(paper_blocks.hits > 0, "{tag}: the cell must run on the block engine");
         assert_eq!(paper_blocks.chained_transfers, 0, "{tag}: no block is entered by a link");
+        assert_eq!(paper_blocks.compiles, paper_blocks.builds, "{tag}: every build compiles");
     }
 }

@@ -1,7 +1,8 @@
 //! Counter-equivalence golden tests for the host-side fast paths.
 //!
-//! The basic-block engine (with its macro-op-fusion and tier-3 layers),
-//! the MRU cache/TLB memos, and the tarch-trace observability layer are
+//! The basic-block engine (compiled blocks, with or without macro-op
+//! fusion), the MRU cache/TLB memos, and the tarch-trace observability
+//! layer are
 //! pure host-side mechanisms: the architectural model — every
 //! `PerfCounters` field, the branch-predictor statistics, the final
 //! register state, program output — must be bit-identical with any
@@ -12,7 +13,8 @@
 //!
 //! * every `tarch_isa::samples::all_forms()` instruction, executed as a
 //!   tiny standalone program (covering every format's fetch/execute path,
-//!   including ones that trap or run into a bounded loop);
+//!   including ones that trap or run into a bounded loop), in one run and
+//!   in budget slices of 1–3 instructions (budget-clipped block tails);
 //! * real Lua, JS and WASM workloads through the full simulated engines,
 //!   at all three ISA levels.
 
@@ -41,40 +43,27 @@ struct Variant {
     /// metric windows); purely host-side, so it must not perturb any
     /// architectural counter either.
     trace: bool,
-    /// Tier-3 template compilation of hot blocks (only meaningful with
-    /// `blocks`). Tiered variants run with a threshold of 2, so even
-    /// test-scale programs execute plenty of compiled blocks.
-    tier: bool,
 }
 
 impl Variant {
     const fn bare(name: &'static str, blocks: bool, mem: bool) -> Variant {
-        Variant {
-            name,
-            blocks,
-            mem_fast_paths: mem,
-            fuse: false,
-            trace: false,
-            tier: false,
-        }
+        Variant { name, blocks, mem_fast_paths: mem, fuse: false, trace: false }
     }
 }
 
 /// The fully-naive reference: every host-side fast path off.
 const REFERENCE: Variant = Variant::bare("naive", false, false);
 
-/// Each fast path alone, the fuse×tier combinations of the block engine,
+/// Each fast path alone, compiled blocks with and without fusion,
 /// everything together (the shipping default), and the observability
 /// layer on both the stepwise and the fully-optimised hot loop.
-const VARIANTS: [Variant; 8] = [
+const VARIANTS: [Variant; 6] = [
     Variant::bare("blocks", true, false),
     Variant::bare("mru", false, true),
     Variant { fuse: true, ..Variant::bare("blocks+fuse", true, false) },
-    Variant { tier: true, ..Variant::bare("blocks+tier", true, false) },
-    Variant { tier: true, fuse: true, ..Variant::bare("blocks+tier+fuse", true, false) },
-    Variant { fuse: true, tier: true, ..Variant::bare("all", true, true) },
+    Variant { fuse: true, ..Variant::bare("all", true, true) },
     Variant { trace: true, ..Variant::bare("naive+trace", false, false) },
-    Variant { fuse: true, tier: true, trace: true, ..Variant::bare("all+trace", true, true) },
+    Variant { fuse: true, trace: true, ..Variant::bare("all+trace", true, true) },
 ];
 
 fn config(v: Variant) -> CoreConfig {
@@ -82,10 +71,6 @@ fn config(v: Variant) -> CoreConfig {
         blocks: v.blocks,
         mem_fast_paths: v.mem_fast_paths,
         fuse: v.fuse,
-        tier: v.tier,
-        // Low enough that test-scale programs cross it and spend most of
-        // their run inside compiled blocks.
-        tier_threshold: 2,
         // Dense sampling, short windows and a tiny ring, so a traced run
         // exercises every tracer path (including overflow) while the
         // architectural state must stay bit-identical.
@@ -109,10 +94,13 @@ struct Observed {
 }
 
 /// Runs `instr` as a standalone `[instr, halt]` program with every
-/// integer register pointing at writable data, bounded by `FORM_STEPS`
-/// (branch forms can loop through zeroed memory; typed forms can redirect
-/// to a null handler — both are fine as long as all runs agree).
-fn run_form(instr: Instruction, variant: Variant) -> Observed {
+/// integer register holding `addr`, an address in writable data, bounded
+/// by `FORM_STEPS` (branch forms can loop through zeroed memory; typed
+/// forms can redirect to a null handler — both are fine as long as all
+/// runs agree). The budget is handed to `Cpu::run` in slices of `slice`
+/// instructions, the last one cut to what is left, until the run stops
+/// or traps.
+fn run_form(instr: Instruction, variant: Variant, slice: u64, addr: u64) -> Observed {
     let program = Program {
         text_base: TEXT_BASE,
         text: vec![
@@ -128,9 +116,16 @@ fn run_form(instr: Instruction, variant: Variant) -> Observed {
     cpu.load_program(&program);
     for n in 1..32 {
         let r = Reg::new(n).expect("valid register");
-        cpu.regs_mut().write_untyped(r, DATA_BASE + 64);
+        cpu.regs_mut().write_untyped(r, addr);
     }
-    let outcome = cpu.run(FORM_STEPS);
+    // `run` returns `Retired` only once it has spent its whole budget.
+    let mut outcome = Ok(StepEvent::Retired);
+    let mut left = FORM_STEPS;
+    while left > 0 && outcome == Ok(StepEvent::Retired) {
+        let budget = slice.min(left);
+        outcome = cpu.run(budget);
+        left -= budget;
+    }
     Observed {
         outcome,
         counters: *cpu.counters(),
@@ -140,17 +135,30 @@ fn run_form(instr: Instruction, variant: Variant) -> Observed {
     }
 }
 
+/// Each form runs once with the whole budget, then in budget slices of
+/// 1, 2 and 3 instructions: a block wider than its slice runs its
+/// clipped tail on the stepwise core. The registers hold an aligned
+/// address, and then a misaligned one, on which every wider-than-byte
+/// load and store traps — inside the one-instruction tail of its block
+/// when the slice is 1. Every variant must match the naive reference
+/// under the same slicing.
 #[test]
 fn every_sample_form_is_counter_identical() {
     for instr in samples::all_forms() {
-        let reference = run_form(instr, REFERENCE);
-        for variant in VARIANTS {
-            let observed = run_form(instr, variant);
-            assert_eq!(
-                observed, reference,
-                "`{}` diverged from naive reference for `{instr}`",
-                variant.name
-            );
+        for (slice, addr) in [FORM_STEPS, 1, 2, 3]
+            .into_iter()
+            .flat_map(|slice| [(slice, DATA_BASE + 64), (slice, DATA_BASE + 65)])
+        {
+            let reference = run_form(instr, REFERENCE, slice, addr);
+            for variant in VARIANTS {
+                let observed = run_form(instr, variant, slice, addr);
+                assert_eq!(
+                    observed, reference,
+                    "`{}` diverged from naive reference for `{instr}` in slices of {slice} \
+                     with registers at {addr:#x}",
+                    variant.name
+                );
+            }
         }
     }
 }
@@ -184,38 +192,30 @@ fn lua_js_and_wasm_workload_counters_identical() {
     check_vm_equivalence("fibo");
 }
 
-/// Distills a real [`PgoProfile`] out of a finished profile run's
-/// recorders — the same shape the runner's artifact pipeline produces,
+/// Distills a real [`PgoProfile`] out of a finished profile run's edge
+/// recorder — the same shape the runner's artifact pipeline produces,
 /// with thresholds low enough that test-scale runs yield decisions.
 fn distill_profile(cpu: &Cpu) -> tarch_core::PgoProfile {
     let edges = cpu.edge_profile().expect("edge profiling was enabled");
-    let dominant = edges.dominant(8, 60);
-    let hot: Vec<u64> = edges.edges().map(|(from, _, _)| from).collect();
-    let pairs = cpu.pair_profile().map(|p| {
-        p.sorted().into_iter().map(|(a, b, _)| (a.to_string(), b.to_string())).collect()
-    });
-    tarch_core::PgoProfile::new(hot, dominant, pairs)
+    tarch_core::PgoProfile::new(edges.dominant(8, 60))
 }
 
-/// PGO must be host-side only: with a *real* measured profile loaded —
-/// driving superblock formation, per-workload fusion filtering, and
-/// sample-triggered tier-up — every counter, branch statistic and output
-/// byte must match the naive reference, across the fuse × tier engine
-/// matrix, on every engine. A deliberately empty profile (the
-/// stale-profile degenerate case) must behave identically too.
+/// PGO must be host-side only: with a *real* measured profile loaded,
+/// driving superblock formation, every counter, branch statistic and
+/// output byte must match the naive reference, with and without fusion,
+/// on every engine. A deliberately empty profile (the stale-profile
+/// degenerate case) must behave identically too.
 #[test]
 fn pgo_guided_runs_are_counter_identical() {
     // Profile-run variant: blocks so the edge recorder observes block
     // exits, fuse so the engine is the shipping shape.
     const PROFILER: Variant = Variant { fuse: true, ..Variant::bare("profiler", true, true) };
-    // Guided variants: every layer the profile can influence, alone and
-    // together (superblocks need blocks; the pair table needs fuse; hot
-    // tier-up needs tier).
-    const GUIDED: [Variant; 4] = [
+    // Guided variants: superblocks alone, with fusion, and with every
+    // layer.
+    const GUIDED: [Variant; 3] = [
         Variant::bare("pgo:blocks", true, false),
         Variant { fuse: true, ..Variant::bare("pgo:blocks+fuse", true, false) },
-        Variant { fuse: true, tier: true, ..Variant::bare("pgo:blocks+tier+fuse", true, false) },
-        Variant { fuse: true, tier: true, ..Variant::bare("pgo:all", true, true) },
+        Variant { fuse: true, ..Variant::bare("pgo:all", true, true) },
     ];
 
     let w = workloads::by_name("fibo").expect("known workload");
@@ -229,7 +229,6 @@ fn pgo_guided_runs_are_counter_identical() {
             // Profile, then check every guided variant against naive.
             let profile = {
                 let mut guest = build(config(PROFILER));
-                guest.cpu_mut().enable_pair_profile();
                 guest.cpu_mut().enable_edge_profile();
                 guest.run(VM_STEPS).expect("profile run completes");
                 distill_profile(guest.cpu())
@@ -243,8 +242,7 @@ fn pgo_guided_runs_are_counter_identical() {
                     let mut cfg = config(variant);
                     cfg.pgo = Some(std::sync::Arc::new(p.clone()));
                     let observed = build(cfg).run(VM_STEPS).expect("guided run completes");
-                    let tag =
-                        format!("{} {level} [{}] ({tag} profile)", engine.id(), variant.name);
+                    let tag = format!("{} {level} [{}] ({tag} profile)", engine.id(), variant.name);
                     assert_eq!(observed.output, reference.output, "{tag} output diverged");
                     assert_eq!(observed.counters, reference.counters, "{tag} counters diverged");
                     assert_eq!(observed.branch, reference.branch, "{tag} branch stats diverged");
