@@ -45,10 +45,6 @@
 //!   --no-cache              bypass the persistent result cache
 //!   --steps N               per-job step budget (default 2e10)
 //!   --workload NAME         restrict `bench` to one workload
-//!   --no-fuse               disable macro-op fusion in the simulated
-//!                           core; applies to every simulating
-//!                           subcommand but `ab` — bench, trace, fleet,
-//!                           pgo, the figure matrix
 //!   --sample-period N       (trace) sampling-profiler period in
 //!                           simulated cycles (default 10000)
 //!   --profile PATH          (pgo) reuse an existing profile artifact
@@ -117,7 +113,6 @@ struct Opts {
     no_cache: bool,
     step_budget: u64,
     workload: Option<String>,
-    no_fuse: bool,
     sample_period: Option<u64>,
     profile: Option<PathBuf>,
     pgo_dir: Option<PathBuf>,
@@ -136,19 +131,10 @@ struct Opts {
     fleet_opts_seen: bool,
 }
 
-impl Opts {
-    /// The simulated core configuration for this invocation: the paper's
-    /// core, with fusion off under `--no-fuse`. The toggle feeds the job
-    /// content key, so A/B runs never collide in the result cache.
-    fn core(&self) -> CoreConfig {
-        CoreConfig { fuse: !self.no_fuse, ..CoreConfig::paper() }
-    }
-}
-
 const USAGE: &str = "usage: repro <table1..table8|fig1|fig2a|fig2b|fig5..fig9|all|selftest|bench\
                      |trace CELL|fleet [CELL]|pgo WORKLOAD|ab [CELL]> \
                      [--full|--test-scale] [-j N] [--no-cache] [--steps N] [--workload NAME] \
-                     [--no-fuse] [--sample-period N] [--trace-out PATH] [--profile PATH] \
+                     [--sample-period N] [--trace-out PATH] [--profile PATH] \
                      [--pgo-dir DIR] \
                      [--tenants N] [--shards N] [--budget N] [--slice N] [--ctxsw N] [--seed N] \
                      [--emit-json PATH] [--out DIR] [--from-json PATH] [--compare PATH] \
@@ -163,7 +149,6 @@ fn main() -> ExitCode {
         no_cache: false,
         step_budget: MAX_STEPS,
         workload: None,
-        no_fuse: false,
         sample_period: None,
         profile: None,
         pgo_dir: None,
@@ -205,7 +190,6 @@ fn main() -> ExitCode {
                         value(a)?.parse().map_err(|_| format!("{a} needs a step count"))?;
                 }
                 "--workload" => opts.workload = Some(value(a)?),
-                "--no-fuse" => opts.no_fuse = true,
                 "--sample-period" => {
                     opts.sample_period =
                         Some(value(a)?.parse().map_err(|_| format!("{a} needs a cycle count"))?);
@@ -274,8 +258,7 @@ fn main() -> ExitCode {
     }
     // `ab` runs serially, so both sides of a pair see the same host; it
     // always simulates; its two sets are its configs.
-    let ab_rejects =
-        [(opts.jobs != 0, "-j"), (opts.no_cache, "--no-cache"), (opts.no_fuse, "--no-fuse")];
+    let ab_rejects = [(opts.jobs != 0, "-j"), (opts.no_cache, "--no-cache")];
     if let Some((_, flag)) = ab_rejects.iter().find(|(given, _)| *given && command == "ab") {
         eprintln!("error: {flag} does not apply to `ab`\n{USAGE}");
         return ExitCode::FAILURE;
@@ -344,8 +327,7 @@ fn matrix(opts: &Opts, profiled: bool) -> Result<(Matrix, Option<BenchArtifact>)
         step_budget: opts.step_budget,
         profiled,
         progress: opts.verbose,
-        core: opts.core(),
-        pgo: None,
+        ..MatrixOptions::default()
     };
     let run = Matrix::run_with(&workloads::all(), opts.scale, &mopts)?;
     if opts.verbose {
@@ -478,8 +460,8 @@ fn bench(opts: &Opts) -> Result<(), String> {
         step_budget: opts.step_budget,
         profiled: false,
         progress: opts.verbose,
-        core: opts.core(),
         pgo: pgo_set,
+        ..MatrixOptions::default()
     };
     let run = Matrix::run_with(&ws, opts.scale, &mopts)?;
     println!(
@@ -559,7 +541,7 @@ fn trace_cell(opts: &Opts, spec: &str) -> Result<(), String> {
     if let Some(p) = opts.sample_period {
         tc.sample_period = p.max(1);
     }
-    let core = CoreConfig { trace: Some(tc), ..opts.core() };
+    let core = CoreConfig { trace: Some(tc), ..CoreConfig::paper() };
     let src = cell.workload.source(opts.scale);
     let label = cell.label();
     if opts.verbose {
@@ -654,7 +636,7 @@ fn fleet(opts: &Opts, spec: &str) -> Result<(), String> {
     let cell = one_cell(spec, "fleet", "fibo/lua/typed")?;
     let (w, engine, level) = (cell.workload, cell.engine, cell.level);
     let src = w.source(opts.scale);
-    let core = opts.core();
+    let core = CoreConfig::paper();
     let label = cell.label();
 
     if opts.verbose {
@@ -809,7 +791,7 @@ fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
                     if opts.verbose {
                         eprintln!("profiling {label}...");
                     }
-                    let mut guest = build_guest(engine, &src, level, opts.core())
+                    let mut guest = build_guest(engine, &src, level, CoreConfig::paper())
                         .map_err(|e| format!("{label}: {e}"))?;
                     guest.cpu_mut().enable_edge_profile();
                     guest.run_slice(opts.step_budget).map_err(|e| format!("{label}: {e}"))?;
@@ -844,8 +826,8 @@ fn pgo(opts: &Opts, wname: &str) -> Result<(), String> {
         .map(|c| Cell { profile: artifact.profile(c.engine, c.level).map(Arc::new), ..c })
         .collect();
     let configs = [
-        Config { name: "unguided".into(), core: opts.core(), guided: false },
-        Config { name: "guided".into(), core: opts.core(), guided: true },
+        Config { name: "unguided".into(), core: CoreConfig::paper(), guided: false },
+        Config { name: "guided".into(), core: CoreConfig::paper(), guided: true },
     ];
     let step = Step { label: "unguided -> guided".into(), base: 0, other: 1 };
     let runs = ab::measure(&cells, opts.scale, &configs, PAIRS, opts.step_budget, opts.verbose)?;
@@ -1086,8 +1068,7 @@ fn selftest(opts: &Opts) -> Result<(), String> {
         step_budget: opts.step_budget,
         profiled: true,
         progress: opts.verbose,
-        core: opts.core(),
-        pgo: None,
+        ..MatrixOptions::default()
     };
     let run = Matrix::run_with(&ws, Scale::Test, &mopts)?;
     // engines × levels cells per workload, plus one profiled Typed-level

@@ -38,9 +38,8 @@ pub fn job_spec(
     JobSpec::new(w.name, engine, level, scale, profiled, w.source(scale), &CoreConfig::paper())
 }
 
-/// [`job_spec`] with an explicit core configuration (A/B runs over the
-/// execution-engine toggles, e.g. `repro bench --no-fuse`), rendered once
-/// for a whole job list.
+/// [`job_spec`] with an explicit core configuration, rendered once for a
+/// whole job list.
 pub fn job_spec_with(
     w: &Workload,
     engine: EngineKind,

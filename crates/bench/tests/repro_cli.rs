@@ -112,7 +112,7 @@ fn bad_options_fail_before_anything_runs() {
     for (args, message) in [
         (&["ab", "-j", "2"][..], "-j does not apply to `ab`"),
         (&["ab", "--no-cache"], "--no-cache does not apply to `ab`"),
-        (&["ab", "--no-fuse"], "--no-fuse does not apply to `ab`"),
+        (&["bench", "--no-fuse"], "unexpected argument `--no-fuse`"),
         (&["bench", "--profile-pairs"], "unexpected argument `--profile-pairs`"),
         (&["bench", "--no-tier"], "unexpected argument `--no-tier`"),
         (&["bench", "--tier-threshold", "4"], "unexpected argument `--tier-threshold`"),

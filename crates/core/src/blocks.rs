@@ -15,15 +15,15 @@
 //! instruction, bit-identically to the stepwise path.
 //!
 //! **Macro-op fusion** ([`fuse_ops`]) is a further host-side fast
-//! path, architecturally invisible: at block-build time, common adjacent
-//! instruction pairs — ALU/ALU address formation, ALU+load, load+ALU,
-//! compare-and-branch, load+indirect-jump dispatch, `tld`+`tchk`,
-//! `tget`+branch — are rewritten into fused [`BlockOp`] variants whose
-//! compiled templates apply both components'
-//! fetch/cache/TLB/counter charges exactly, while skipping the
-//! inter-instruction bookkeeping the pair provably cannot need (see the
-//! legality rules on [`fuse_pair`]). The fusion set was chosen from a
-//! measured opcode-pair histogram; see [`fuse_pair`] and DESIGN.md.
+//! path, architecturally invisible: at block-build time an ALU-class
+//! instruction followed by another, or by a `jal`, is rewritten into a
+//! fused [`BlockOp`] whose compiled template applies both components'
+//! fetch/cache/TLB/counter charges exactly, in one closure call instead
+//! of two. The first component of either pair cannot trap, redirect,
+//! store or stop, so there is nothing to check between the components
+//! (see the legality rules on [`fuse_pair`]). The two kinds are the ones
+//! that measurably pay on compiled blocks; see [`fuse_pair`] and
+//! DESIGN.md invariant 7.
 //!
 //! **Compile at install.** [`BlockTable::install`] and
 //! [`BlockTable::install_super`] hand the block's op run to the template
@@ -125,42 +125,9 @@ pub enum BlockOp {
     /// Two ALU-class instructions (reg-reg ALU, ALU-immediate, `lui`):
     /// neither component can trap, redirect, store, or stop.
     AluPair(Instruction, Instruction),
-    /// ALU-class then integer load (address formation + use; the load
-    /// may trap on misalignment).
-    AluLoad(Instruction, Instruction),
-    /// Integer load then ALU-class (load + extract/advance; the load may
-    /// trap).
-    LoadAlu(Instruction, Instruction),
-    /// ALU-class compare/guard then conditional branch (always the last
-    /// pair of its block).
-    AluBranch(Instruction, Instruction),
-    /// ALU-class then direct jump (always last).
+    /// ALU-class then direct jump (`jal`): always the last op of its
+    /// block.
     AluJal(Instruction, Instruction),
-    /// Integer load then indirect jump: the interpreter dispatch pair
-    /// (always last; the load may trap).
-    LoadJalr(Instruction, Instruction),
-    /// ALU-class then integer store (the store may trap and may
-    /// invalidate blocks, checked after the pair).
-    AluStore(Instruction, Instruction),
-    /// Integer load then integer store (copy idiom; both may trap, the
-    /// store may invalidate).
-    LoadStore(Instruction, Instruction),
-    /// Integer load then integer load (field-chase idiom; both may
-    /// trap).
-    LoadLoad(Instruction, Instruction),
-    /// Integer store then ALU-class (store + pointer/index advance). The
-    /// store may trap and may invalidate blocks: the handler re-checks
-    /// the generation between the components and abandons the block at
-    /// the second component's pc if it moved.
-    StoreAlu(Instruction, Instruction),
-    /// Integer store then direct jump (always last; same inter-component
-    /// generation re-check as [`BlockOp::StoreAlu`]).
-    StoreJal(Instruction, Instruction),
-    /// `tld` then `tchk`: tagged load + type guard (the load may trap,
-    /// the check may redirect to the handler).
-    TldTchk(Instruction, Instruction),
-    /// `tget` then conditional branch: tag-guarded branch (always last).
-    TgetBranch(Instruction, Instruction),
     /// A PGO superblock guard: a conditional branch that a profile run
     /// measured as dominantly going to the carried successor pc. The
     /// handler executes the branch exactly like [`BlockOp::OneBranch`]
@@ -181,76 +148,48 @@ impl BlockOp {
     #[inline]
     pub fn width(self) -> u64 {
         match self {
-            BlockOp::One(_)
-            | BlockOp::OneSafe(_)
-            | BlockOp::OneLoad(_)
-            | BlockOp::OneStore(_)
-            | BlockOp::OneBranch(_)
-            | BlockOp::OneJal(_)
-            | BlockOp::OneJalr(_)
-            | BlockOp::GuardBranch(..)
-            | BlockOp::GuardJal(_) => 1,
-            _ => 2,
+            BlockOp::AluPair(..) | BlockOp::AluJal(..) => 2,
+            _ => 1,
         }
     }
 }
 
 /// Whether `instr` is in the fusable ALU class: integer ALU (reg-reg or
 /// immediate) and `lui`. These never trap, never redirect, never touch
-/// memory, and never produce a stop event, so one may legally be the
-/// *first* component of any fused pair — the pair can skip the
-/// fall-through, generation, and stop checks between its components.
+/// memory, and never produce a stop event, so every fused pair starts
+/// with one: no check between its components can fire.
 #[inline]
 fn fuse_alu_class(instr: Instruction) -> bool {
     matches!(instr, Instruction::Alu { .. } | Instruction::AluImm { .. } | Instruction::Lui { .. })
 }
 
-/// Fusion legality and the fused pair an adjacent `(a, b)` rewrites to.
+/// Fusion legality and the fused pair an adjacent `(a, b)` rewrites to:
+/// an ALU-class `a` followed by an ALU-class `b` ([`BlockOp::AluPair`])
+/// or by a `jal` ([`BlockOp::AluJal`]); anything else stays unfused.
 ///
-/// The set was chosen from a histogram of the adjacent same-block opcode
-/// pairs the unfused engine retired over the evaluation matrix: of 554 M
-/// retired pairs, alu+alu made 11.5%, shift+shift 8.2%, add+load 7.7%
-/// and load+jalr 5.6%.
+/// Legality rules (DESIGN.md invariant 7 has the full argument):
 ///
-/// Legality rules (DESIGN.md has the full argument):
+/// 1. The first component is ALU-class, so it never traps, redirects,
+///    stores, or stops: the fall-through, generation, trap, and stop
+///    checks between the components are statically dead.
+/// 2. A `jal` second component ends its block (the builder stops at
+///    `ends_block`), so [`BlockOp::AluJal`] is always the block's last
+///    op.
+/// 3. The fused template applies both components' architectural charges
+///    in exact program order, so counters, caches, TLBs, and the branch
+///    predictor see the same stream as the unfused engine.
 ///
-/// 1. The first component must never redirect and never produce a stop
-///    event — so skipping the fall-through / event checks between the
-///    components is sound. ALU-class instructions, integer loads,
-///    integer stores, `tld`, and `tget` qualify; loads, stores, and
-///    `tld` may *trap*, which is fine because a trap aborts the pair
-///    before its second component runs. A *storing* first component may
-///    additionally invalidate blocks, so its handlers keep the one
-///    check that is not statically dead: the inter-component generation
-///    re-check (abandoning the block at the second component's pc when
-///    it moved, exactly like the generic path).
-/// 2. The second component may be anything except a block ender that the
-///    builder would not have placed mid-block anyway; pairs whose second
-///    component is a branch/jump are necessarily the last op of their
-///    block (the builder stops at `ends_block`).
-/// 3. Both components' architectural charges are applied by the fused
-///    handler in exact program order, so counters, caches, TLBs, and the
-///    branch predictor see the same stream as the unfused engine.
+/// The set was measured on compiled blocks, where a fused pair saves
+/// one closure call: over the 99 test-scale cells, leaving out alu+alu
+/// made the simulator 2.5% slower and alu+jal 0.6%, while leaving out
+/// any other pair kind cost nothing (EXPERIMENTS.md "Which pairs fuse").
 fn fuse_pair(a: Instruction, b: Instruction) -> Option<BlockOp> {
-    if fuse_alu_class(a) {
-        return match b {
-            _ if fuse_alu_class(b) => Some(BlockOp::AluPair(a, b)),
-            Instruction::Load { .. } => Some(BlockOp::AluLoad(a, b)),
-            Instruction::Branch { .. } => Some(BlockOp::AluBranch(a, b)),
-            Instruction::Jal { .. } => Some(BlockOp::AluJal(a, b)),
-            Instruction::Store { .. } => Some(BlockOp::AluStore(a, b)),
-            _ => None,
-        };
+    if !fuse_alu_class(a) {
+        return None;
     }
-    match (a, b) {
-        (Instruction::Load { .. }, _) if fuse_alu_class(b) => Some(BlockOp::LoadAlu(a, b)),
-        (Instruction::Load { .. }, Instruction::Jalr { .. }) => Some(BlockOp::LoadJalr(a, b)),
-        (Instruction::Load { .. }, Instruction::Store { .. }) => Some(BlockOp::LoadStore(a, b)),
-        (Instruction::Load { .. }, Instruction::Load { .. }) => Some(BlockOp::LoadLoad(a, b)),
-        (Instruction::Store { .. }, _) if fuse_alu_class(b) => Some(BlockOp::StoreAlu(a, b)),
-        (Instruction::Store { .. }, Instruction::Jal { .. }) => Some(BlockOp::StoreJal(a, b)),
-        (Instruction::Tld { .. }, Instruction::Tchk { .. }) => Some(BlockOp::TldTchk(a, b)),
-        (Instruction::Tget { .. }, Instruction::Branch { .. }) => Some(BlockOp::TgetBranch(a, b)),
+    match b {
+        _ if fuse_alu_class(b) => Some(BlockOp::AluPair(a, b)),
+        Instruction::Jal { .. } => Some(BlockOp::AluJal(a, b)),
         _ => None,
     }
 }
@@ -281,14 +220,14 @@ fn safe_one(instr: Instruction) -> bool {
 }
 
 /// Rewrites a decoded instruction run into block ops, greedily fusing
-/// adjacent pairs left to right when `fuse` is set (a fused instruction
-/// is never re-fused with its other neighbour), and classifying the
-/// remaining singles into the specialized single-instruction variants
-/// ([`BlockOp::OneSafe`], [`BlockOp::OneLoad`], [`BlockOp::OneStore`],
-/// and the block-ending branch/jump forms) whose templates skip the
-/// inter-instruction checks their class makes statically dead.
-/// With `fuse` off every instruction becomes a plain [`BlockOp::One`] —
-/// the fully generic form.
+/// the adjacent pairs [`fuse_pair`] accepts, left to right, when `fuse`
+/// is set (a fused instruction is never re-fused with its other
+/// neighbour), and classifying the remaining singles into the
+/// specialized single-instruction variants ([`BlockOp::OneSafe`],
+/// [`BlockOp::OneLoad`], [`BlockOp::OneStore`], and the block-ending
+/// branch/jump forms) whose templates skip the inter-instruction checks
+/// their class makes statically dead. With `fuse` off every instruction
+/// becomes a plain [`BlockOp::One`] — the fully generic form.
 fn fuse_ops(instrs: &[Instruction], fuse: bool) -> Vec<BlockOp> {
     let mut ops = Vec::with_capacity(instrs.len());
     let mut i = 0;
@@ -746,6 +685,10 @@ mod tests {
         Instruction::Branch { cond: BranchCond::Ne, rs1: Reg::A0, rs2: Reg::A1, offset: -8 }
     }
 
+    fn jal() -> Instruction {
+        Instruction::Jal { rd: Reg::RA, offset: 8 }
+    }
+
     fn table_with_block() -> (BlockTable, MainMemory) {
         let mut t = BlockTable::new();
         t.reset(0x1000, 8);
@@ -869,13 +812,16 @@ mod tests {
     #[test]
     fn fuse_rewrites_known_pairs_and_disables_cleanly() {
         let (_, a) = addi(1);
-        let instrs = vec![a, ld(), a, bne()];
+        let instrs = vec![a, a, ld(), a, jal()];
         let fused = fuse_ops(&instrs, true);
-        assert_eq!(fused, vec![BlockOp::AluLoad(a, ld()), BlockOp::AluBranch(a, bne())]);
-        assert_eq!(fused.iter().map(|op| op.width()).sum::<u64>(), 4);
+        assert_eq!(
+            fused,
+            vec![BlockOp::AluPair(a, a), BlockOp::OneLoad(ld()), BlockOp::AluJal(a, jal())]
+        );
+        assert_eq!(fused.iter().map(|op| op.width()).sum::<u64>(), 5);
         let unfused = fuse_ops(&instrs, false);
-        assert_eq!(unfused.len(), 4);
-        assert!(unfused.iter().all(|op| op.width() == 1));
+        assert_eq!(unfused.len(), 5);
+        assert!(unfused.iter().all(|op| matches!(op, BlockOp::One(_))));
     }
 
     #[test]
@@ -888,28 +834,52 @@ mod tests {
         assert_eq!(fused.iter().map(|op| op.width()).sum::<u64>(), 3);
     }
 
+    /// Only alu+alu and alu+jal fuse: every other adjacent pair of
+    /// sample forms stays unfused, load- and store-led pairs,
+    /// alu+{load,store,branch}, tld+tchk and tget+branch among them.
     #[test]
-    fn fuse_covers_the_issue_pairs() {
+    fn fuse_pairs_only_alu_then_alu_or_jal() {
         let (_, a) = addi(1);
+        let lui = Instruction::Lui { rd: Reg::A2, imm: 7 };
+        assert_eq!(fuse_pair(a, lui), Some(BlockOp::AluPair(a, lui)));
+        assert_eq!(fuse_pair(lui, jal()), Some(BlockOp::AluJal(lui, jal())));
         let tld = Instruction::Tld { rd: Reg::A1, rs1: Reg::A0, imm: 0 };
         let tchk = Instruction::Tchk { rs1: Reg::A1, rs2: Reg::A2 };
         let tget = Instruction::Tget { rd: Reg::A1, rs1: Reg::A0 };
         let jalr = Instruction::Jalr { rd: Reg::ZERO, rs1: Reg::A0, imm: 0 };
-        assert_eq!(fuse_pair(a, bne()), Some(BlockOp::AluBranch(a, bne())));
-        assert_eq!(fuse_pair(a, ld()), Some(BlockOp::AluLoad(a, ld())));
-        assert_eq!(fuse_pair(ld(), jalr), Some(BlockOp::LoadJalr(ld(), jalr)));
-        assert_eq!(fuse_pair(tld, tchk), Some(BlockOp::TldTchk(tld, tchk)));
-        assert_eq!(fuse_pair(tget, bne()), Some(BlockOp::TgetBranch(tget, bne())));
-        assert_eq!(fuse_pair(ld(), sd()), Some(BlockOp::LoadStore(ld(), sd())));
-        assert_eq!(fuse_pair(a, sd()), Some(BlockOp::AluStore(a, sd())));
-        assert_eq!(fuse_pair(ld(), ld()), Some(BlockOp::LoadLoad(ld(), ld())));
-        let jal = Instruction::Jal { rd: Reg::RA, offset: 8 };
-        // Store-led pairs carry the inter-component generation re-check.
-        assert_eq!(fuse_pair(sd(), a), Some(BlockOp::StoreAlu(sd(), a)));
-        assert_eq!(fuse_pair(sd(), jal), Some(BlockOp::StoreJal(sd(), jal)));
-        assert_eq!(fuse_pair(sd(), ld()), None, "store+load stays unfused");
-        // Branches never lead: they end the block.
-        assert_eq!(fuse_pair(bne(), a), None);
+        for (x, y) in [
+            (a, ld()),
+            (a, bne()),
+            (a, sd()),
+            (ld(), a),
+            (ld(), jalr),
+            (ld(), sd()),
+            (ld(), ld()),
+            (sd(), a),
+            (sd(), jal()),
+            (tld, tchk),
+            (tget, bne()),
+        ] {
+            assert_eq!(fuse_pair(x, y), None, "{x} ; {y} must stay unfused");
+        }
+        let alu = |i| {
+            matches!(
+                i,
+                Instruction::Alu { .. } | Instruction::AluImm { .. } | Instruction::Lui { .. }
+            )
+        };
+        let forms = tarch_isa::samples::all_forms();
+        for &x in &forms {
+            for &y in &forms {
+                let expected = match y {
+                    _ if !alu(x) => None,
+                    _ if alu(y) => Some(BlockOp::AluPair(x, y)),
+                    Instruction::Jal { .. } => Some(BlockOp::AluJal(x, y)),
+                    _ => None,
+                };
+                assert_eq!(fuse_pair(x, y), expected, "{x} ; {y}");
+            }
+        }
     }
 
     // --- PGO superblocks ---

@@ -46,8 +46,11 @@
 //!   adds the instructions retired and hits batched since the last
 //!   materialization;
 //! * every trap path adds the counts up to and including the faulting
-//!   component before the batch flush — matching the stepwise core,
-//!   which counts an instruction before executing it;
+//!   instruction before the batch flush — matching the stepwise core,
+//!   which counts an instruction before executing it. Only single ops
+//!   trap (loads, stores, and the generic [`BlockOp::One`]): both fused
+//!   pairs start with an ALU-class instruction and end with one or a
+//!   `jal`, none of which can trap;
 //! * every [`Fetch::Open`] carries the hits batched since the last
 //!   materialization and deposits them before flushing;
 //! * [`BlockOp::One`] and non-ALU [`BlockOp::OneSafe`] run through
@@ -138,7 +141,7 @@ fn settle(ctx: &mut ExecCtx<'_>, add_instr: u64, add_hits: u64) {
 }
 
 /// Trap exit from a compiled op: materialize the batched counts up to
-/// and including the faulting component, flush the fetch batch, rewind
+/// and including the faulting instruction, flush the fetch batch, rewind
 /// `counters.cycles` to the pre-fetch checkpoint (where the stepwise
 /// core left it), and trace the trap.
 #[cold]
@@ -216,10 +219,9 @@ struct Fold {
     /// Un-materialized fetch hits before this op (sync arms deposit
     /// this up front).
     h0: u64,
-    /// Un-materialized hits at the first / second component's trap
-    /// point (the faulting component's own fetch charge included).
+    /// Un-materialized hits at the op's trap point, its own fetch charge
+    /// included (only single ops trap).
     ha: u64,
-    hb: u64,
     /// Un-materialized hits once the op completes (carried into the
     /// next op, or deposited by an exit).
     hx: u64,
@@ -274,18 +276,15 @@ impl Template {
             let mut pair_span = prev_span;
             let mut pair_pend = pend_h;
             let fb = fold_fetch(bpc, &mut pair_span, &mut pair_pend, false);
-            let (hb, hx);
-            if op.width() == 2 {
+            let hx = if op.width() == 2 {
                 prev_span = pair_span;
                 pend_h = pair_pend;
-                hb = pair_pend;
-                hx = pair_pend;
+                pair_pend
             } else {
-                hb = 0;
-                hx = ha;
-            }
+                ha
+            };
             retired += op.width();
-            folded.push(Fold { op, apc, bpc, fa, fb, k: retired, i0, h0, ha, hb, hx });
+            folded.push(Fold { op, apc, bpc, fa, fb, k: retired, i0, h0, ha, hx });
             if sync {
                 // The body counted its own instruction and hit.
                 pend_i = 0;
@@ -323,7 +322,7 @@ impl Template {
 
 /// Builds the template closure for one op, chaining `next` behind it.
 fn compile_op(f: Fold, next: Chain) -> Chain {
-    let Fold { op, apc, bpc, fa, fb, k, i0, h0, ha, hb, hx } = f;
+    let Fold { op, apc, bpc, fa, fb, k, i0, h0, ha, hx } = f;
     // Instruction-counter deltas at the two components' observation
     // points: the stepwise core counts an instruction before executing
     // it.
@@ -486,50 +485,6 @@ fn compile_op(f: Fold, next: Chain) -> Chain {
                 next(ctx)
             })
         }
-        BlockOp::AluLoad(a, b) => {
-            let ta = AluTmpl::of(a);
-            let Instruction::Load { width, signed, rd, rs1, imm } = b else { unreachable!() };
-            Box::new(move |ctx| {
-                charge(fa, ctx);
-                ta.run(ctx.cpu);
-                let checkpoint = ctx.cpu.now;
-                charge(fb, ctx);
-                if let Err(trap) = ctx.cpu.exec_load(bpc, width, signed, rd, rs1, imm) {
-                    ctx.cpu.pc = bpc; // stepwise left pc at the faulting load
-                    return trap_exit(ctx, checkpoint, trap, ib, hb);
-                }
-                ctx.cpu.pc = bpc.wrapping_add(4);
-                next(ctx)
-            })
-        }
-        BlockOp::LoadAlu(a, b) => {
-            let Instruction::Load { width, signed, rd, rs1, imm } = a else { unreachable!() };
-            let tb = AluTmpl::of(b);
-            Box::new(move |ctx| {
-                let checkpoint = ctx.cpu.now;
-                charge(fa, ctx);
-                if let Err(trap) = ctx.cpu.exec_load(apc, width, signed, rd, rs1, imm) {
-                    // pc already at the load
-                    return trap_exit(ctx, checkpoint, trap, ia, ha);
-                }
-                charge(fb, ctx);
-                tb.run(ctx.cpu);
-                ctx.cpu.pc = bpc.wrapping_add(4);
-                next(ctx)
-            })
-        }
-        BlockOp::AluBranch(a, b) => {
-            let ta = AluTmpl::of(a);
-            let Instruction::Branch { cond, rs1, rs2, offset } = b else { unreachable!() };
-            Box::new(move |ctx| {
-                charge(fa, ctx);
-                ta.run(ctx.cpu);
-                charge(fb, ctx);
-                settle(ctx, ib, hx);
-                ctx.cpu.pc = ctx.cpu.exec_branch(bpc, cond, rs1, rs2, offset);
-                BlockExit::Done { executed: k } // always the last op of its block
-            })
-        }
         BlockOp::AluJal(a, b) => {
             let ta = AluTmpl::of(a);
             let Instruction::Jal { rd, offset } = b else { unreachable!() };
@@ -539,174 +494,7 @@ fn compile_op(f: Fold, next: Chain) -> Chain {
                 charge(fb, ctx);
                 settle(ctx, ib, hx);
                 ctx.cpu.pc = ctx.cpu.exec_jal(bpc, rd, offset);
-                BlockExit::Done { executed: k }
-            })
-        }
-        BlockOp::LoadJalr(a, b) => {
-            let Instruction::Load { width, signed, rd, rs1, imm } = a else { unreachable!() };
-            let Instruction::Jalr { rd: jrd, rs1: jrs1, imm: jimm } = b else { unreachable!() };
-            Box::new(move |ctx| {
-                let checkpoint = ctx.cpu.now;
-                charge(fa, ctx);
-                if let Err(trap) = ctx.cpu.exec_load(apc, width, signed, rd, rs1, imm) {
-                    // pc already at the load
-                    return trap_exit(ctx, checkpoint, trap, ia, ha);
-                }
-                charge(fb, ctx);
-                settle(ctx, ib, hx);
-                ctx.cpu.pc = ctx.cpu.exec_jalr(bpc, jrd, jrs1, jimm);
                 BlockExit::Done { executed: k } // always the last op of its block
-            })
-        }
-        BlockOp::AluStore(a, b) => {
-            let ta = AluTmpl::of(a);
-            let Instruction::Store { width, rs2, rs1, imm } = b else { unreachable!() };
-            Box::new(move |ctx| {
-                charge(fa, ctx);
-                ta.run(ctx.cpu);
-                let checkpoint = ctx.cpu.now;
-                charge(fb, ctx);
-                if let Err(trap) = ctx.cpu.exec_store(bpc, width, rs2, rs1, imm) {
-                    ctx.cpu.pc = bpc; // stepwise left pc at the faulting store
-                    return trap_exit(ctx, checkpoint, trap, ib, hb);
-                }
-                ctx.cpu.pc = bpc.wrapping_add(4);
-                if ctx.cpu.blocks.generation() != ctx.entry_gen {
-                    settle(ctx, ib, hx);
-                    return BlockExit::Done { executed: k };
-                }
-                next(ctx)
-            })
-        }
-        BlockOp::LoadStore(a, b) => {
-            let Instruction::Load { width: lw, signed, rd, rs1: lrs1, imm: limm } = a else {
-                unreachable!()
-            };
-            let Instruction::Store { width: sw, rs2, rs1: srs1, imm: simm } = b else {
-                unreachable!()
-            };
-            Box::new(move |ctx| {
-                let checkpoint = ctx.cpu.now;
-                charge(fa, ctx);
-                if let Err(trap) = ctx.cpu.exec_load(apc, lw, signed, rd, lrs1, limm) {
-                    // pc already at the load
-                    return trap_exit(ctx, checkpoint, trap, ia, ha);
-                }
-                let checkpoint = ctx.cpu.now;
-                charge(fb, ctx);
-                if let Err(trap) = ctx.cpu.exec_store(bpc, sw, rs2, srs1, simm) {
-                    ctx.cpu.pc = bpc; // stepwise left pc at the faulting store
-                    return trap_exit(ctx, checkpoint, trap, ib, hb);
-                }
-                ctx.cpu.pc = bpc.wrapping_add(4);
-                if ctx.cpu.blocks.generation() != ctx.entry_gen {
-                    settle(ctx, ib, hx);
-                    return BlockExit::Done { executed: k };
-                }
-                next(ctx)
-            })
-        }
-        BlockOp::LoadLoad(a, b) => {
-            let Instruction::Load { width: aw, signed: asg, rd: ard, rs1: ars1, imm: aimm } = a
-            else {
-                unreachable!()
-            };
-            let Instruction::Load { width: bw, signed: bsg, rd: brd, rs1: brs1, imm: bimm } = b
-            else {
-                unreachable!()
-            };
-            Box::new(move |ctx| {
-                let checkpoint = ctx.cpu.now;
-                charge(fa, ctx);
-                if let Err(trap) = ctx.cpu.exec_load(apc, aw, asg, ard, ars1, aimm) {
-                    // pc already at the load
-                    return trap_exit(ctx, checkpoint, trap, ia, ha);
-                }
-                let checkpoint = ctx.cpu.now;
-                charge(fb, ctx);
-                if let Err(trap) = ctx.cpu.exec_load(bpc, bw, bsg, brd, brs1, bimm) {
-                    ctx.cpu.pc = bpc; // stepwise left pc at the faulting load
-                    return trap_exit(ctx, checkpoint, trap, ib, hb);
-                }
-                ctx.cpu.pc = bpc.wrapping_add(4);
-                next(ctx)
-            })
-        }
-        BlockOp::StoreAlu(a, b) => {
-            let Instruction::Store { width, rs2, rs1, imm } = a else { unreachable!() };
-            let tb = AluTmpl::of(b);
-            Box::new(move |ctx| {
-                let checkpoint = ctx.cpu.now;
-                charge(fa, ctx);
-                if let Err(trap) = ctx.cpu.exec_store(apc, width, rs2, rs1, imm) {
-                    // pc already at the store
-                    return trap_exit(ctx, checkpoint, trap, ia, ha);
-                }
-                // The leading store may have hit text (even this block):
-                // abandon the cached decode before the second component,
-                // exactly like a stepwise post-store generation check.
-                if ctx.cpu.blocks.generation() != ctx.entry_gen {
-                    ctx.cpu.pc = bpc;
-                    settle(ctx, ia, ha);
-                    return BlockExit::Done { executed: k - 1 };
-                }
-                charge(fb, ctx);
-                tb.run(ctx.cpu);
-                ctx.cpu.pc = bpc.wrapping_add(4);
-                next(ctx)
-            })
-        }
-        BlockOp::StoreJal(a, b) => {
-            let Instruction::Store { width, rs2, rs1, imm } = a else { unreachable!() };
-            let Instruction::Jal { rd, offset } = b else { unreachable!() };
-            Box::new(move |ctx| {
-                let checkpoint = ctx.cpu.now;
-                charge(fa, ctx);
-                if let Err(trap) = ctx.cpu.exec_store(apc, width, rs2, rs1, imm) {
-                    // pc already at the store
-                    return trap_exit(ctx, checkpoint, trap, ia, ha);
-                }
-                if ctx.cpu.blocks.generation() != ctx.entry_gen {
-                    ctx.cpu.pc = bpc;
-                    settle(ctx, ia, ha);
-                    return BlockExit::Done { executed: k - 1 };
-                }
-                charge(fb, ctx);
-                settle(ctx, ib, hx);
-                ctx.cpu.pc = ctx.cpu.exec_jal(bpc, rd, offset);
-                BlockExit::Done { executed: k } // always the last op of its block
-            })
-        }
-        BlockOp::TldTchk(a, b) => {
-            let Instruction::Tld { rd, rs1, imm } = a else { unreachable!() };
-            let Instruction::Tchk { rs1: c1, rs2: c2 } = b else { unreachable!() };
-            Box::new(move |ctx| {
-                let checkpoint = ctx.cpu.now;
-                charge(fa, ctx);
-                if let Err(trap) = ctx.cpu.exec_tld(apc, rd, rs1, imm) {
-                    // pc already at the tld
-                    return trap_exit(ctx, checkpoint, trap, ia, ha);
-                }
-                charge(fb, ctx);
-                let next_pc = ctx.cpu.exec_tchk(bpc, c1, c2);
-                ctx.cpu.pc = next_pc;
-                if next_pc != bpc.wrapping_add(4) {
-                    settle(ctx, ib, hx);
-                    return BlockExit::Done { executed: k }; // type miss: redirected to R_hdl
-                }
-                next(ctx)
-            })
-        }
-        BlockOp::TgetBranch(a, b) => {
-            let Instruction::Tget { rd, rs1 } = a else { unreachable!() };
-            let Instruction::Branch { cond, rs1: brs1, rs2, offset } = b else { unreachable!() };
-            Box::new(move |ctx| {
-                charge(fa, ctx);
-                ctx.cpu.exec_tget(rd, rs1);
-                charge(fb, ctx);
-                settle(ctx, ib, hx);
-                ctx.cpu.pc = ctx.cpu.exec_branch(bpc, cond, brs1, rs2, offset);
-                BlockExit::Done { executed: k }
             })
         }
     }

@@ -669,11 +669,11 @@ impl Cpu {
     ///   compiled when it is built, into a host closure that applies each
     ///   instruction's charges through the same `exec_*` cores the
     ///   stepwise `Cpu::execute` arms delegate to, with decode-time
-    ///   constants folded. **Fused pairs** (`BlockOp`, `CoreConfig::fuse`)
-    ///   apply both components' charges in exact program order and skip
-    ///   the inter-instruction fall-through / generation / stop checks
-    ///   only where the first component provably cannot store, redirect,
-    ///   or stop (see `fuse_pair` in `blocks.rs` and DESIGN.md).
+    ///   constants folded. **Fused pairs** (alu+alu and alu+`jal`,
+    ///   `CoreConfig::fuse`) apply both components' charges in exact
+    ///   program order with no check between them: the first component
+    ///   is ALU-class, so it cannot trap, store, redirect, or stop (see
+    ///   `fuse_pair` in `blocks.rs` and DESIGN.md invariant 7).
     /// * A block runs only after [`BlockTable::lookup`] or a fresh build
     ///   proved it current (DESIGN.md invariant 6): every entry probes
     ///   the entry table, and a block whose generation is stale

@@ -13,8 +13,10 @@
 //!
 //! * every `tarch_isa::samples::all_forms()` instruction, executed as a
 //!   tiny standalone program (covering every format's fetch/execute path,
-//!   including ones that trap or run into a bounded loop), in one run and
-//!   in budget slices of 1–3 instructions (budget-clipped block tails);
+//!   including ones that trap or run into a bounded loop), once as its
+//!   block's first instruction and once behind a leading no-op, in one
+//!   run and in budget slices of 1–3 instructions (budget-clipped block
+//!   tails);
 //! * real Lua, JS and WASM workloads through the full simulated engines,
 //!   at all three ISA levels.
 
@@ -23,13 +25,17 @@ use tarch_bench::workloads::{self, Scale};
 use tarch_core::{BranchStats, CoreConfig, Cpu, PerfCounters, StepEvent, Trap};
 use tarch_fleet::build_guest;
 use tarch_isa::asm::Program;
-use tarch_isa::{samples, Instruction, Reg};
+use tarch_isa::{samples, AluImmOp, Instruction, Reg};
 use tarch_runner::EngineKind;
 
 const TEXT_BASE: u64 = 0x1000;
 const DATA_BASE: u64 = 0x2_0000;
 const FORM_STEPS: u64 = 200;
 const VM_STEPS: u64 = 2_000_000_000;
+/// `addi zero, zero, 0`: the ALU-class no-op that leads each form in the
+/// sweep's second program shape.
+const NOP: Instruction =
+    Instruction::AluImm { op: AluImmOp::Addi, rd: Reg::ZERO, rs1: Reg::ZERO, imm: 0 };
 
 /// One named fast-path configuration under test.
 #[derive(Debug, Clone, Copy)]
@@ -93,20 +99,21 @@ struct Observed {
     pc: u64,
 }
 
-/// Runs `instr` as a standalone `[instr, halt]` program with every
+/// Runs `body` followed by `halt` as a standalone program with every
 /// integer register holding `addr`, an address in writable data, bounded
 /// by `FORM_STEPS` (branch forms can loop through zeroed memory; typed
 /// forms can redirect to a null handler — both are fine as long as all
 /// runs agree). The budget is handed to `Cpu::run` in slices of `slice`
 /// instructions, the last one cut to what is left, until the run stops
 /// or traps.
-fn run_form(instr: Instruction, variant: Variant, slice: u64, addr: u64) -> Observed {
+fn run_form(body: &[Instruction], variant: Variant, slice: u64, addr: u64) -> Observed {
     let program = Program {
         text_base: TEXT_BASE,
-        text: vec![
-            instr.encode().expect("sample form encodes"),
-            Instruction::Halt.encode().expect("halt encodes"),
-        ],
+        text: body
+            .iter()
+            .chain([&Instruction::Halt])
+            .map(|i| i.encode().expect("sample form encodes"))
+            .collect(),
         data_base: DATA_BASE,
         data: (0..=255u8).collect(),
         entry: TEXT_BASE,
@@ -135,29 +142,38 @@ fn run_form(instr: Instruction, variant: Variant, slice: u64, addr: u64) -> Obse
     }
 }
 
-/// Each form runs once with the whole budget, then in budget slices of
-/// 1, 2 and 3 instructions: a block wider than its slice runs its
-/// clipped tail on the stepwise core. The registers hold an aligned
-/// address, and then a misaligned one, on which every wider-than-byte
-/// load and store traps — inside the one-instruction tail of its block
-/// when the slice is 1. Every variant must match the naive reference
-/// under the same slicing.
+/// Each form runs in two programs: `[instr, halt]`, where it is its
+/// block's first op, and `[NOP, instr, halt]`, where it runs after one
+/// instruction and one fetch hit the block has batched. In the second
+/// shape an ALU-class form runs as the second component of an alu+alu
+/// pair, a `jal` as that of an alu+`jal` pair, and any other form as a
+/// single op whose exits must settle the batched counts. Each program
+/// runs once with the whole budget, then in budget slices of 1, 2 and 3
+/// instructions: a block wider than its slice runs its clipped tail on
+/// the stepwise core. The registers hold an aligned address, and then a
+/// misaligned one, on which every wider-than-byte load and store traps —
+/// inside the one-instruction tail of its block when the slice is 1.
+/// Every variant must match the naive reference under the same slicing.
 #[test]
 fn every_sample_form_is_counter_identical() {
     for instr in samples::all_forms() {
-        for (slice, addr) in [FORM_STEPS, 1, 2, 3]
-            .into_iter()
-            .flat_map(|slice| [(slice, DATA_BASE + 64), (slice, DATA_BASE + 65)])
-        {
-            let reference = run_form(instr, REFERENCE, slice, addr);
-            for variant in VARIANTS {
-                let observed = run_form(instr, variant, slice, addr);
-                assert_eq!(
-                    observed, reference,
-                    "`{}` diverged from naive reference for `{instr}` in slices of {slice} \
-                     with registers at {addr:#x}",
-                    variant.name
-                );
+        for body in [&[instr][..], &[NOP, instr]] {
+            for (slice, addr) in [FORM_STEPS, 1, 2, 3]
+                .into_iter()
+                .flat_map(|slice| [(slice, DATA_BASE + 64), (slice, DATA_BASE + 65)])
+            {
+                let reference = run_form(body, REFERENCE, slice, addr);
+                for variant in VARIANTS {
+                    let observed = run_form(body, variant, slice, addr);
+                    assert_eq!(
+                        observed,
+                        reference,
+                        "`{}` diverged from naive reference for `{instr}` after {} \
+                         leading no-op(s) in slices of {slice} with registers at {addr:#x}",
+                        variant.name,
+                        body.len() - 1
+                    );
+                }
             }
         }
     }
