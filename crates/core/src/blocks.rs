@@ -27,47 +27,32 @@
 //!
 //! **Compile at install.** [`BlockTable::install`] and
 //! [`BlockTable::install_super`] hand the block's op run to the template
-//! compiler ([`crate::codegen::Template`]) and keep only the compiled
-//! closure and the raw words; the op run exists only as the compiler's
-//! input. Revalidation keeps the closure (words unchanged means its
-//! folded constants are still true), and the word-compare drop path
-//! discards it with the rest of the block, counted as a tier deopt.
-//! Cloned tables share compiled closures, which is what makes a fleet
-//! clone of a warmed template start hot.
+//! compiler ([`crate::codegen::Template`]); the block's slot keeps only
+//! the compiled closure, not the op run or the decoded words. Cloned
+//! tables share compiled closures, which is what makes a fleet clone of
+//! a warmed template start hot.
 //!
 //! A block is entered only through [`BlockTable::lookup`] or a fresh
-//! build: every entry probes the direct-indexed entry table, and the
-//! table's generation is the one invalidation contract.
+//! build, and is handed out as its slot id ([`BlockRun`]): the executor
+//! moves the block's compiled closure out of the slot for one execution
+//! and back after it ([`BlockTable::take_compiled`]), so it runs with no
+//! table borrow held and no reference count changes hands. Mid-block the
+//! executor calls only [`BlockTable::generation`] and
+//! [`BlockTable::note_store`]. The closures stay behind `Arc`s only so
+//! that table clones (fleet tenants) share them.
 //!
-//! A block is handed out as its slot id ([`BlockRun`]), and the
-//! executor moves the block's compiled closure out of the slot for one
-//! execution and back after it ([`BlockTable::take_compiled`]), so it
-//! runs with no table borrow held and no reference count changes hands.
-//! The slot stays empty while its block runs, and nobody looks: mid-block
-//! the executor calls only [`BlockTable::generation`] and
-//! [`BlockTable::note_store`], which read no slot, while
-//! [`BlockTable::lookup`], [`BlockTable::flush`], [`BlockTable::reset`]
-//! and [`BlockTable::mark_stale`] run only between blocks. A guest store
-//! into text during the block bumps the generation; the executor watches
-//! it, stops at the next instruction boundary, and puts the code back
-//! for the next [`BlockTable::lookup`] to revalidate or drop. The
-//! closures stay behind `Arc`s only so that table clones (fleet tenants)
-//! share them.
-//!
-//! Correctness under mutation:
-//!
-//! * **Guest stores** into the text range bump the table's generation
-//!   ([`BlockTable::note_store`]). The executing block loop re-checks the
-//!   generation after every instruction that can store, so a store into
-//!   the *current* block stops block execution at the store; every block
-//!   lazily revalidates its cached raw words against memory on next entry
-//!   and is rebuilt if they changed.
-//! * **Host writes** through `Cpu::mem_mut` bump the same generation
-//!   ([`BlockTable::mark_stale`]): blocks whose words are untouched
-//!   revalidate in place (one `u32` compare per word); changed blocks are
-//!   rebuilt from current memory.
-//! * [`BlockTable::flush`] drops every block outright (and bumps the
-//!   generation). Like host writes, it happens between blocks.
+//! Correctness under mutation: **a text change drops every block**
+//! ([`BlockTable::flush`]). A guest store into the text range
+//! ([`BlockTable::note_store`]), a host write through `Cpu::mem_mut`, or
+//! enabling per-handler attribution empties the entry table and every
+//! slot and moves the generation. The executing block re-checks the
+//! generation after every instruction that can store, so a store into
+//! the *current* block stops it at the store, and with its slot gone its
+//! code is dropped too. Each block is rebuilt from current memory when it
+//! is next entered, and a lookup checks nothing but the entry table.
+//! Nothing is compared word by word: the interpreters run here never
+//! write their text, and rebuilding a cell's few dozen blocks after a
+//! rare text change costs tens of microseconds.
 //!
 //! **PGO superblocks** (PR 9): with a profile loaded
 //! (`CoreConfig::pgo`), block building straightens the measured hot
@@ -76,9 +61,9 @@
 //! becomes a [`BlockOp::GuardBranch`] / [`BlockOp::GuardJal`] that
 //! executes the real control transfer (identical predictor and fetch
 //! charges) and either continues into the next segment — the measured
-//! outcome — or side-exits the block at the freshly computed pc.
-//! Superblocks revalidate per segment and otherwise ride the exact
-//! generation contract above; see DESIGN.md invariant 9.
+//! outcome — or side-exits the block at the freshly computed pc. A
+//! superblock holds no more validity state than a plain block: a text
+//! change drops it with every other block; see DESIGN.md invariant 9.
 //!
 //! Entries outside the text range miss the table and fall back to the
 //! stepwise path, so dynamically placed code still runs.
@@ -86,10 +71,9 @@
 use crate::codegen::{CompiledBlock, Template};
 use std::sync::Arc;
 use tarch_isa::Instruction;
-use tarch_mem::MainMemory;
 
 /// Upper bound on instructions per block. Keeps the budget-clipping
-/// arithmetic cheap and bounds the work a single revalidation does.
+/// arithmetic cheap and bounds the work a single build does.
 pub const MAX_BLOCK_LEN: usize = 64;
 
 /// Sentinel in the entry map for "no block starts at this word".
@@ -267,9 +251,9 @@ fn classify_one(instr: Instruction) -> BlockOp {
 /// guard (enders are excluded from fusion: a guard must stay an
 /// individually executable op). See [`BlockTable::install_super`] for
 /// the panics.
-fn superblock_ops(segs: &[(u64, Vec<u32>, Vec<Instruction>)], fuse: bool) -> Vec<BlockOp> {
+fn superblock_ops(segs: &[(u64, Vec<Instruction>)], fuse: bool) -> Vec<BlockOp> {
     let mut ops = Vec::new();
-    for (i, (_, _, instrs)) in segs.iter().enumerate() {
+    for (i, (_, instrs)) in segs.iter().enumerate() {
         if i + 1 < segs.len() {
             let (body, ender) = instrs.split_at(instrs.len() - 1);
             ops.extend(fuse_ops(body, fuse));
@@ -294,11 +278,10 @@ fn jumps_out(instrs: &[Instruction]) -> bool {
 }
 
 /// A handed-out block: its table slot plus the per-block facts the
-/// execution loop needs without re-touching the table — the total
-/// instruction width, and whether the final op is a branch or jump
-/// (computed once at install time, so the hot loop never re-inspects
-/// instructions to classify an exit). The block's code stays in the
-/// slot until the loop moves it out to run it.
+/// execution loop needs before it moves the code out of the slot — the
+/// total instruction width, and whether the final op is a branch or
+/// jump (both fixed when the block is compiled, so the hot loop never
+/// re-inspects instructions to classify an exit).
 #[derive(Debug, Clone, Copy)]
 pub struct BlockRun {
     /// Block id: the table slot that holds the block's compiled code.
@@ -311,34 +294,6 @@ pub struct BlockRun {
     pub jump_exit: bool,
 }
 
-/// One cached basic block: the raw words it was decoded from (for
-/// revalidation) and its compiled code.
-#[derive(Debug, Clone, Default)]
-struct Block {
-    gen: u64,
-    words: Vec<u32>,
-    /// Text segments this block's `words` were decoded from, as
-    /// `(base, word_count)` in `words` order. Empty for the common
-    /// contiguous block (one segment from the entry pc on); a PGO
-    /// superblock straightened across taken branches records one entry
-    /// per straightened segment so revalidation compares every cached
-    /// word against the address it actually came from.
-    segs: Vec<(u64, u32)>,
-    width: u32,
-    jump_exit: bool,
-    /// The compiled closure, shared with table clones (the fleet's
-    /// warm-cache inheritance). `None` once the block is dropped
-    /// (awaiting rebuild), and while it executes
-    /// ([`BlockTable::take_compiled`]).
-    compiled: Option<Arc<CompiledBlock>>,
-}
-
-impl Block {
-    fn run(&self, bid: u32) -> BlockRun {
-        BlockRun { bid, width: self.width, jump_exit: self.jump_exit }
-    }
-}
-
 /// Running effectiveness statistics (host-side only; not architectural).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
@@ -346,10 +301,12 @@ pub struct BlockStats {
     pub hits: u64,
     /// Blocks decoded and installed (first build or rebuild).
     pub builds: u64,
-    /// Blocks revalidated in place (words unchanged) after a generation
-    /// bump.
+    /// Always 0: no block is re-compared against memory. Kept because
+    /// the benchmark's work counters sum it.
     pub revalidations: u64,
-    /// Blocks dropped because a cached word no longer matched memory.
+    /// Blocks dropped by a text change, a host write through
+    /// `Cpu::mem_mut`, or a flush, each of which drops every installed
+    /// block.
     pub rebuilds: u64,
     /// Generation bumps from guest stores into the text range.
     pub store_invalidations: u64,
@@ -364,8 +321,8 @@ pub struct BlockStats {
     /// work counters report it.
     pub compiles: u64,
     /// Compiled blocks abandoned: a generation bump observed during a
-    /// block's execution (it exits at that op boundary), or a
-    /// word-compare drop of a block.
+    /// block's execution (it exits at that op boundary), or a dropped
+    /// block (each of [`BlockStats::rebuilds`]).
     pub tier_deopts: u64,
     /// PGO superblocks installed (blocks straightened across at least
     /// one measured hot edge). Zero unless a profile with usable edges
@@ -377,15 +334,18 @@ pub struct BlockStats {
 /// Lazily filled basic-block cache for the text segment.
 ///
 /// Cloning the table (for VM snapshot/clone) shares the immutable
-/// compiled closures but copies the entry index, words, and generation
-/// state, so invalidation in one clone never affects another. Clones are
-/// taken between blocks, when every slot holds its code.
+/// compiled closures but copies the entry index and generation state,
+/// so invalidation in one clone never affects another. Clones are taken
+/// between blocks, when every slot holds its code.
 #[derive(Debug, Default, Clone)]
 pub struct BlockTable {
     base: u64,
     limit: u64,
     entry: Vec<u32>,
-    blocks: Vec<Block>,
+    /// Each block's compiled code, by block id, shared with table clones
+    /// (the fleet's warm-cache inheritance). `None` only while the block
+    /// executes ([`BlockTable::take_compiled`]).
+    blocks: Vec<Option<Arc<CompiledBlock>>>,
     gen: u64,
     stats: BlockStats,
 }
@@ -412,8 +372,7 @@ impl BlockTable {
         self.stats
     }
 
-    /// Number of blocks currently installed (structure occupancy;
-    /// includes blocks awaiting revalidation after a generation bump).
+    /// Number of blocks currently installed (structure occupancy).
     pub fn len(&self) -> usize {
         self.blocks.len()
     }
@@ -422,7 +381,7 @@ impl BlockTable {
     /// (trace-layer occupancy sampling): every live block but the one
     /// executing.
     pub fn compiled_len(&self) -> usize {
-        self.blocks.iter().filter(|b| b.compiled.is_some()).count()
+        self.blocks.iter().filter(|b| b.is_some()).count()
     }
 
     /// Whether no blocks are installed.
@@ -438,9 +397,8 @@ impl BlockTable {
 
     /// The current invalidation generation. The block execution loop
     /// snapshots this at block entry and re-checks it after every
-    /// instruction that can store; any mutation signal (guest store into
-    /// text, host write, flush) changes it, and every block revalidates
-    /// at its next [`BlockTable::lookup`].
+    /// instruction that can store; every [`BlockTable::flush`] (a guest
+    /// store into text, a host write) changes it.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.gen
@@ -451,12 +409,10 @@ impl BlockTable {
         ((pc - self.base) >> 2) as usize
     }
 
-    /// Looks up the block starting at `pc`, revalidating its cached
-    /// words against `mem` when the generation moved since it was last
-    /// used. Returns the block, or `None` when the caller must build (no
-    /// block here yet, or the words under it changed).
+    /// Looks up the block starting at `pc`. Returns the block, or `None`
+    /// when the caller must build one.
     #[inline]
-    pub fn lookup(&mut self, pc: u64, mem: &MainMemory) -> Option<BlockRun> {
+    pub fn lookup(&mut self, pc: u64) -> Option<BlockRun> {
         if !self.covers(pc) {
             return None;
         }
@@ -464,45 +420,15 @@ impl BlockTable {
         if bid == NO_BLOCK {
             return None;
         }
-        let block = &mut self.blocks[bid as usize];
-        // A block without its code was dropped and awaits a rebuild.
-        block.compiled.as_ref()?;
-        if block.gen != self.gen {
-            // A contiguous block (empty `segs`) compares its words
-            // against `pc` onward; a superblock walks its recorded
-            // segments so every cached word is compared against the
-            // address it was decoded from.
-            let stale = if block.segs.is_empty() {
-                block.words.iter().enumerate().any(|(i, w)| mem.read_u32(pc + 4 * i as u64) != *w)
-            } else {
-                let mut words = block.words.iter();
-                block.segs.iter().any(|&(base, n)| {
-                    (0..u64::from(n)).any(|i| {
-                        mem.read_u32(base + 4 * i) != *words.next().expect("segs cover words")
-                    })
-                })
-            };
-            if stale {
-                // The text under this block changed: drop its compiled
-                // code (the entry keeps its block id for reuse), a tier
-                // deopt, and make the caller rebuild and recompile from
-                // current memory.
-                self.stats.tier_deopts += 1;
-                *block = Block::default();
-                self.stats.rebuilds += 1;
-                return None;
-            }
-            block.gen = self.gen;
-            self.stats.revalidations += 1;
-        }
+        let code = self.blocks[bid as usize].as_ref().expect("slots hold code between blocks");
         self.stats.hits += 1;
-        Some(block.run(bid))
+        Some(BlockRun { bid, width: code.width, jump_exit: code.jump_exit })
     }
 
-    /// Installs a freshly decoded block starting at `pc`, reusing the
-    /// entry's block id if one was allocated before: fuses adjacent pairs
-    /// when `fuse` is set and compiles the op run, folding fetch spans
-    /// for an I-cache line of `1 << line_shift` bytes. Returns the block.
+    /// Installs a freshly decoded block starting at `pc`: fuses adjacent
+    /// pairs when `fuse` is set and compiles the op run, folding fetch
+    /// spans for an I-cache line of `1 << line_shift` bytes. Returns the
+    /// block.
     ///
     /// # Panics
     ///
@@ -511,19 +437,12 @@ impl BlockTable {
     pub fn install(
         &mut self,
         pc: u64,
-        words: Vec<u32>,
         instrs: Vec<Instruction>,
         fuse: bool,
         line_shift: u32,
     ) -> BlockRun {
         assert!(self.covers(pc) && !instrs.is_empty(), "install of empty or uncovered block");
-        let block = Block {
-            words,
-            width: instrs.len() as u32,
-            jump_exit: jumps_out(&instrs),
-            ..Block::default()
-        };
-        self.put(pc, block, &fuse_ops(&instrs, fuse), line_shift)
+        self.put(pc, &fuse_ops(&instrs, fuse), jumps_out(&instrs), line_shift)
     }
 
     /// Installs and compiles a PGO superblock: two or more decoded text
@@ -537,58 +456,42 @@ impl BlockTable {
     /// from fusion (a guard must stay an individually executable op);
     /// each segment's body fuses exactly like a normal block.
     ///
-    /// The installed block revalidates per segment (see
-    /// [`BlockTable::lookup`]) and otherwise rides the generation
-    /// contract unchanged — `note_store` range-checks the whole text
-    /// range, which covers every segment.
+    /// The installed block rides the invalidation contract unchanged:
+    /// `note_store` range-checks the whole text range, which covers
+    /// every segment, and a text change drops it with every other block.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two segments are given (use
-    /// [`BlockTable::install`]), any segment is empty or uncovered, a
-    /// non-final segment does not end in a direct branch/`jal`, or a
-    /// segment's word and instruction counts disagree.
+    /// [`BlockTable::install`]), any segment is empty or uncovered, or a
+    /// non-final segment does not end in a direct branch/`jal`.
     pub fn install_super(
         &mut self,
-        segs: Vec<(u64, Vec<u32>, Vec<Instruction>)>,
+        segs: Vec<(u64, Vec<Instruction>)>,
         fuse: bool,
         line_shift: u32,
     ) -> BlockRun {
         assert!(segs.len() >= 2, "a superblock straightens at least one edge");
         assert!(
-            segs.iter()
-                .all(|(base, w, i)| { !i.is_empty() && w.len() == i.len() && self.covers(*base) }),
-            "install of empty, inconsistent, or uncovered superblock segment"
+            segs.iter().all(|(base, i)| !i.is_empty() && self.covers(*base)),
+            "install of empty or uncovered superblock segment"
         );
-        let block = Block {
-            words: segs.iter().flat_map(|(_, w, _)| w.iter().copied()).collect(),
-            segs: segs.iter().map(|(base, w, _)| (*base, w.len() as u32)).collect(),
-            width: segs.iter().map(|(_, _, i)| i.len() as u32).sum(),
-            jump_exit: jumps_out(&segs[segs.len() - 1].2),
-            ..Block::default()
-        };
-        let run = self.put(segs[0].0, block, &superblock_ops(&segs, fuse), line_shift);
+        let jump_exit = jumps_out(&segs[segs.len() - 1].1);
+        let run = self.put(segs[0].0, &superblock_ops(&segs, fuse), jump_exit, line_shift);
         self.stats.superblocks += 1;
         run
     }
 
-    /// Compiles `ops`, `block`'s op run, and puts the block in the slot
-    /// of its entry `pc`, reusing the entry's block id if one was
-    /// allocated before.
-    fn put(&mut self, pc: u64, mut block: Block, ops: &[BlockOp], line_shift: u32) -> BlockRun {
+    /// Compiles `ops`, a block's op run, and puts the block in a new slot
+    /// for its entry `pc`.
+    fn put(&mut self, pc: u64, ops: &[BlockOp], jump_exit: bool, line_shift: u32) -> BlockRun {
+        let code = Template::emit(pc, line_shift, ops, jump_exit);
+        let bid = self.blocks.len() as u32;
+        let run = BlockRun { bid, width: code.width, jump_exit };
         let idx = self.index(pc);
-        let bid = if self.entry[idx] == NO_BLOCK {
-            self.blocks.push(Block::default());
-            let bid = (self.blocks.len() - 1) as u32;
-            self.entry[idx] = bid;
-            bid
-        } else {
-            self.entry[idx]
-        };
-        block.gen = self.gen;
-        block.compiled = Some(Template::emit(pc, line_shift, ops));
-        let run = block.run(bid);
-        self.blocks[bid as usize] = block;
+        debug_assert_eq!(self.entry[idx], NO_BLOCK, "a block is installed only where none starts");
+        self.entry[idx] = bid;
+        self.blocks.push(Some(code));
         self.stats.builds += 1;
         self.stats.compiles += 1;
         run
@@ -601,15 +504,18 @@ impl BlockTable {
     /// [`BlockTable::note_store`] (see the module docs).
     #[inline]
     pub(crate) fn take_compiled(&mut self, bid: u32) -> Arc<CompiledBlock> {
-        self.blocks[bid as usize].compiled.take().expect("a handed-out block holds its code")
+        self.blocks[bid as usize].take().expect("a handed-out block holds its code")
     }
 
-    /// Puts back the code [`BlockTable::take_compiled`] moved out. Later
-    /// entries (and table clones) run it until the block is dropped or
-    /// rebuilt.
+    /// Puts back the code [`BlockTable::take_compiled`] moved out, unless
+    /// the block stored into text and so dropped every block: then the
+    /// code is dropped too. Later entries (and table clones) run it until
+    /// the next text change.
     #[inline]
     pub(crate) fn put_compiled(&mut self, bid: u32, code: Arc<CompiledBlock>) {
-        self.blocks[bid as usize].compiled = Some(code);
+        if let Some(slot) = self.blocks.get_mut(bid as usize) {
+            *slot = Some(code);
+        }
     }
 
     /// Counts a tier deopt observed by the execution loop (a block saw
@@ -620,35 +526,33 @@ impl BlockTable {
     }
 
     /// Records a guest store of `len` bytes at `addr`: if it overlaps
-    /// the text range, every block must re-check its words before its
-    /// next execution, and the currently executing block (if any) must
-    /// stop using its cached run. One compare in the common case of a
-    /// data store. Returns whether the store hit text (i.e. whether blocks
-    /// were invalidated) so the trace layer can record the event.
+    /// the text range, every block is dropped ([`BlockTable::flush`]), and
+    /// the currently executing block (if any) sees the generation move
+    /// and stops using its compiled run. One compare in the common case
+    /// of a data store. Returns whether the store hit text (i.e. whether
+    /// blocks were invalidated) so the trace layer can record the event.
     #[inline]
     pub fn note_store(&mut self, addr: u64, len: u64) -> bool {
         let end = addr.wrapping_add(len - 1);
         if end < self.base || addr >= self.limit {
             return false;
         }
-        self.gen += 1;
         self.stats.store_invalidations += 1;
+        self.flush();
         true
     }
 
-    /// Marks every block as needing revalidation (a host may have
-    /// written arbitrary memory through `Cpu::mem_mut`).
-    #[inline]
-    pub fn mark_stale(&mut self) {
-        self.gen += 1;
-    }
-
-    /// Drops every cached block (keeps the covered range and the
-    /// statistics) and bumps the generation.
+    /// Drops every block, each counted as a rebuild and a tier deopt,
+    /// and moves the generation; keeps the covered range and the
+    /// statistics. Called on a guest store into text, on a host write
+    /// through `Cpu::mem_mut` (which may have written anywhere), and when
+    /// attribution needs blocks split at handler entries.
+    #[cold]
     pub fn flush(&mut self) {
-        for e in &mut self.entry {
-            *e = NO_BLOCK;
-        }
+        let dropped = self.blocks.len() as u64;
+        self.stats.rebuilds += dropped;
+        self.stats.tier_deopts += dropped;
+        self.entry.fill(NO_BLOCK);
         self.blocks.clear();
         self.gen += 1;
     }
@@ -659,9 +563,8 @@ mod tests {
     use super::*;
     use tarch_isa::{AluImmOp, BranchCond, MemWidth, Reg};
 
-    fn addi(imm: i32) -> (u32, Instruction) {
-        let i = Instruction::AluImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: Reg::A0, imm };
-        (i.encode().unwrap(), i)
+    fn addi(imm: i32) -> Instruction {
+        Instruction::AluImm { op: AluImmOp::Addi, rd: Reg::A0, rs1: Reg::A0, imm }
     }
 
     /// `log2` of the paper's 64-byte I-cache line.
@@ -689,27 +592,22 @@ mod tests {
         Instruction::Jal { rd: Reg::RA, offset: 8 }
     }
 
-    fn table_with_block() -> (BlockTable, MainMemory) {
+    fn table_with_block() -> BlockTable {
         let mut t = BlockTable::new();
         t.reset(0x1000, 8);
-        let mut mem = MainMemory::new();
-        let (w1, i1) = addi(1);
-        let (w2, i2) = addi(2);
-        mem.write_u32(0x1000, w1);
-        mem.write_u32(0x1004, w2);
-        let run = t.install(0x1000, vec![w1, w2], vec![i1, i2], false, LINE_SHIFT);
+        let run = t.install(0x1000, vec![addi(1), addi(2)], false, LINE_SHIFT);
         assert_eq!(run.width, 2);
         assert!(!run.jump_exit, "no final branch or jump");
-        (t, mem)
+        t
     }
 
     #[test]
     fn install_compiles_then_lookup_round_trips() {
-        let (mut t, mem) = table_with_block();
+        let mut t = table_with_block();
         assert_eq!(t.compiled_len(), 1, "install compiles the block");
-        let run = t.lookup(0x1000, &mem).expect("installed block");
+        let run = t.lookup(0x1000).expect("installed block");
         assert_eq!((run.bid, run.width), (0, 2));
-        assert!(t.lookup(0x1004, &mem).is_none(), "no block *starts* mid-run");
+        assert!(t.lookup(0x1004).is_none(), "no block *starts* mid-run");
         assert_eq!(t.stats().builds, 1);
         assert_eq!(t.stats().compiles, 1, "every build compiles");
         assert_eq!(t.stats().hits, 1);
@@ -717,86 +615,82 @@ mod tests {
 
     #[test]
     fn data_store_is_one_compare_and_no_invalidation() {
-        let (mut t, mem) = table_with_block();
+        let mut t = table_with_block();
         let gen = t.generation();
         t.note_store(0x2_0000, 8);
         assert_eq!(t.generation(), gen);
-        assert!(t.lookup(0x1000, &mem).is_some());
+        assert!(t.lookup(0x1000).is_some());
+        assert_eq!(t.stats().rebuilds, 0);
+    }
+
+    #[test]
+    fn text_store_outside_every_block_drops_every_block() {
+        let mut t = table_with_block();
+        let gen = t.generation();
+        t.note_store(0x101c, 4); // inside text, outside this block
+        assert_ne!(t.generation(), gen, "text store must move the generation");
+        assert!(t.is_empty(), "any text change drops every block");
+        assert!(t.lookup(0x1000).is_none());
+        assert_eq!(t.stats().store_invalidations, 1);
+        assert_eq!(t.stats().rebuilds, 1);
+        assert_eq!(t.stats().tier_deopts, 1, "dropping compiled code is a deopt");
         assert_eq!(t.stats().revalidations, 0);
     }
 
     #[test]
-    fn text_store_revalidates_unchanged_block_in_place() {
-        let (mut t, mem) = table_with_block();
-        let gen = t.generation();
-        t.note_store(0x101c, 4); // inside text, outside this block
-        assert_ne!(t.generation(), gen, "text store must move the generation");
-        assert!(t.lookup(0x1000, &mem).is_some());
-        assert_eq!(t.stats().revalidations, 1);
-        assert_eq!(t.stats().store_invalidations, 1);
-    }
-
-    #[test]
-    fn changed_word_drops_block_and_detached_code_stays_alive() {
-        let (mut t, mut mem) = table_with_block();
-        let bid = t.lookup(0x1000, &mem).expect("installed block").bid;
+    fn store_into_running_block_drops_it_and_detached_code_stays_alive() {
+        let mut t = table_with_block();
+        let bid = t.lookup(0x1000).expect("installed block").bid;
         // The executor moves the code out of its slot, and the block
         // stores into its own second word.
         let old_code = t.take_compiled(bid);
         assert_eq!(t.compiled_len(), 0, "the slot is empty while its block runs");
-        let (w3, i3) = addi(3);
-        mem.write_u32(0x1004, w3);
         let gen = t.generation();
         t.note_store(0x1004, 4);
         assert_ne!(t.generation(), gen, "the executor sees the store and stops");
-        // The code it holds is unaffected; it goes back into the slot, and
-        // the next lookup drops it: a deopt.
+        // The code it holds is unaffected. Its slot went with every other
+        // block, so putting it back drops it: a deopt.
         assert_eq!(old_code.width, 2);
         t.put_compiled(bid, old_code);
-        assert!(t.lookup(0x1000, &mem).is_none(), "changed word must force a rebuild");
+        assert!(t.is_empty(), "the code does not come back");
+        assert!(t.lookup(0x1000).is_none(), "a text change must force a rebuild");
         assert_eq!(t.stats().rebuilds, 1);
         assert_eq!(t.stats().tier_deopts, 1, "dropping compiled code is a deopt");
-        let run = t.install(0x1000, vec![addi(1).0, w3], vec![addi(1).1, i3], false, LINE_SHIFT);
-        assert_eq!(run.bid, bid);
-        assert_eq!(t.blocks.len(), 1, "rebuild reuses the entry's block slot");
+        let run = t.install(0x1000, vec![addi(1), addi(3)], false, LINE_SHIFT);
+        assert_eq!((run.bid, t.len()), (0, 1), "the rebuild fills the emptied table");
         assert_eq!(t.stats().compiles, 2, "the rebuilt block is compiled again");
+        assert!(t.lookup(0x1000).is_some(), "the rebuilt block is current");
     }
 
     #[test]
-    fn host_write_epoch_revalidates_or_rebuilds() {
-        let (mut t, mut mem) = table_with_block();
-        t.mark_stale();
-        assert!(t.lookup(0x1000, &mem).is_some(), "untouched block revalidates");
-        assert_eq!(t.stats().revalidations, 1);
-        let (w9, _) = addi(9);
-        mem.write_u32(0x1000, w9);
-        t.mark_stale();
-        assert!(t.lookup(0x1000, &mem).is_none(), "patched block must rebuild");
-    }
-
-    #[test]
-    fn flush_drops_blocks_and_moves_generation() {
-        let (mut t, mem) = table_with_block();
+    fn flush_drops_every_block_and_moves_generation() {
+        let mut t = table_with_block();
+        t.install(0x1008, vec![addi(3)], false, LINE_SHIFT);
         let gen = t.generation();
         t.flush();
         assert_ne!(t.generation(), gen);
-        assert!(t.lookup(0x1000, &mem).is_none());
+        assert!(t.is_empty());
+        assert!(t.lookup(0x1008).is_none());
+        assert!(t.lookup(0x1000).is_none());
+        assert_eq!(t.stats().rebuilds, 2, "both blocks are dropped");
+        assert_eq!(t.stats().tier_deopts, 2);
         assert!(t.covers(0x1000));
+        assert_eq!(t.stats().builds, 2, "flush keeps the statistics");
     }
 
     #[test]
     fn reset_retargets_and_drops_everything() {
-        let (mut t, mem) = table_with_block();
+        let mut t = table_with_block();
         t.reset(0x4000, 2);
         assert!(!t.covers(0x1000));
         assert!(t.covers(0x4004));
         assert!(!t.covers(0x4008));
-        assert!(t.lookup(0x4000, &mem).is_none());
+        assert!(t.lookup(0x4000).is_none());
     }
 
     #[test]
     fn store_straddling_the_range_edges_still_bumps() {
-        let (mut t, _) = table_with_block();
+        let mut t = table_with_block();
         let g0 = t.generation();
         t.note_store(0x0ffe, 4); // straddles the low edge
         assert_eq!(t.generation(), g0 + 1);
@@ -811,7 +705,7 @@ mod tests {
 
     #[test]
     fn fuse_rewrites_known_pairs_and_disables_cleanly() {
-        let (_, a) = addi(1);
+        let a = addi(1);
         let instrs = vec![a, a, ld(), a, jal()];
         let fused = fuse_ops(&instrs, true);
         assert_eq!(
@@ -826,7 +720,7 @@ mod tests {
 
     #[test]
     fn fuse_is_greedy_left_to_right_without_overlap() {
-        let (_, a) = addi(1);
+        let a = addi(1);
         // [alu, alu, alu]: the first two fuse, the third stays single —
         // the middle instruction is never consumed twice.
         let fused = fuse_ops(&[a, a, a], true);
@@ -839,7 +733,7 @@ mod tests {
     /// alu+{load,store,branch}, tld+tchk and tget+branch among them.
     #[test]
     fn fuse_pairs_only_alu_then_alu_or_jal() {
-        let (_, a) = addi(1);
+        let a = addi(1);
         let lui = Instruction::Lui { rd: Reg::A2, imm: 7 };
         assert_eq!(fuse_pair(a, lui), Some(BlockOp::AluPair(a, lui)));
         assert_eq!(fuse_pair(lui, jal()), Some(BlockOp::AluJal(lui, jal())));
@@ -886,18 +780,13 @@ mod tests {
 
     /// A two-segment superblock: [addi, bne +12] at 0x1000 straightened
     /// into its measured taken target [addi] at 0x1010.
-    fn super_table() -> (BlockTable, MainMemory) {
+    fn super_table() -> BlockTable {
         let mut t = BlockTable::new();
         t.reset(0x1000, 8);
-        let mut mem = MainMemory::new();
-        let (wa, a) = addi(1);
+        let a = addi(1);
         let br =
             Instruction::Branch { cond: BranchCond::Ne, rs1: Reg::A0, rs2: Reg::A1, offset: 12 };
-        let wb = br.encode().unwrap();
-        mem.write_u32(0x1000, wa);
-        mem.write_u32(0x1004, wb);
-        mem.write_u32(0x1010, wa);
-        let segs = vec![(0x1000, vec![wa, wb], vec![a, br]), (0x1010, vec![wa], vec![a])];
+        let segs = vec![(0x1000, vec![a, br]), (0x1010, vec![a])];
         assert_eq!(
             superblock_ops(&segs, true),
             [BlockOp::OneSafe(a), BlockOp::GuardBranch(br, 0x1010), BlockOp::OneSafe(a)],
@@ -907,41 +796,19 @@ mod tests {
         assert_eq!(run.width, 3);
         assert!(!run.jump_exit, "final segment ends in a plain alu");
         assert_eq!(t.stats().superblocks, 1);
-        (t, mem)
+        t
     }
 
     #[test]
-    fn superblock_installs_and_revalidates_per_segment() {
-        let (mut t, mem) = super_table();
-        assert!(t.lookup(0x1000, &mem).is_some());
-        // Generation bump elsewhere in text: both segments' words still
-        // match memory, so the superblock revalidates in place.
+    fn superblock_drops_with_every_other_block_and_rebuilds_plain() {
+        let mut t = super_table();
+        // A text store outside both segments still drops the superblock.
         t.note_store(0x101c, 4);
-        assert!(t.lookup(0x1000, &mem).is_some());
-        assert_eq!(t.stats().revalidations, 1);
-    }
-
-    #[test]
-    fn superblock_drops_when_any_segment_changes() {
-        let (mut t, mut mem) = super_table();
-        // Patch the *second* segment — an address a contiguous compare
-        // from the entry pc would never reach.
-        mem.write_u32(0x1010, addi(9).0);
-        t.note_store(0x1010, 4);
-        assert!(t.lookup(0x1000, &mem).is_none(), "stale segment must drop the block");
-        assert_eq!(t.stats().rebuilds, 1);
-    }
-
-    #[test]
-    fn superblock_reuses_entry_slot_and_plain_rebuild_recovers() {
-        let (mut t, mem) = super_table();
-        // Rebuilding the same entry as a plain block reuses the id and
-        // clears the segment metadata.
-        let (wa, a) = addi(1);
-        let run = t.install(0x1000, vec![wa], vec![a], true, LINE_SHIFT);
-        assert_eq!(run.width, 1);
-        assert!(t.lookup(0x1000, &mem).is_some());
-        t.mark_stale();
-        assert!(t.lookup(0x1000, &mem).is_some(), "contiguous revalidation again");
+        assert!(t.lookup(0x1000).is_none(), "any text change drops every block");
+        assert_eq!((t.stats().rebuilds, t.stats().revalidations), (1, 0));
+        // The emptied entry takes a plain block.
+        t.install(0x1000, vec![addi(1)], true, LINE_SHIFT);
+        assert_eq!(t.lookup(0x1000).map(|r| r.width), Some(1));
+        assert_eq!(t.stats().superblocks, 1, "only the first install straightened");
     }
 }

@@ -28,13 +28,12 @@
 //! recording, and invalidation watching.
 //!
 //! **Compiled code never outruns invalidation.** A compiled closure is
-//! reached only through a block the table's lookup handed out, which
-//! revalidates the block's words after any generation bump; the closure
-//! re-checks the generation after every op that can store. A block whose
-//! execution sees the generation move exits at that op boundary (a tier
-//! deopt), and the next lookup drops or re-proves it before any compiled
-//! code runs again — it never executes stale state. See DESIGN.md
-//! invariant 8.
+//! reached only through a block the table's lookup handed out, and any
+//! text change drops every block; the closure re-checks the generation
+//! after every op that can store. A block whose execution sees the
+//! generation move exits at that op boundary (a tier deopt), and its
+//! code is dropped with every other block before any compiled code runs
+//! again — it never executes stale state. See DESIGN.md invariant 8.
 
 mod template;
 
@@ -152,22 +151,10 @@ impl fmt::Debug for ExecCtx<'_> {
 /// detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockExit {
-    /// The block exited normally (full run, mid-block redirect, or
-    /// self-invalidation) after retiring `executed` instructions.
+    /// The block exited normally (full run, mid-block redirect,
+    /// superblock guard side-exit, or self-invalidation) after retiring
+    /// `executed` instructions.
     Done {
-        /// Instructions retired in this block execution.
-        executed: u64,
-    },
-    /// A superblock guard side-exited the straightened path after
-    /// retiring `executed` instructions. Identical to [`Done`] for
-    /// budget accounting, but the exit is a *direct, statically-
-    /// targeted* control transfer (the guard's off-trace continuation),
-    /// so the run loop's PGO edge recorder notes it like a block-final
-    /// branch even though the run ended short of the block's full
-    /// width.
-    ///
-    /// [`Done`]: BlockExit::Done
-    SideExit {
         /// Instructions retired in this block execution.
         executed: u64,
     },
@@ -196,6 +183,8 @@ pub struct CompiledBlock {
     pub(crate) enter: Box<dyn Fn(&mut ExecCtx<'_>) -> BlockExit + Send + Sync>,
     /// Instructions the block retires when executed in full.
     pub(crate) width: u32,
+    /// Whether the final op is a branch or jump (`jal`, `jalr`).
+    pub(crate) jump_exit: bool,
 }
 
 impl fmt::Debug for CompiledBlock {

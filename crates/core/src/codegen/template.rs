@@ -228,16 +228,17 @@ struct Fold {
 }
 
 impl Template {
-    /// Compiles the block at `entry_pc` whose decoded run is `ops` (the
+    /// Compiles the block at `pc` whose decoded run is `ops` (the
     /// full [`BlockOp`] vocabulary is supported). `line_shift` is `log2`
     /// of the I-cache line size, used to fold each instruction's
     /// fetch-span kind. A forward pass folds each op's constants and
     /// batch deltas; a backward pass chains the continuations, the
     /// terminal one materializing what the last fall-through left
-    /// batched and retiring the whole block.
-    pub fn emit(entry_pc: u64, line_shift: u32, ops: &[BlockOp]) -> Arc<CompiledBlock> {
+    /// batched and retiring the whole block. `jump_exit`, whether the
+    /// run ends in a branch or jump, is carried for the run loop.
+    pub fn emit(pc: u64, line_shift: u32, ops: &[BlockOp], jump_exit: bool) -> Arc<CompiledBlock> {
         let mut folded: Vec<Fold> = Vec::with_capacity(ops.len());
-        let mut apc = entry_pc;
+        let mut apc = pc;
         // Compile-time span tracker: the line of the previous fetch, or
         // `None` before the block's first (dynamic) one.
         let mut prev_span: Option<u64> = None;
@@ -316,7 +317,7 @@ impl Template {
         for &f in folded.iter().rev() {
             next = compile_op(f, next);
         }
-        Arc::new(CompiledBlock { width, enter: next })
+        Arc::new(CompiledBlock { width, jump_exit, enter: next })
     }
 }
 
@@ -455,12 +456,10 @@ fn compile_op(f: Fold, next: Chain) -> Chain {
                     // Side-exit: the branch left the straightened path —
                     // materialize what the block batched so far and hand
                     // the next pc back, exactly like a block-ending
-                    // branch (and, like one, noted by the edge
-                    // recorder: the exit target is the branch's static
-                    // off-trace continuation). Never traps; never stores, so no
-                    // generation check before continuing.
+                    // branch. Never traps; never stores, so no generation
+                    // check before continuing.
                     settle(ctx, ia, hx);
-                    return BlockExit::SideExit { executed: k };
+                    return BlockExit::Done { executed: k };
                 }
                 next(ctx)
             })

@@ -218,9 +218,12 @@ impl Cpu {
     /// Starts recording observed block-to-block control edges — the raw
     /// material for [`crate::PgoProfile`] superblock formation. The block
     /// engine notes one edge per block exit through the block's final
-    /// branch or jump (the whole block executed) and per superblock
-    /// guard side-exit; the stepwise core notes none. Host-side only:
-    /// recording changes no simulated counter.
+    /// branch or jump (the whole block executed); the stepwise core notes
+    /// none. Profiles are recorded with no PGO profile loaded
+    /// (`CoreConfig::pgo` unset): on a guided core, a superblock's guard
+    /// side-exits go unnoted and its final exit is keyed by the
+    /// superblock's entry pc, not by the base of the segment that exited.
+    /// Host-side only: recording changes no simulated counter.
     pub fn enable_edge_profile(&mut self) {
         self.observers.get_or_insert_with(Box::default).edges = Some(EdgeProfile::new());
     }
@@ -424,14 +427,15 @@ impl Cpu {
         &self.mem
     }
 
-    /// Simulated memory, mutably (loaders and native helpers).
+    /// Simulated memory, mutably (loaders and tests).
     ///
     /// Handing out raw mutable memory means the caller may write anywhere
-    /// — including the text segment — so the basic-block table's
-    /// generation is bumped: every block re-compares its words against
-    /// memory at its next lookup.
+    /// — including the text segment — so the basic-block table drops
+    /// every block, and each is rebuilt when it is next entered. Runtime
+    /// heap writes must therefore go through [`Cpu::host_store_u64`],
+    /// which leaves the blocks alone unless the write lands in text.
     pub fn mem_mut(&mut self) -> &mut MainMemory {
-        self.blocks.mark_stale();
+        self.blocks.flush();
         &mut self.mem
     }
 
@@ -453,12 +457,12 @@ impl Cpu {
     /// updating guest heap state between simulated instructions).
     ///
     /// Unlike [`Cpu::mem_mut`] — which hands out raw memory and must
-    /// therefore assume the caller wrote *anywhere*, stale-marking the
-    /// block table — this records the store precisely: the block table
-    /// is invalidated only when `addr..addr+8` overlaps the text range,
+    /// therefore assume the caller wrote *anywhere*, dropping every
+    /// block — this records the store precisely: the block table is
+    /// invalidated only when `addr..addr+8` overlaps the text range,
     /// exactly as a guest `sd` to the same address would. Keeps the
     /// block generation intact across the heap writes the VM runtimes
-    /// issue on nearly every native call, so no block revalidates for
+    /// issue on nearly every native call, so no block is dropped for
     /// them.
     pub fn host_store_u64(&mut self, addr: u64, v: u64) {
         self.mem.write_u64(addr, v);
@@ -676,16 +680,16 @@ impl Cpu {
     ///   `fuse_pair` in `blocks.rs` and DESIGN.md invariant 7).
     /// * A block runs only after [`BlockTable::lookup`] or a fresh build
     ///   proved it current (DESIGN.md invariant 6): every entry probes
-    ///   the entry table, and a block whose generation is stale
-    ///   re-compares its words against memory first.
-    /// * A guest store into the text range bumps the block generation;
-    ///   the compiled code re-checks it after every op that can store, so
-    ///   a block that invalidates *itself* exits at the store (a tier
-    ///   deopt, DESIGN.md invariant 8) and the next lookup drops or
-    ///   re-proves it. The code is moved out of its table slot for the
-    ///   execution and back after it (DESIGN.md invariant 2): mid-block
-    ///   the loop makes no table call but `generation` and `note_store`,
-    ///   so the empty slot is never seen, and no block entry touches a
+    ///   the entry table, which a text change empties, so each block is
+    ///   rebuilt from current memory.
+    /// * A guest store into the text range drops every block and bumps
+    ///   the block generation; the compiled code re-checks the generation
+    ///   after every op that can store, so a block that invalidates
+    ///   *itself* exits at the store (a tier deopt, DESIGN.md invariant
+    ///   8), and its code, its slot gone, is dropped. The code is moved
+    ///   out of its table slot for the execution and back after it
+    ///   (DESIGN.md invariant 2): mid-block the loop makes no table call
+    ///   but `generation` and `note_store`, and no block entry touches a
     ///   refcount.
     /// * **Budget-clipped tails**: a compiled block carries no budget
     ///   checks, so when the remaining budget is below a block's width
@@ -698,8 +702,8 @@ impl Cpu {
     pub fn run_blocks(&mut self, max_steps: u64) -> Result<StepEvent, Trap> {
         let mut remaining = max_steps;
         // Entry pc of the block just exited through its final branch or
-        // jump, or through a guard side-exit: a phase-1 PGO run notes the
-        // (from, to) edge at the next entry.
+        // jump: a phase-1 PGO run notes the (from, to) edge at the next
+        // entry.
         let mut exited_from: Option<u64> = None;
         // Deferred same-line fetch-hit batch; persists across block
         // boundaries — only fetch charges touch the I-cache/I-TLB inside
@@ -719,10 +723,10 @@ impl Cpu {
             // available without per-instruction cost).
             self.trace_tick(pc);
             // The recorders, behind one test: phase-1 PGO edge
-            // recording (one note per branch, jump or side exit, keyed
-            // by the blocks' entry pcs) and per-handler attribution
-            // (every arrival at a split pc starts a block). Host-side
-            // only.
+            // recording (one note per exit through a final branch or
+            // jump, keyed by the blocks' entry pcs) and per-handler
+            // attribution (every arrival at a split pc starts a block).
+            // Host-side only.
             let from = exited_from.take();
             if self.observers.is_some() {
                 self.observe_entry(pc, from);
@@ -746,7 +750,7 @@ impl Cpu {
                     other => return Ok(other),
                 }
             }
-            let run = match self.blocks.lookup(pc, &self.mem) {
+            let run = match self.blocks.lookup(pc) {
                 Some(found) => found,
                 None => match self.build_block(pc) {
                     Some(built) => built,
@@ -793,30 +797,28 @@ impl Cpu {
                     span.flush(self);
                     return Ok(event);
                 }
-                BlockExit::Done { executed } | BlockExit::SideExit { executed } => {
+                BlockExit::Done { executed } => {
                     remaining -= executed;
                     self.counters.cycles = self.now;
                     if self.blocks.generation() != entry_gen {
                         // The block's execution saw an invalidation (a
                         // store into text, possibly by the block itself)
                         // and exited at that op boundary. Count the deopt:
-                        // the next entry at this pc goes through `lookup`,
-                        // which drops or re-proves the block before any
-                        // compiled code runs again (DESIGN.md invariant 8).
+                        // the store dropped every block, so the next entry
+                        // at this pc rebuilds from current memory before
+                        // any compiled code runs again (DESIGN.md
+                        // invariant 8).
                         self.blocks.note_deopt();
                         self.trace_event(TraceEventKind::BlockDeopt { pc });
                     }
                     // The edge recorder notes an exit through the block's
                     // final branch or jump (known at build time) when the
                     // whole run executed — early exits (mid-block
-                    // redirect, self-invalidating store, trap) leave
-                    // `executed` short of the width, and a final
-                    // `ecall`/`halt` is no such exit. Indirect jumps
-                    // (`jalr`) count too. A superblock guard's side-exit
-                    // (`SideExit`) counts despite running short: the exit
-                    // is the guard branch's static off-trace target.
-                    let side_exit = matches!(exit, BlockExit::SideExit { .. });
-                    if side_exit || (run.jump_exit && executed == run.width as u64) {
+                    // redirect, guard side-exit, self-invalidating store,
+                    // trap) leave `executed` short of the width, and a
+                    // final `ecall`/`halt` is no such exit. Indirect jumps
+                    // (`jalr`) count too.
+                    if run.jump_exit && executed == u64::from(run.width) {
                         exited_from = Some(pc);
                     }
                 }
@@ -859,13 +861,13 @@ impl Cpu {
     /// trap); an undecodable word *after* a decodable run simply ends the
     /// block before it.
     fn build_block(&mut self, pc: u64) -> Option<BlockRun> {
-        let (words, instrs) = self.decode_run(pc, MAX_BLOCK_LEN);
+        let instrs = self.decode_run(pc, MAX_BLOCK_LEN);
         if instrs.is_empty() {
             return None;
         }
         let fuse = self.config.fuse;
         let line_shift = self.config.icache.line_bytes.trailing_zeros();
-        let mut segs = vec![(pc, words, instrs)];
+        let mut segs = vec![(pc, instrs)];
         // Trace-driven superblock formation: follow the profile's
         // measured dominant successor across the block-ending branch,
         // straightening the hot path into one multi-segment block with
@@ -876,8 +878,8 @@ impl Cpu {
         let run = if segs.len() > 1 {
             self.blocks.install_super(segs, fuse, line_shift)
         } else {
-            let (pc, words, instrs) = segs.pop().expect("entry segment always present");
-            self.blocks.install(pc, words, instrs, fuse, line_shift)
+            let (pc, instrs) = segs.pop().expect("entry segment always present");
+            self.blocks.install(pc, instrs, fuse, line_shift)
         };
         self.trace_event(TraceEventKind::BlockBuild { pc, len: run.width });
         self.trace_event(TraceEventKind::BlockCompile { pc, len: run.width });
@@ -889,24 +891,21 @@ impl Cpu {
     /// text-range edge, an undecodable word, or before a split pc
     /// ([`Cpu::enable_handler_profile`]). This is the one place the block
     /// engine decodes a text word.
-    fn decode_run(&self, pc: u64, max: usize) -> (Vec<u32>, Vec<Instruction>) {
-        let mut words = Vec::new();
+    fn decode_run(&self, pc: u64, max: usize) -> Vec<Instruction> {
         let mut instrs = Vec::new();
         let mut p = pc;
         while self.blocks.covers(p) && instrs.len() < max {
             if p != pc && self.splits_at(p) {
                 break;
             }
-            let word = self.mem.read_u32(p);
-            let Ok(instr) = Instruction::decode(word) else { break };
-            words.push(word);
+            let Ok(instr) = Instruction::decode(self.mem.read_u32(p)) else { break };
             instrs.push(instr);
             if ends_block(instr) {
                 break;
             }
             p = p.wrapping_add(4);
         }
-        (words, instrs)
+        instrs
     }
 
     /// Grows a decoded run into a superblock along the profile's
@@ -922,7 +921,7 @@ impl Cpu {
     /// verdict on.
     fn extend_superblock(
         &mut self,
-        segs: &mut Vec<(u64, Vec<u32>, Vec<Instruction>)>,
+        segs: &mut Vec<(u64, Vec<Instruction>)>,
         pgo: &crate::pgo::PgoProfile,
     ) {
         const MAX_SUPERBLOCK_SEGS: usize = 4;
@@ -930,12 +929,12 @@ impl Cpu {
             if segs.len() >= MAX_SUPERBLOCK_SEGS {
                 return;
             }
-            let total: usize = segs.iter().map(|(_, _, i)| i.len()).sum();
+            let total: usize = segs.iter().map(|(_, i)| i.len()).sum();
             if total >= MAX_BLOCK_LEN {
                 return;
             }
             let (last_base, last_len, ender) = {
-                let (base, _, instrs) = segs.last().expect("entry segment always present");
+                let (base, instrs) = segs.last().expect("entry segment always present");
                 match instrs.last() {
                     Some(&i) => (*base, instrs.len(), i),
                     None => return,
@@ -957,15 +956,15 @@ impl Cpu {
                 || !succ.is_multiple_of(4)
                 || !self.blocks.covers(succ)
                 || self.splits_at(succ)
-                || segs.iter().any(|&(base, _, _)| base == succ)
+                || segs.iter().any(|&(base, _)| base == succ)
             {
                 return;
             }
-            let (words, instrs) = self.decode_run(succ, MAX_BLOCK_LEN - total);
+            let instrs = self.decode_run(succ, MAX_BLOCK_LEN - total);
             if instrs.is_empty() {
                 return;
             }
-            segs.push((succ, words, instrs));
+            segs.push((succ, instrs));
         }
     }
 

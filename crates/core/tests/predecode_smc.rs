@@ -1,18 +1,21 @@
 //! Self-modifying-code correctness for the block engine.
 //!
 //! The basic-block table is the core's one cache of decoded text words
-//! (the stepwise path decodes every fetch). These tests prove its
-//! invalidation paths work end to end: guest stores into the text
-//! segment (`sw` over an instruction), host writes through
-//! `Cpu::mem_mut`, and precise host stores through
-//! `Cpu::host_store_u64`. In every case re-executing the patched address
-//! must observe the new instruction, and the architectural counters must
-//! match a stepwise run. They also pin the hardest case: a store that
-//! patches an instruction *later in the currently executing block*,
-//! which must abandon the in-flight compiled block rather than retire
-//! stale decodes.
+//! (the stepwise path decodes every fetch), and any text change drops
+//! every block in it. These tests prove its invalidation paths work end
+//! to end: guest stores into the text segment (`sw` over an
+//! instruction), host writes through `Cpu::mem_mut`, and precise host
+//! stores through `Cpu::host_store_u64`. In every case re-executing the
+//! patched address must observe the new instruction, and the
+//! architectural counters must match a stepwise run. They also pin the
+//! hardest cases: a store that patches an instruction *later in the
+//! currently executing block*, which must abandon the in-flight compiled
+//! block rather than retire stale decodes, and the same store into the
+//! second segment of a PGO superblock.
 
-use tarch_core::{CoreConfig, Cpu, StepEvent};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+use tarch_core::{CoreConfig, Cpu, PgoProfile, StepEvent};
 use tarch_isa::text::assemble;
 use tarch_isa::{AluImmOp, Instruction, Reg};
 
@@ -129,8 +132,8 @@ fn mid_block_smc_counters_match_stepwise_decode() {
 #[test]
 fn host_write_through_mem_mut_revalidates_blocks() {
     // Two blocks in a loop: block A holds the patch target, block B is
-    // untouched. After the host write, A must rebuild (its word changed)
-    // while B revalidates in place.
+    // untouched. After the host write both are dropped, B too, and
+    // rebuilt from current memory.
     let src = "
     top:
         addi a0, a0, 1      # patched by the host after the first pass
@@ -152,11 +155,10 @@ fn host_write_through_mem_mut_revalidates_blocks() {
     assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
     assert_eq!(cpu.regs().read(Reg::A0).v, 101);
     let stats = cpu.block_stats();
-    assert!(stats.rebuilds > 0, "the patched block must re-decode after the host write");
-    assert!(
-        stats.revalidations > 0,
-        "the untouched block must revalidate (not re-decode) after the epoch bump"
-    );
+    assert_eq!(stats.rebuilds, 2, "a host write drops both blocks, the untouched one too");
+    assert_eq!(stats.tier_deopts, 2, "each dropped block is a deopt");
+    assert_eq!(stats.builds, 5, "both blocks rebuilt, then the `halt` block");
+    assert_eq!(stats.revalidations, 0, "no block is re-compared against memory");
 }
 
 #[test]
@@ -257,4 +259,57 @@ fn host_store_u64_deopts_compiled_text_but_not_data() {
         "dropping the patched block's compiled code must count as a deopt"
     );
     assert!(after_text.rebuilds > after_data.rebuilds, "patched block must rebuild");
+}
+
+/// A loop whose first block a one-edge profile straightens across its
+/// `j second` into a two-segment superblock. On the first pass the
+/// superblock's first segment stores over `patch`, in its second
+/// segment; later passes store into data. A compiled superblock that ran
+/// on past the store, or that survived the store, would retire the
+/// original `addi 7`.
+const SUPER_SRC: &str = "
+    li   s3, 0x20000    # data base: holds the replacement word
+    la   s4, patch      # the first pass stores into text
+    li   s5, 0x20008    # later passes store into data
+    li   s1, 3
+    j    top
+top:
+    lw   t0, 0(s3)
+    sw   t0, 0(s4)      # patches an instruction of the second segment
+    mv   s4, s5
+    addi s1, s1, -1
+    j    second         # the profiled edge
+    halt
+second:
+    addi a0, a0, 1
+patch:
+    addi a0, a0, 7      # must execute as addi a0, a0, 100
+    bnez s1, top
+    halt
+";
+
+fn run_super(config: CoreConfig) -> Cpu {
+    let mut program = assemble(SUPER_SRC, TEXT_BASE, DATA_BASE).expect("assembles");
+    program.data = addi_a0(100).to_le_bytes().to_vec();
+    let edge = (program.symbol("top").unwrap(), program.symbol("second").unwrap());
+    let pgo = PgoProfile::new(BTreeMap::from([edge]));
+    let mut cpu = Cpu::new(CoreConfig { pgo: Some(Arc::new(pgo)), ..config });
+    cpu.load_program(&program);
+    assert_eq!(cpu.run(10_000).expect("no trap"), StepEvent::Halted);
+    cpu
+}
+
+#[test]
+fn store_into_a_superblocks_second_segment_matches_stepwise() {
+    let on = run_super(CoreConfig::paper());
+    let off = run_super(CoreConfig { blocks: false, ..CoreConfig::paper() });
+    assert_eq!(off.regs().read(Reg::A0).v, 3 * 101, "reference run must see the patch");
+    let regs =
+        |cpu: &Cpu| (0..32).map(|n| cpu.regs().read(Reg::new(n).unwrap())).collect::<Vec<_>>();
+    assert_eq!(regs(&on), regs(&off));
+    assert_eq!(on.counters(), off.counters());
+    assert_eq!(on.branch_stats(), off.branch_stats());
+    let stats = on.block_stats();
+    assert!(stats.superblocks >= 1, "the profiled edge must straighten");
+    assert!(stats.rebuilds > 0, "the store must drop the superblock");
 }

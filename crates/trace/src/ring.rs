@@ -37,8 +37,7 @@ pub enum TraceEventKind {
         pc: u64,
     },
     /// A guest store, or a precise host store, overlapped the text range
-    /// and bumped the block table's generation: every cached block
-    /// revalidates its words against memory before it runs again.
+    /// and dropped every cached block.
     CodeInvalidate {
         /// First guest address of the invalidating store.
         addr: u64,
