@@ -93,18 +93,19 @@
 //! `bench-artifacts/` (override the directory with `--out`, or the exact
 //! path with `--emit-json`).
 
+use std::collections::BTreeMap;
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use tarch_bench::ab::{self, Cell, CellRun, Config, Step, Summary};
 use tarch_bench::figures;
-use tarch_bench::harness::{default_cache_dir, Matrix, MatrixOptions, MAX_STEPS};
+use tarch_bench::harness::{self, default_cache_dir, Matrix, MatrixOptions, MAX_STEPS};
 use tarch_bench::paper_tables as tables;
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{CoreConfig, IsaLevel, TraceConfig};
 use tarch_fleet::build_guest;
-use tarch_runner::{BenchArtifact, EngineKind, PgoSet};
+use tarch_runner::{BenchArtifact, Dispatches, EngineKind, JobKey, PgoSet, RunStats};
 
 struct Opts {
     scale: Scale,
@@ -300,10 +301,32 @@ fn main() -> ExitCode {
     }
 }
 
+/// A matrix to render and the artifact it came from or made.
+struct Produced {
+    matrix: Matrix,
+    artifact: BenchArtifact,
+    /// Dispatch counts of the profiled jobs a simulated run ran.
+    dispatches: BTreeMap<JobKey, Dispatches>,
+    /// Pool statistics of a simulated run; `None` for an artifact.
+    stats: Option<RunStats>,
+}
+
+/// The options of a simulated matrix or of Figure 2(a)'s jobs.
+fn matrix_options(opts: &Opts, profiled: bool) -> MatrixOptions {
+    MatrixOptions {
+        workers: opts.jobs,
+        cache_dir: (!opts.no_cache).then(default_cache_dir),
+        step_budget: opts.step_budget,
+        profiled,
+        progress: opts.verbose,
+        ..MatrixOptions::default()
+    }
+}
+
 /// Produces the matrix: reloaded from an artifact when `--from-json` was
 /// given, otherwise simulated on the worker pool (with caching unless
-/// `--no-cache`). Returns the artifact of the run when one was produced.
-fn matrix(opts: &Opts, profiled: bool) -> Result<(Matrix, Option<BenchArtifact>), String> {
+/// `--no-cache`). The caller prints the run's summary (see [`summarize`]).
+fn matrix(opts: &Opts, profiled: bool) -> Result<Produced, String> {
     if let Some(path) = &opts.from_json {
         let artifact = BenchArtifact::read(path)?;
         if opts.verbose {
@@ -315,30 +338,38 @@ fn matrix(opts: &Opts, profiled: bool) -> Result<(Matrix, Option<BenchArtifact>)
                 artifact.created_unix,
             );
         }
-        let m = Matrix::from_artifact(&artifact)?;
-        return Ok((m, Some(artifact)));
+        let matrix = Matrix::from_artifact(&artifact)?;
+        return Ok(Produced { matrix, artifact, dispatches: BTreeMap::new(), stats: None });
     }
     if opts.verbose {
         eprintln!("running the workload x engine x ISA-level simulation matrix...");
     }
-    let mopts = MatrixOptions {
-        workers: opts.jobs,
-        cache_dir: (!opts.no_cache).then(default_cache_dir),
-        step_budget: opts.step_budget,
-        profiled,
-        progress: opts.verbose,
-        ..MatrixOptions::default()
-    };
-    let run = Matrix::run_with(&workloads::all(), opts.scale, &mopts)?;
-    if opts.verbose {
-        eprintln!("{}", run.stats.summary());
-    }
+    let run = Matrix::run_with(&workloads::all(), opts.scale, &matrix_options(opts, profiled))?;
     let artifact = run.artifact();
-    Ok((run.matrix, Some(artifact)))
+    let stats = Some(run.stats);
+    Ok(Produced { matrix: run.matrix, artifact, dispatches: run.dispatches, stats })
 }
 
-fn emit(opts: &Opts, command: &str, artifact: Option<&BenchArtifact>) -> Result<(), String> {
-    let Some(artifact) = artifact else { return Ok(()) };
+/// Prints a run's summary under `--verbose`.
+fn summarize(opts: &Opts, stats: Option<&RunStats>) {
+    if let (true, Some(stats)) = (opts.verbose, stats) {
+        eprintln!("{}", stats.summary());
+    }
+}
+
+/// Figure 2(a), from the dispatch counts of each workload's profiled Lua
+/// Typed cell: those in `known`, else cached, else simulated now. Returns
+/// the statistics of the jobs `known` did not answer.
+fn fig2a(opts: &Opts, known: &BTreeMap<JobKey, Dispatches>) -> Result<(String, RunStats), String> {
+    let ws = workloads::all();
+    let mopts = matrix_options(opts, true);
+    let jobs = harness::fig2a_jobs(&ws, opts.scale, &mopts.core);
+    let (counts, stats) = harness::dispatch_counts(&jobs, known, &mopts)?;
+    let rows: Vec<(&str, Dispatches)> = ws.iter().map(|w| w.name).zip(counts).collect();
+    Ok((figures::fig2a(&rows), stats))
+}
+
+fn emit(opts: &Opts, command: &str, artifact: &BenchArtifact) -> Result<(), String> {
     // Explicit --emit-json always wins; `all` and `bench` also auto-emit
     // a timestamped artifact next to the working directory unless the
     // matrix itself came from an artifact.
@@ -368,26 +399,44 @@ fn run(command: &str, opts: &Opts, cell: Option<&str>) -> Result<(), String> {
         "table6" => print!("{}", tables::table6()),
         "table7" => print!("{}", tables::table7()),
         "fig1" | "fig3" => print!("{}", figures::fig1()?),
-        "fig2a" => print!("{}", figures::fig2a(opts.scale)?),
+        "fig2a" => {
+            if opts.verbose {
+                eprintln!("reading or simulating the profiled Lua Typed cells...");
+            }
+            let (fig, stats) = fig2a(opts, &BTreeMap::new())?;
+            summarize(opts, Some(&stats));
+            print!("{fig}");
+        }
         "fig2b" => print!("{}", figures::fig2b()?),
         "fig9" => {
-            let (m, artifact) = matrix(opts, true)?;
-            print!("{}", figures::fig9(&m)?);
-            emit(opts, command, artifact.as_ref())?;
+            let p = matrix(opts, true)?;
+            summarize(opts, p.stats.as_ref());
+            print!("{}", figures::fig9(&p.matrix)?);
+            emit(opts, command, &p.artifact)?;
         }
         "fig5" | "fig6" | "fig7" | "fig8" | "table8" => {
-            let (m, artifact) = matrix(opts, false)?;
+            let p = matrix(opts, false)?;
+            summarize(opts, p.stats.as_ref());
+            let m = &p.matrix;
             let s = match command {
-                "fig5" => figures::fig5(&m)?,
-                "fig6" => figures::fig6(&m)?,
-                "fig7" => figures::fig7(&m)?,
-                "fig8" => figures::fig8(&m)?,
-                _ => figures::table8(&m)?,
+                "fig5" => figures::fig5(m)?,
+                "fig6" => figures::fig6(m)?,
+                "fig7" => figures::fig7(m)?,
+                "fig8" => figures::fig8(m)?,
+                _ => figures::table8(m)?,
             };
             print!("{s}");
-            emit(opts, command, artifact.as_ref())?;
+            emit(opts, command, &p.artifact)?;
         }
         "all" => {
+            // Every simulation runs before anything prints: Figure 2(a)
+            // takes its counts from the matrix's profiled Lua cells.
+            let p = matrix(opts, true)?;
+            let (fig2a, fig2a_stats) = fig2a(opts, &p.dispatches)?;
+            let mut stats = p.stats.unwrap_or_default();
+            stats.absorb(&fig2a_stats);
+            summarize(opts, Some(&stats));
+            let m = &p.matrix;
             print!("{}", tables::table1());
             println!();
             print!("{}", tables::table2());
@@ -404,23 +453,22 @@ fn run(command: &str, opts: &Opts, cell: Option<&str>) -> Result<(), String> {
             println!();
             print!("{}", figures::fig1()?);
             println!();
-            print!("{}", figures::fig2a(opts.scale)?);
+            print!("{fig2a}");
             println!();
             print!("{}", figures::fig2b()?);
             println!();
-            let (m, artifact) = matrix(opts, true)?;
-            print!("{}", figures::fig5(&m)?);
+            print!("{}", figures::fig5(m)?);
             println!();
-            print!("{}", figures::fig6(&m)?);
+            print!("{}", figures::fig6(m)?);
             println!();
-            print!("{}", figures::fig7(&m)?);
+            print!("{}", figures::fig7(m)?);
             println!();
-            print!("{}", figures::fig8(&m)?);
+            print!("{}", figures::fig8(m)?);
             println!();
-            print!("{}", figures::fig9(&m)?);
+            print!("{}", figures::fig9(m)?);
             println!();
-            print!("{}", figures::table8(&m)?);
-            emit(opts, command, artifact.as_ref())?;
+            print!("{}", figures::table8(m)?);
+            emit(opts, command, &p.artifact)?;
         }
         "selftest" => return selftest(opts),
         "bench" => return bench(opts),
@@ -486,7 +534,7 @@ fn bench(opts: &Opts) -> Result<(), String> {
         run.outcomes.len(),
         run.stats.summary(),
     );
-    emit(opts, "bench", Some(&artifact))?;
+    emit(opts, "bench", &artifact)?;
     match &baseline {
         Some((path, baseline)) => compare_against(path, baseline, &artifact, opts.min_ratio),
         None => Ok(()),

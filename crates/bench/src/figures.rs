@@ -5,8 +5,7 @@
 //! truncated or hand-filtered `BENCH_*.json` artifact) produces a clean
 //! error naming the missing cell instead of a panic.
 
-use crate::harness::{geomean, CellResult, EngineKind, Matrix, MAX_STEPS};
-use crate::workloads::{self, Scale};
+use crate::harness::{geomean, CellResult, Dispatches, EngineKind, Matrix, MAX_STEPS};
 use std::fmt::Write as _;
 use tarch_core::{CoreConfig, IsaLevel};
 
@@ -189,29 +188,27 @@ pub fn fig9(m: &Matrix) -> Result<String, String> {
     Ok(out)
 }
 
-/// Figure 2(a): breakdown of dynamic bytecodes for the Lua-like engine.
-///
-/// # Errors
-///
-/// Returns a descriptive string on engine failure.
-pub fn fig2a(scale: Scale) -> Result<String, String> {
+/// Figure 2(a): breakdown of dynamic bytecodes for the Lua-like engine,
+/// from each workload's dispatch counts: the per-handler dispatches of
+/// its profiled Lua Typed cell (see [`crate::harness::dispatch_counts`]),
+/// the `HALT` that stops the image included. Ties keep `luart::Op::ALL`
+/// order.
+pub fn fig2a(rows: &[(&str, Dispatches)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 2(a): dynamic bytecode breakdown (Lua-like engine)");
     let _ = writeln!(out, "{:<16} {:>10}  top bytecodes", "benchmark", "dyn bc");
-    for w in workloads::all() {
-        let src = w.source(scale);
-        let chunk = miniscript::parse(&src).map_err(|e| format!("{}: {e}", w.name))?;
-        let module = luart::compile(&chunk).map_err(|e| format!("{}: {e}", w.name))?;
-        let (_, counts) = luart::host_run_counted(&module, MAX_STEPS)
-            .map_err(|e| format!("{}: {e}", w.name))?;
-        let total: u64 = counts.iter().map(|(_, n)| n).sum();
+    for (name, counts) in rows {
+        let mut ops: Vec<(luart::Op, u64)> =
+            luart::Op::ALL.into_iter().filter_map(|op| Some((op, *counts.get(op.name())?))).collect();
+        ops.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+        let total: u64 = counts.values().sum();
         let mut line = String::new();
-        for (op, n) in counts.iter().take(6) {
+        for (op, n) in ops.iter().take(6) {
             let _ = write!(line, "{op} {:.1}%  ", *n as f64 * 100.0 / total as f64);
         }
-        let _ = writeln!(out, "{:<16} {total:>10}  {line}", w.name);
+        let _ = writeln!(out, "{name:<16} {total:>10}  {line}");
     }
-    Ok(out)
+    out
 }
 
 /// Figure 2(b): native instructions per bytecode for the five hot
@@ -324,6 +321,7 @@ pub fn table8(m: &Matrix) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::harness::{Matrix, MatrixOptions};
+    use crate::workloads::{self, Scale};
 
     fn tiny_matrix(profiled: bool) -> Matrix {
         let ws: Vec<_> = ["fibo", "n-sieve"]
@@ -392,6 +390,17 @@ mod tests {
         assert!(s.contains("typed"));
         assert!(s.contains("xadd"));
         assert!(s.contains("tld"));
+    }
+
+    #[test]
+    fn fig2a_ranks_ops_by_dispatches_and_ties_by_op_order() {
+        let counts: Dispatches = [("SUB", 30), ("MOVE", 30), ("ADD", 39), ("HALT", 1)]
+            .map(|(op, n)| (op.into(), n))
+            .into();
+        let s = fig2a(&[("w", counts)]);
+        let row = s.lines().last().unwrap();
+        assert!(row.starts_with("w "), "{s}");
+        assert!(row.contains(" 100  ADD 39.0%  MOVE 30.0%  SUB 30.0%  HALT 1.0%"), "{s}");
     }
 
     #[test]

@@ -7,18 +7,23 @@
 //! and reassembles the deterministic, submission-ordered outcomes into a
 //! [`Matrix`]. A matrix can equally be reloaded from a `BENCH_*.json`
 //! artifact instead of simulated — see [`Matrix::from_artifact`].
+//! Figure 2(a) reads the profiled runs' per-opcode dispatch counts, which
+//! the run keeps beside the matrix and the cache beside each result (see
+//! [`dispatch_counts`]).
 
 use crate::workloads::{Scale, Workload};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::Mutex;
+use std::time::Instant;
 use tarch_core::{CoreConfig, IsaLevel};
 use tarch_fleet::{build_guest, level_invariant};
 use tarch_runner::{
-    run_jobs, BenchArtifact, ExecError, JobOutcome, JobSpec, PgoSet, RenderedConfig, ResultCache,
-    RunConfig, RunStats,
+    run_jobs, BenchArtifact, ExecError, JobKey, JobOutcome, JobSpec, PgoSet, RenderedConfig,
+    ResultCache, RunConfig, RunStats,
 };
 
-pub use tarch_runner::{CellResult, EngineKind};
+pub use tarch_runner::{CellResult, Dispatches, EngineKind};
 
 /// Default step budget per run (generous; `Scale::Full` workloads are
 /// large). This is the runner's per-job timeout unit: a cell that
@@ -60,13 +65,21 @@ pub fn job_spec_with(
 /// [`ExecError::StepBudget`] when the budget is exhausted, otherwise
 /// [`ExecError::Failed`] with the engine's message.
 pub fn exec_job(spec: &JobSpec, step_budget: u64) -> Result<CellResult, ExecError> {
+    exec_counted(spec, step_budget).map(|(cell, _)| cell)
+}
+
+/// [`exec_job`], also returning a profiled run's dispatch counts.
+fn exec_counted(
+    spec: &JobSpec,
+    step_budget: u64,
+) -> Result<(CellResult, Option<Dispatches>), ExecError> {
     let mut guest = build_guest(spec.engine, &spec.source, spec.level, spec.core.clone())
         .map_err(ExecError::Failed)?;
-    let sim_started = std::time::Instant::now();
+    let sim_started = Instant::now();
     let r = if spec.profiled { guest.run_profiled(step_budget) } else { guest.run(step_budget) };
     let sim_nanos = sim_started.elapsed().as_nanos() as u64;
     let r = r?;
-    Ok(CellResult {
+    let cell = CellResult {
         counters: r.counters,
         branch: r.branch,
         output: r.output,
@@ -75,7 +88,30 @@ pub fn exec_job(spec: &JobSpec, step_budget: u64) -> Result<CellResult, ExecErro
         tier_deopts: guest.cpu().block_stats().tier_deopts,
         // `None` unless the spec's core config enabled tracing.
         trace: guest.cpu_mut().finish_trace(),
-    })
+    };
+    let dispatches =
+        r.profile.map(|p| p.dynamic.into_iter().map(|(op, n)| (op.to_string(), n)).collect());
+    Ok((cell, dispatches))
+}
+
+/// The executor [`Matrix::run_with`] and [`dispatch_counts`] hand the
+/// pool: [`exec_job`], keeping each profiled job's dispatch counts in
+/// `counts` and storing them in `cache`.
+fn counting<'a>(
+    cache: Option<&'a ResultCache>,
+    counts: &'a Mutex<BTreeMap<JobKey, Dispatches>>,
+) -> impl Fn(&JobSpec, u64) -> Result<CellResult, ExecError> + Send + Sync + 'a {
+    move |spec, step_budget| {
+        let (cell, dispatches) = exec_counted(spec, step_budget)?;
+        if let Some(dispatches) = dispatches {
+            if let Some(cache) = cache {
+                // Best-effort, like the pool's own stores.
+                let _ = cache.store_dispatches(&spec.key, &dispatches);
+            }
+            counts.lock().expect("no worker panics holding the lock").insert(spec.key, dispatches);
+        }
+        Ok(cell)
+    }
 }
 
 /// How [`Matrix::run_with`] executes the matrix.
@@ -134,6 +170,9 @@ pub struct MatrixRun {
     pub scale: Scale,
     /// Step budget in force.
     pub step_budget: u64,
+    /// Per-opcode dispatch counts of the profiled jobs this run
+    /// simulated (a cache hit brings none; see [`dispatch_counts`]).
+    pub dispatches: BTreeMap<JobKey, Dispatches>,
 }
 
 impl MatrixRun {
@@ -235,9 +274,11 @@ impl Matrix {
             step_budget: opts.step_budget,
             progress: opts.progress,
         };
-        let report = run_jobs(jobs, &cfg, exec_job).map_err(|e| e.to_string())?;
-        let outcomes =
-            derive_twins(report.outcomes, twins, first_profiled, opts.cache_dir.as_deref());
+        let cache = opts.cache_dir.as_deref().and_then(|dir| ResultCache::open(dir).ok());
+        let dispatches = Mutex::new(BTreeMap::new());
+        let report = run_jobs(jobs, &cfg, counting(cache.as_ref(), &dispatches))
+            .map_err(|e| e.to_string())?;
+        let outcomes = derive_twins(report.outcomes, twins, first_profiled, cache.as_ref());
         let matrix = Matrix::from_outcomes(&outcomes)?;
         Ok(MatrixRun {
             matrix,
@@ -245,6 +286,7 @@ impl Matrix {
             stats: report.stats,
             scale,
             step_budget: opts.step_budget,
+            dispatches: dispatches.into_inner().expect("no worker panics holding the lock"),
         })
     }
 
@@ -380,15 +422,14 @@ fn derive_twins(
     mut outcomes: Vec<JobOutcome>,
     twins: Vec<(usize, JobSpec, usize)>,
     first_profiled: usize,
-    cache_dir: Option<&Path>,
+    cache: Option<&ResultCache>,
 ) -> Vec<JobOutcome> {
-    let cache = cache_dir.and_then(|dir| ResultCache::open(dir).ok());
     let derived: Vec<(usize, JobOutcome)> = twins
         .into_iter()
         .map(|(position, spec, pair)| {
             let twin = &outcomes[first_profiled + pair];
             let result = CellResult { bytecodes: None, ..twin.result.clone() };
-            if let (Some(cache), false) = (&cache, twin.cached) {
+            if let (Some(cache), false) = (cache, twin.cached) {
                 // Best-effort, like the pool's own stores.
                 let _ = cache.store(&spec.key, &result);
             }
@@ -400,6 +441,73 @@ fn derive_twins(
         outcomes.insert(position, outcome);
     }
     outcomes
+}
+
+/// Figure 2(a)'s jobs: the profiled Lua Typed cell of each workload,
+/// under the keys [`Matrix::run_with`] gives them.
+pub fn fig2a_jobs(workloads: &[Workload], scale: Scale, core: &CoreConfig) -> Vec<JobSpec> {
+    let core = RenderedConfig::new(core);
+    let lua_typed = |w| job_spec_with(w, EngineKind::Lua, IsaLevel::Typed, scale, true, &core);
+    workloads.iter().map(lua_typed).collect()
+}
+
+/// The dispatch counts of the profiled `jobs`, in their order. Each comes
+/// from `known` (a [`MatrixRun`]'s), else from the cache in `opts`, else
+/// from one simulation on the pool, whose counts and result are then
+/// stored. The statistics count the jobs `known` did not answer: those
+/// read from the cache as hits, the others as simulated.
+///
+/// # Errors
+///
+/// Returns a descriptive string on the first failing job, or on a job
+/// that is not profiled.
+pub fn dispatch_counts(
+    jobs: &[JobSpec],
+    known: &BTreeMap<JobKey, Dispatches>,
+    opts: &MatrixOptions,
+) -> Result<(Vec<Dispatches>, RunStats), String> {
+    let started = Instant::now();
+    let cache = opts.cache_dir.as_deref().and_then(|dir| ResultCache::open(dir).ok());
+    let mut found = BTreeMap::new();
+    let mut missing = Vec::new();
+    for spec in jobs.iter().filter(|spec| !known.contains_key(&spec.key)) {
+        match cache.as_ref().and_then(|c| c.load_dispatches(&spec.key)) {
+            Some(counts) => {
+                found.insert(spec.key, counts);
+            }
+            None => missing.push(spec.clone()),
+        }
+    }
+    let hits = found.len();
+    // The cache is off for the pool: a job whose result is cached but
+    // whose counts are not must still run.
+    let cfg = RunConfig {
+        workers: opts.workers,
+        cache_dir: None,
+        step_budget: opts.step_budget,
+        progress: opts.progress,
+    };
+    let simulated = Mutex::new(BTreeMap::new());
+    let report =
+        run_jobs(missing, &cfg, counting(cache.as_ref(), &simulated)).map_err(|e| e.to_string())?;
+    if let Some(cache) = &cache {
+        for o in &report.outcomes {
+            let _ = cache.store(&o.spec.key, &o.result);
+        }
+    }
+    found.append(&mut simulated.into_inner().expect("no worker panics holding the lock"));
+    let counts = jobs
+        .iter()
+        .map(|spec| {
+            let counts = known.get(&spec.key).or_else(|| found.get(&spec.key));
+            counts.cloned().ok_or_else(|| format!("{}: not a profiled job", spec.label()))
+        })
+        .collect::<Result<_, _>>()?;
+    let mut stats = report.stats;
+    stats.jobs += hits;
+    stats.cache_hits += hits;
+    stats.wall_nanos = started.elapsed().as_nanos() as u64;
+    Ok((counts, stats))
 }
 
 /// Geometric mean of an iterator of positive values.

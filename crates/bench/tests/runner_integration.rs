@@ -1,10 +1,14 @@
 //! End-to-end tests of the parallel runner wired to the real engines:
 //! determinism across worker counts, cache round-trips, artifact reload
-//! fidelity, and plain cells derived from their profiled twins.
+//! fidelity, plain cells derived from their profiled twins, and the
+//! dispatch counts Figure 2(a) reads.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
-use tarch_bench::harness::{Matrix, MatrixOptions, MAX_STEPS};
+use tarch_bench::harness::{
+    dispatch_counts, fig2a_jobs, job_spec, Matrix, MatrixOptions, MAX_STEPS,
+};
 use tarch_bench::workloads::{self, Scale};
 use tarch_core::{CoreConfig, IsaLevel, TraceConfig};
 use tarch_runner::{BenchArtifact, EngineKind, JobOutcome, PgoSet};
@@ -278,4 +282,61 @@ fn traced_plain_typed_cells_are_simulated_not_derived() {
         assert!(o.wall_nanos > 0, "{}: simulated", o.spec.label());
         assert!(o.result.trace.is_some(), "{}: traced", o.spec.label());
     }
+}
+
+/// A profiled run keeps the dispatch counts of the profiled jobs it
+/// simulates, in the run and beside each cached result; a cache hit
+/// brings none. Figure 2(a)'s jobs carry the matrix's keys, and their
+/// counts come from the run, else from the cache, else from one
+/// simulation, which stores them.
+#[test]
+fn dispatch_counts_come_from_the_run_then_the_cache_then_a_simulation() {
+    let ws = mini_workloads();
+    let dir = temp_cache("dispatches");
+    let opts = MatrixOptions {
+        workers: 2,
+        cache_dir: Some(dir.clone()),
+        profiled: true,
+        ..MatrixOptions::default()
+    };
+    let cold = Matrix::run_with(&ws, Scale::Test, &opts).unwrap();
+    let profiled: Vec<&JobOutcome> = cold.outcomes.iter().filter(|o| o.spec.profiled).collect();
+    assert_eq!(cold.dispatches.len(), profiled.len());
+    for o in profiled {
+        let total: u64 = cold.dispatches[&o.spec.key].values().sum();
+        assert_eq!(Some(total), o.result.bytecodes, "{}", o.spec.label());
+    }
+    let jobs = fig2a_jobs(&ws, Scale::Test, &opts.core);
+    for job in &jobs {
+        assert_eq!(job.engine, EngineKind::Lua);
+        assert!(cold.dispatches.contains_key(&job.key), "{}: not the matrix's key", job.label());
+    }
+    let (from_run, stats) = dispatch_counts(&jobs, &cold.dispatches, &opts).unwrap();
+    assert_eq!(stats.jobs, 0, "the run answers every job");
+    assert!(from_run.iter().all(|counts| counts["HALT"] == 1));
+
+    let warm = Matrix::run_with(&ws, Scale::Test, &opts).unwrap();
+    assert_eq!(warm.stats.cache_misses, 0);
+    assert!(warm.dispatches.is_empty(), "a cache hit brings no counts");
+    let (from_cache, stats) = dispatch_counts(&jobs, &warm.dispatches, &opts).unwrap();
+    assert_eq!((stats.jobs, stats.cache_hits, stats.cache_misses), (2, 2, 0));
+    assert_eq!(from_cache, from_run);
+
+    // Results cached without their counts: the jobs run again, once.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.to_string_lossy().ends_with(".dispatches.json") {
+            std::fs::remove_file(path).unwrap();
+        }
+    }
+    let (refilled, stats) = dispatch_counts(&jobs, &BTreeMap::new(), &opts).unwrap();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
+    assert_eq!(refilled, from_run);
+    let (_, stats) = dispatch_counts(&jobs, &BTreeMap::new(), &opts).unwrap();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 0));
+
+    let plain = [job_spec(&ws[0], EngineKind::Lua, IsaLevel::Typed, Scale::Test, false)];
+    let err = dispatch_counts(&plain, &BTreeMap::new(), &opts).unwrap_err();
+    assert!(err.contains("not a profiled job"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,8 +15,9 @@
 //!   (parse → compile → typed codegen → load), freeze its simulated
 //!   memory into a shared copy-on-write base image
 //!   (`tarch_core::Cpu::freeze_memory`), then [`Template::spawn`]
-//!   tenants as cheap clones that share every frozen page and the warm
-//!   block cache (op runs and compiled blocks);
+//!   tenants as cheap clones that share every frozen page. The template
+//!   never runs, so each tenant starts with an empty block table; only a
+//!   clone of a guest that has run inherits its compiled blocks;
 //! * [`run_fleet`] — a sharded preemptive scheduler. Tenants are dealt
 //!   across shards by a seeded shuffle; each shard models one simulated
 //!   core multiplexed round-robin, preempting each tenant after a slice

@@ -6,18 +6,17 @@
 //! small-scale simulation. A [`Template`] pays that cost once, freezes
 //! the simulated memory into a shared copy-on-write base image
 //! (`tarch_core::Cpu::freeze_memory`), and then [`Template::spawn`]s
-//! tenants as plain `clone()`s: every clone shares the frozen pages and
-//! the warm block cache, copying only what it writes.
-//! [`measure_costs`] quantifies the gap on the live host.
+//! tenants as plain `clone()`s: every clone shares the frozen pages,
+//! copying only what it writes. [`measure_costs`] quantifies the gap on
+//! the live host.
 //!
-//! Tier-3 compiled blocks ride along for free: the block table holds
-//! them as `Arc`s, so a clone of a tiered core starts with its
-//! template's compiled cache warm — no tenant recompiles what the
-//! template (or the parent, for a mid-run fork) already tiered up. The
-//! generation checks inside each compiled closure keep the shared code
-//! safe: a tenant that patches its own (copy-on-write) text deopts only
-//! itself; siblings keep executing the shared closures against their
-//! own unmodified pages.
+//! [`Template::build`] never runs the guest, so every tenant starts with
+//! an empty block table and builds its own blocks. Only a fork taken
+//! mid-run (a `clone()` of a guest that has run) inherits compiled
+//! blocks: the block table holds them by reference count, so the fork
+//! shares its parent's code instead of rebuilding it. Each copy keeps
+//! its own table, so a tenant that writes its own (copy-on-write) text
+//! drops only its own blocks.
 
 use std::collections::BTreeMap;
 use std::fmt;

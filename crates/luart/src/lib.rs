@@ -21,9 +21,11 @@
 //! The pipeline: [`compile`] MiniScript to bytecode, [`build_image`] the
 //! interpreter for an [`tarch_core::IsaLevel`], then drive it with
 //! [`LuaVm`] — the guest-VM shell every engine shares
-//! (`tarch_sim::GuestVm`), over this crate's [`Lua`] engine. A host-side
-//! bytecode executor ([`host_run`]) provides the compiler's executable
-//! specification for differential testing.
+//! (`tarch_sim::GuestVm`), over this crate's [`Lua`] engine. The
+//! simulated interpreter is the only executor of the bytecode: the
+//! differential tests run it against `miniscript::Interp`, and a profiled
+//! run ([`LuaVm::run_profiled`]) counts each handler's dispatches for
+//! Figure 2(a).
 //!
 //! # Examples
 //!
@@ -52,7 +54,6 @@ mod codegen;
 mod compiler;
 mod engine;
 pub mod helpers;
-mod hostvm;
 pub mod image;
 pub mod layout;
 pub mod native;
@@ -62,5 +63,4 @@ pub use bytecode::{Bc, Builtin, Const, Module, Op, Proto, RK_CONST};
 pub use codegen::{build_image, LuaImage};
 pub use compiler::{compile, CompileError};
 pub use engine::{EngineError, Lua, LuaVm, OpProfile, RunReport};
-pub use hostvm::{host_run, host_run_counted, VmError};
 pub use runtime::LuaHost;

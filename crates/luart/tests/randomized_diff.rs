@@ -1,16 +1,17 @@
 //! Randomized differential testing: random arithmetic/comparison
 //! expression programs must behave identically (same output or same
 //! error-ness) under the reference interpreter and the compiled bytecode
-//! executed by the host VM. This fuzzes the compiler's register
-//! allocation, RK folding and operator lowering against the language
-//! semantics.
+//! executed by the simulated interpreter at all three ISA levels. This
+//! fuzzes the compiler's register allocation, RK folding and operator
+//! lowering, and each level's handlers, against the language semantics.
 //!
 //! Expressions are drawn from a seeded deterministic generator
 //! ([`tarch_testkit::Rng`]) so every run covers the same corpus and any
 //! failure reproduces exactly.
 
-use luart::{compile, host_run};
+use luart::LuaVm;
 use miniscript::{parse, Interp};
+use tarch_core::{CoreConfig, IsaLevel};
 use tarch_testkit::Rng;
 
 /// A small expression AST rendered to MiniScript source.
@@ -73,19 +74,19 @@ fn reference(src: &str) -> Result<String, String> {
     Ok(i.output().to_string())
 }
 
-fn compiled(src: &str) -> Result<String, String> {
-    let chunk = parse(src).map_err(|e| e.to_string())?;
-    let module = compile(&chunk).map_err(|e| e.to_string())?;
-    host_run(&module, 10_000_000).map_err(|e| e.to_string())
+fn simulated(src: &str, level: IsaLevel) -> Result<String, String> {
+    let mut vm = LuaVm::from_source(src, level, CoreConfig::paper()).map_err(|e| e.to_string())?;
+    Ok(vm.run(10_000_000).map_err(|e| e.to_string())?.output)
 }
 
 fn assert_agree(src: &str) {
     let want = reference(src);
-    let got = compiled(src);
-    match (want, got) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "source: {src}"),
-        (Err(_), Err(_)) => {} // both reject (e.g. n//0, bool arithmetic)
-        (a, b) => panic!("divergence for {src}: {a:?} vs {b:?}"),
+    for level in IsaLevel::ALL {
+        match (&want, simulated(src, level)) {
+            (Ok(a), Ok(b)) => assert_eq!(*a, b, "{level}: source: {src}"),
+            (Err(_), Err(_)) => {} // both reject (e.g. n//0, bool arithmetic)
+            (a, b) => panic!("{level}: divergence for {src}: {a:?} vs {b:?}"),
+        }
     }
 }
 

@@ -1,7 +1,10 @@
 //! Persistent result cache.
 //!
 //! One JSON file per [`JobKey`] under a cache directory (by default
-//! `target/tarch-cache/`). A lookup that fails for *any* reason —
+//! `target/tarch-cache/`), `<key>.json`. A profiled job's per-opcode
+//! dispatch counts go in a second document beside it,
+//! `<key>.dispatches.json`, which only Figure 2(a) reads: a result
+//! lookup never opens it. A lookup that fails for *any* reason —
 //! missing file, truncated write, schema mismatch, field drift — is a
 //! miss, never an error: the cache is purely an accelerator and the
 //! simulation can always be re-run.
@@ -12,7 +15,7 @@
 
 use crate::job::{JobKey, KEY_SCHEMA};
 use crate::json::{Json, JsonWriter};
-use crate::result::CellResult;
+use crate::result::{CellResult, Dispatches};
 use std::path::{Path, PathBuf};
 use std::process;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,17 +51,23 @@ impl ResultCache {
         self.dir.join(format!("{key}.json"))
     }
 
+    fn dispatch_path(&self, key: &JobKey) -> PathBuf {
+        self.dir.join(format!("{key}.dispatches.json"))
+    }
+
     /// Looks up a cached result; any load failure is a miss.
     pub fn load(&self, key: &JobKey) -> Option<CellResult> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if doc.req_u64("key_schema").ok()? != u64::from(KEY_SCHEMA) {
-            return None;
-        }
-        if JobKey::parse(doc.req_str("key").ok()?)? != *key {
-            return None;
-        }
-        CellResult::from_json(doc.get("cell")?).ok()
+        CellResult::from_json(checked(&text, key)?.get("cell")?).ok()
+    }
+
+    /// Looks up the dispatch counts stored beside a profiled job's
+    /// result; any load failure is a miss.
+    pub fn load_dispatches(&self, key: &JobKey) -> Option<Dispatches> {
+        let text = std::fs::read_to_string(self.dispatch_path(key)).ok()?;
+        let doc = checked(&text, key)?;
+        let Json::Obj(counts) = doc.get("dispatches")? else { return None };
+        counts.iter().map(|(op, n)| Some((op.to_string(), n.as_u64()?))).collect()
     }
 
     /// Stores a result. Best-effort: failures are reported but callers
@@ -68,14 +77,41 @@ impl ResultCache {
     ///
     /// Returns the underlying I/O error message.
     pub fn store(&self, key: &JobKey, cell: &CellResult) -> Result<(), String> {
+        self.write(&self.entry_path(key), key, "cell", |w| cell.write_json(w, true))
+    }
+
+    /// Stores a profiled job's dispatch counts beside its result.
+    /// Best-effort, like [`ResultCache::store`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error message.
+    pub fn store_dispatches(&self, key: &JobKey, counts: &Dispatches) -> Result<(), String> {
+        self.write(&self.dispatch_path(key), key, "dispatches", |w| {
+            w.obj(|o| {
+                for (op, &n) in counts {
+                    o.key(op).u64(n);
+                }
+            })
+        })
+    }
+
+    /// Writes `{key_schema, key, <field>: body}` to `path` through a
+    /// temp file and a rename.
+    fn write(
+        &self,
+        path: &Path,
+        key: &JobKey,
+        field: &str,
+        body: impl FnOnce(&mut JsonWriter),
+    ) -> Result<(), String> {
         let text = JsonWriter::print(|w| {
             w.obj(|o| {
                 o.key("key_schema").u64(KEY_SCHEMA.into());
                 o.key("key").str(&key.hex());
-                cell.write_json(o.key("cell"), true);
+                body(o.key(field));
             })
         });
-        let final_path = self.entry_path(key);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             process::id(),
@@ -83,11 +119,11 @@ impl ResultCache {
         ));
         std::fs::write(&tmp, text)
             .map_err(|e| format!("cache write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &final_path)
-            .map_err(|e| format!("cache rename {}: {e}", final_path.display()))
+        std::fs::rename(&tmp, path).map_err(|e| format!("cache rename {}: {e}", path.display()))
     }
 
-    /// Number of entries currently on disk (for stats/tests).
+    /// Number of documents currently on disk, results and dispatch
+    /// counts alike (for stats/tests).
     pub fn len(&self) -> usize {
         std::fs::read_dir(&self.dir)
             .map(|rd| {
@@ -102,6 +138,15 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Parses a cache document and checks that it was written under
+/// `KEY_SCHEMA` for `key`.
+fn checked<'t>(text: &'t str, key: &JobKey) -> Option<Json<'t>> {
+    let doc = Json::parse(text).ok()?;
+    let ours = doc.req_u64("key_schema").ok()? == u64::from(KEY_SCHEMA)
+        && JobKey::parse(doc.req_str("key").ok()?)? == *key;
+    ours.then_some(doc)
 }
 
 #[cfg(test)]
@@ -153,6 +198,47 @@ mod tests {
         cache.store(&JobKey(5, 6), &cell(9)).unwrap();
         std::fs::copy(dir.join(format!("{}.json", JobKey(5, 6).hex())), &path).unwrap();
         assert!(cache.load(&key).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn dispatches() -> Dispatches {
+        [("ADD", 40), ("HALT", 1), ("MOVE", 7)].map(|(op, n)| (op.to_string(), n)).into()
+    }
+
+    #[test]
+    fn dispatch_counts_roundtrip_beside_the_result() {
+        let dir = tmpdir("dispatch");
+        let cache = ResultCache::open(&dir).unwrap();
+        let key = JobKey(9, 10);
+        assert!(cache.load_dispatches(&key).is_none());
+        cache.store_dispatches(&key, &dispatches()).unwrap();
+        assert_eq!(cache.load_dispatches(&key), Some(dispatches()));
+        // The counts are a document of their own, not a result.
+        assert!(cache.load(&key).is_none());
+        cache.store(&key, &cell(3)).unwrap();
+        assert_eq!(cache.load(&key), Some(cell(3)));
+        assert_eq!(cache.load_dispatches(&key), Some(dispatches()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncated_or_foreign_dispatch_documents_are_misses() {
+        let dir = tmpdir("dispatch-miss");
+        let cache = ResultCache::open(&dir).unwrap();
+        let key = JobKey(11, 12);
+        cache.store_dispatches(&key, &dispatches()).unwrap();
+        let path = dir.join(format!("{key}.dispatches.json"));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let schema = |n: u32| format!("\"key_schema\": {n}");
+        for bad in [
+            text[..text.len() / 2].to_string(),
+            text.replace(&key.hex(), &JobKey(11, 13).hex()),
+            text.replace(&schema(KEY_SCHEMA), &schema(KEY_SCHEMA + 1)),
+        ] {
+            assert_ne!(bad, text);
+            std::fs::write(&path, &bad).unwrap();
+            assert!(cache.load_dispatches(&key).is_none(), "read as a hit:\n{bad}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

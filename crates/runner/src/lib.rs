@@ -12,7 +12,8 @@
 //!   calling thread among them, while returning results in deterministic
 //!   (submission) order;
 //! * [`cache`] — a persistent on-disk result cache keyed by [`JobKey`],
-//!   so re-running an experiment skips already-simulated cells;
+//!   so re-running an experiment skips already-simulated cells, with a
+//!   profiled job's [`Dispatches`] in a second document beside its result;
 //! * [`artifact`] — versioned `BENCH_<timestamp>.json` run artifacts the
 //!   figure renderers can reload instead of re-simulating;
 //! * [`mod@compare`] — host-throughput comparison of two artifacts, backing
@@ -58,4 +59,4 @@ pub use pool::{
     run_jobs, ExecError, JobOutcome, RunConfig, RunReport, RunStats, RunnerError,
     DEFAULT_STEP_BUDGET,
 };
-pub use result::CellResult;
+pub use result::{CellResult, Dispatches};

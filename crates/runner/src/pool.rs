@@ -185,6 +185,17 @@ impl RunStats {
         }
     }
 
+    /// Adds a later run's counts, so that one summary covers both (e.g.
+    /// Figure 2(a)'s jobs after the matrix's).
+    pub fn absorb(&mut self, later: &RunStats) {
+        self.jobs += later.jobs;
+        self.cache_hits += later.cache_hits;
+        self.cache_misses += later.cache_misses;
+        self.wall_nanos += later.wall_nanos;
+        self.simulated_instructions += later.simulated_instructions;
+        self.workers = self.workers.max(later.workers);
+    }
+
     /// One-line human summary, e.g. for `repro --verbose`.
     pub fn summary(&self) -> String {
         format!(

@@ -2,8 +2,15 @@
 //! the on-disk cache and the `BENCH_*.json` artifacts).
 
 use crate::json::{Json, JsonWriter};
+use std::collections::BTreeMap;
 use tarch_core::trace::{HotPc, MetricWindow, Occupancy, PcMisses, WindowStats};
 use tarch_core::{BranchStats, PerfCounters, TraceSummary};
+
+/// How many times a profiled run dispatched each opcode's handler, keyed
+/// by opcode name; only opcodes that ran appear. Kept beside the
+/// [`CellResult`], not in it (see `ResultCache::load_dispatches`): only
+/// Figure 2(a) reads it.
+pub type Dispatches = BTreeMap<String, u64>;
 
 /// Result of one simulated run.
 #[derive(Debug, Clone, PartialEq)]

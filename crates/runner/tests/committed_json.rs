@@ -3,12 +3,13 @@
 //! read back and re-serialize to its own bytes (up to a trailing
 //! newline): the writer is deterministic and the reader lossless, so a
 //! change to either that alters one byte on disk fails here. Mutated
-//! copies of the same files, and of a result-cache entry, must make
-//! their readers return an error or a value, never panic.
+//! copies of the same files, of a result-cache entry and of a dispatch
+//! document, must make their readers return an error or a value, never
+//! panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use tarch_runner::{BenchArtifact, FleetArtifact, Json, PgoArtifact, ResultCache};
+use tarch_runner::{BenchArtifact, Dispatches, FleetArtifact, Json, PgoArtifact, ResultCache};
 use tarch_testkit::Rng;
 
 fn committed(dir: &str) -> Vec<PathBuf> {
@@ -112,6 +113,15 @@ fn mutated_documents_fail_to_read_without_panicking() {
     assert_eq!(cache.load(&key).as_ref(), Some(&outcome.result), "the entry reads back");
     let entry = cache.dir().join(format!("{key}.json"));
     check("cache entry", &std::fs::read(&entry).unwrap(), &entry, &|_| drop(cache.load(&key)));
+    // One stored dispatch document, Figure 2(a)'s counts for that key.
+    let counts: Dispatches = [("CALL", 177), ("HALT", 1), ("MOVE", 466), ("SUB", 465)]
+        .map(|(op, n)| (op.to_string(), n))
+        .into();
+    cache.store_dispatches(&key, &counts).unwrap();
+    assert_eq!(cache.load_dispatches(&key), Some(counts), "the document reads back");
+    let doc = cache.dir().join(format!("{key}.dispatches.json"));
+    let read: &dyn Fn(&Path) = &|_| drop(cache.load_dispatches(&key));
+    check("dispatch document", &std::fs::read(&doc).unwrap(), &doc, read);
     let _ = std::fs::remove_dir_all(&scratch);
     assert!(panics.is_empty(), "readers panicked on: {panics:?}");
 }

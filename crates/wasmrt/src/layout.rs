@@ -24,6 +24,16 @@
 //! the write as entry removal. No workload writes floats to hash parts;
 //! dense float arrays are unaffected (raw stores, no sentinel checks).
 //!
+//! ## Caveat: `NIL` vs the integer `i64::MIN`
+//!
+//! An integer equal to `i64::MIN` has `NIL`'s bits, so it reads as nil:
+//! `local x = 4611686018427387904 print(x * 2)` prints `nil`, and `local
+//! x = 9223372036854775807 x = x + 1 print(x == nil, x < 0)` prints `true
+//! true`, where the reference interpreter and `luart` print
+//! `-9223372036854775808` and `false true`. No workload reaches
+//! `i64::MIN`. Moving the sentinel rewrites every `wasmrt` image (the
+//! globals area and every nil test embed it).
+//!
 //! The memory map, table header, function-info and call-info records are
 //! the shared skeleton's ([`luart::image`]), as in `jsrt` — deliberately,
 //! so the host-side accelerations (basic blocks, superblocks, tiered

@@ -2,12 +2,11 @@
 //! scale) must print byte-identical output under
 //!
 //! * the MiniScript reference interpreter,
-//! * `luart`'s host-side bytecode VM,
 //! * the simulated `luart` engine × {baseline, checked-load, typed},
 //! * the simulated `jsrt` engine × {baseline, checked-load, typed},
 //! * the simulated `wasmrt` engine × {baseline, checked-load, typed}.
 //!
-//! That is eleven independent executions per workload agreeing on output —
+//! That is ten independent executions per workload agreeing on output —
 //! the strongest end-to-end correctness statement this repository makes.
 //! The simulated engines run through the engine registry
 //! (`tarch_fleet::build_guest`). The `wasmrt` legs additionally assert the
@@ -34,13 +33,6 @@ fn check_workload(name: &str) {
     let src = w.source(Scale::Test);
     let expected = reference_output(&src, name);
     assert!(!expected.is_empty(), "{name} printed nothing");
-
-    // Host-side bytecode VM.
-    let chunk = parse(&src).unwrap();
-    let module = luart::compile(&chunk).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let host_out =
-        luart::host_run(&module, 500_000_000).unwrap_or_else(|e| panic!("{name} hostvm: {e}"));
-    assert_eq!(host_out, expected, "{name}: host VM diverged");
 
     // Simulated engines at every ISA level.
     for engine in EngineKind::ALL {

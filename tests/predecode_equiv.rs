@@ -18,11 +18,13 @@
 //!   run and in budget slices of 1–3 instructions (budget-clipped block
 //!   tails);
 //! * real Lua, JS and WASM workloads through the full simulated engines,
-//!   at all three ISA levels.
+//!   at all three ISA levels, and every workload at the Typed level with
+//!   its text rewritten between preemption slices (the block table's
+//!   invalidation path).
 
 use std::collections::BTreeMap;
 use tarch_bench::workloads::{self, Scale};
-use tarch_core::{BranchStats, CoreConfig, Cpu, PerfCounters, StepEvent, Trap};
+use tarch_core::{BranchStats, CoreConfig, Cpu, IsaLevel, PerfCounters, StepEvent, Trap};
 use tarch_fleet::build_guest;
 use tarch_isa::asm::Program;
 use tarch_isa::{samples, AluImmOp, Instruction, Reg};
@@ -270,8 +272,55 @@ fn pgo_guided_runs_are_counter_identical() {
 
 #[test]
 fn helper_heavy_workload_counters_identical() {
-    // string/table helpers go through `ecall`, whose native implementations
-    // write simulated memory via `mem_mut` — the block table's
-    // revalidation path.
+    // string/table helpers go through `ecall`, whose native
+    // implementations write guest data through `Cpu::host_store_u64`,
+    // which leaves the blocks alone; the block table's invalidation path
+    // runs in `text_rewrites_between_slices_are_counter_identical`.
     check_vm_equivalence("k-nucleotide");
+}
+
+/// Every test-scale workload on every engine at the Typed level, in
+/// fleet-sized slices with one text word rewritten between slices with
+/// the value already there: alternately through `Cpu::host_store_u64`,
+/// which the block table sees as a store into text, and through
+/// `Cpu::mem_mut`, which may have written anywhere. Each rewrite drops
+/// every block, so the run rebuilds its hot blocks once per slice, and it
+/// must still retire, predict and print what one uninterrupted run does.
+#[test]
+fn text_rewrites_between_slices_are_counter_identical() {
+    const SLICE_STEPS: u64 = 10_000;
+    for w in workloads::all() {
+        let src = w.source(Scale::Test);
+        for engine in EngineKind::ALL {
+            let tag = format!("{} {}", w.name, engine.id());
+            let build = || {
+                build_guest(engine, &src, IsaLevel::Typed, CoreConfig::paper())
+                    .unwrap_or_else(|e| panic!("{tag}: {e}"))
+            };
+            let reference = build().run(VM_STEPS).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let mut guest = build();
+            let mut rewrites = 0u64;
+            loop {
+                guest.run_slice(SLICE_STEPS).unwrap_or_else(|e| panic!("{tag}: {e}"));
+                if guest.is_halted() {
+                    break;
+                }
+                let pc = guest.cpu().pc();
+                if rewrites.is_multiple_of(2) {
+                    let word = guest.cpu().mem().read_u64(pc);
+                    guest.cpu_mut().host_store_u64(pc, word);
+                } else {
+                    let word = guest.cpu().mem().read_u32(pc);
+                    guest.cpu_mut().mem_mut().write_u32(pc, word);
+                }
+                rewrites += 1;
+                assert!(rewrites * SLICE_STEPS <= VM_STEPS, "{tag}: runaway slice loop");
+            }
+            let stats = guest.cpu().block_stats();
+            assert!(stats.store_invalidations > 0 && stats.rebuilds > 0, "{tag}: {stats:?}");
+            assert_eq!(guest.output(), reference.output, "{tag}: output diverged");
+            assert_eq!(*guest.cpu().counters(), reference.counters, "{tag}: counters diverged");
+            assert_eq!(guest.cpu().branch_stats(), reference.branch, "{tag}: branch diverged");
+        }
+    }
 }
